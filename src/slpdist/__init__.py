@@ -47,7 +47,6 @@ from .slp import (
     SlpError,
     expand,
     fibonacci_prefix_slp,
-    fibonacci_slp,
     from_plain,
     lz78_parse,
     lz78_to_slp,
@@ -79,7 +78,6 @@ __all__ = [
     "default_block_size",
     "expand",
     "fibonacci_prefix_slp",
-    "fibonacci_slp",
     "from_plain",
     "is_monge",
     "key_variables",

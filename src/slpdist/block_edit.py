@@ -4,7 +4,7 @@ block sweep over grammar-compressed inputs."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .dist import apply_inputs, build_repository
 from .partition import InvariantViolation, partition_string
@@ -40,25 +40,10 @@ class RunStats:
     elapsed: dict = field(default_factory=dict)
 
     def as_record(self) -> list:
-        """Flat key=value lines, one per counter."""
-        lines = []
-        for name in (
-            "n_chars_a",
-            "n_chars_b",
-            "n_vars_a",
-            "n_vars_b",
-            "block_size",
-            "parts_a",
-            "parts_b",
-            "block_count",
-            "memo_size",
-            "direct_builds",
-            "merges",
-            "cache_hits",
-            "boundary_cells_propagated",
-            "sweep_queries",
-        ):
-            lines.append(f"{name}={getattr(self, name)}")
+        """Flat key=value lines, one per counter, in field order."""
+        lines = [
+            f"{f.name}={getattr(self, f.name)}" for f in fields(self) if f.name != "elapsed"
+        ]
         for phase, seconds in self.elapsed.items():
             lines.append(f"elapsed_{phase}={seconds:.6f}")
         return lines

@@ -69,6 +69,12 @@ def parse_slp(text: str, source: str = "<input>") -> slp.Slp:
         count = int(lines[0][1].split()[1])
     except (IndexError, ValueError):
         raise CliError(f"{source}: malformed SLP header {lines[0][1]!r}") from None
+    # the header sizes an allocation, so check it against the file first
+    if count > len(lines) - 1:
+        raise CliError(
+            f"{source}: missing productions: the header declares {count} "
+            f"variables but only {len(lines) - 1} production lines follow"
+        )
     productions = [None] * (count + 1)
     for no, line in lines[1:]:
         head, sep, rhs = line.partition("->")
@@ -216,19 +222,18 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    if args.stats and args.algorithm == "baseline":
+        raise CliError("--stats requires the block algorithm")
     slp_a = _read_input(args.a)
     slp_b = _read_input(args.b)
     text_a, text_b = slp.expand(slp_a), slp.expand(slp_b)
     sf = _resolve_scoring(args.scoring, (text_a, text_b))
     if args.algorithm == "baseline":
         cost = block_edit.wagner_fischer(text_a, text_b, sf)
-        stats = None
     else:
         cost, stats = block_edit.block_edit_distance(slp_a, slp_b, sf, args.block_size)
     print(cost)
     if args.stats:
-        if stats is None:
-            raise CliError("--stats requires the block algorithm")
         with open(args.stats, "w", encoding="utf-8") as fh:
             fh.write("\n".join(stats.as_record()) + "\n")
     return 0

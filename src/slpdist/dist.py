@@ -177,16 +177,21 @@ def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
     return DistTable(d1.a + d2.a, d1.b, out)
 
 
-def merge_quad(d11, d12, d21, d22) -> DistTable:
+def merge_quad(d11, d12, d21, d22, ceiling=None) -> DistTable:
     """Table of the 2x2 block arrangement::
 
         (a1, b1) (a1, b2)
         (a2, b1) (a2, b2)
 
-    Two horizontal merges followed by one vertical merge."""
+    Two horizontal merges followed by one vertical merge, each with the
+    given unreachable-detection ``ceiling`` (see ``merge_horizontal``)."""
     if d11.a != d12.a or d21.a != d22.a or d11.b != d21.b or d12.b != d22.b:
         raise ValueError("quad merge given inconsistent substring references")
-    return merge_vertical(merge_horizontal(d11, d12), merge_horizontal(d21, d22))
+    return merge_vertical(
+        merge_horizontal(d11, d12, ceiling),
+        merge_horizontal(d21, d22, ceiling),
+        ceiling,
+    )
 
 
 def apply_inputs(d: DistTable, inputs, _counter=None, _ceiling=None):
@@ -230,6 +235,9 @@ class Repository:
       table (column side first, so composite x composite reduces to
       composite x exact).
 
+    Dependencies are listed in grid order (left before right, upper before
+    lower), so each merge takes its operands as listed.
+
     Every repeated occurrence of a pair is a cache hit, which is where the
     grammar's repetitiveness pays off.
     """
@@ -269,12 +277,12 @@ class Repository:
             if key in memo:
                 stack.pop()
                 continue
-            deps, how = self._dependencies(*key)
+            deps, op = self._dependencies(*key)
             missing = [d for d in deps if d not in memo]
             if missing:
                 stack.extend(missing)
                 continue
-            memo[key] = self._combine(key, how, [memo[d] for d in deps])
+            memo[key] = self._combine(key, op, [memo[d] for d in deps])
             stack.pop()
         return memo[key_a, key_b]
 
@@ -284,29 +292,25 @@ class Repository:
         if kind_b == COMPOSITE:
             prev, hang, grows = self._sides[1].chain_link(vb)
             if prev is None:
-                return [(key_a, (hang, EXACT))], ("alias", None)
-            return (
-                [(key_a, (prev, COMPOSITE)), (key_a, (hang, EXACT))],
-                ("hmerge", grows),
-            )
+                return [(key_a, (hang, EXACT))], "alias"
+            deps = [(key_a, (prev, COMPOSITE)), (key_a, (hang, EXACT))]
+            return (deps if grows == "suffix" else deps[::-1]), "hmerge"
         if kind_a == COMPOSITE:
             prev, hang, grows = self._sides[0].chain_link(va)
             if prev is None:
-                return [((hang, EXACT), key_b)], ("alias", None)
-            return (
-                [((prev, COMPOSITE), key_b), ((hang, EXACT), key_b)],
-                ("vmerge", grows),
-            )
+                return [((hang, EXACT), key_b)], "alias"
+            deps = [((prev, COMPOSITE), key_b), ((hang, EXACT), key_b)]
+            return (deps if grows == "suffix" else deps[::-1]), "vmerge"
         prod_a = self._sides[0].production(va)
         prod_b = self._sides[1].production(vb)
         if prod_a is _TERMINAL and prod_b is _TERMINAL:
-            return [], ("direct", None)
+            return [], "direct"
         if prod_a is _TERMINAL:
             r, t = prod_b
-            return [(key_a, (r, EXACT)), (key_a, (t, EXACT))], ("hmerge", "suffix")
+            return [(key_a, (r, EXACT)), (key_a, (t, EXACT))], "hmerge"
         if prod_b is _TERMINAL:
             p, q = prod_a
-            return [((p, EXACT), key_b), ((q, EXACT), key_b)], ("vmerge", "suffix")
+            return [((p, EXACT), key_b), ((q, EXACT), key_b)], "vmerge"
         p, q = prod_a
         r, t = prod_b
         return (
@@ -316,40 +320,25 @@ class Repository:
                 ((q, EXACT), (r, EXACT)),
                 ((q, EXACT), (t, EXACT)),
             ],
-            ("quad", None),
+            "quad",
         )
 
-    def _combine(self, key, how, tables):
-        op, arg = how
+    def _combine(self, key, op, tables):
         if op == "direct":
+            # direct is only issued for terminal x terminal exact keys
             self.direct_builds += 1
-            a = self._sides[0].content(key[0])
-            b = self._sides[1].content(key[1])
+            (va, _), (vb, _) = key
+            a = expand(self._sides[0].slp, va)
+            b = expand(self._sides[1].slp, vb)
             return build_direct(a, b, self.sf)
         if op == "alias":
             return tables[0]
-        ceiling = self.ceiling
         if op == "quad":
             self.merges += 3
-            d11, d12, d21, d22 = tables
-            return merge_vertical(
-                merge_horizontal(d11, d12, ceiling),
-                merge_horizontal(d21, d22, ceiling),
-                ceiling,
-            )
-        prev, hang = tables
+            return merge_quad(*tables, self.ceiling)
         self.merges += 1
-        if op == "hmerge":
-            return (
-                merge_horizontal(prev, hang, ceiling)
-                if arg == "suffix"
-                else merge_horizontal(hang, prev, ceiling)
-            )
-        return (
-            merge_vertical(prev, hang, ceiling)
-            if arg == "suffix"
-            else merge_vertical(hang, prev, ceiling)
-        )
+        merge = merge_horizontal if op == "hmerge" else merge_vertical
+        return merge(*tables, self.ceiling)
 
 
 class _SideInfo:
@@ -357,7 +346,6 @@ class _SideInfo:
 
     def __init__(self, slp: Slp, part: StringPartition):
         self.slp = slp
-        self._content = {}
         self._chains = {}
         for p in part.parts:
             if p.kind != COMPOSITE:
@@ -376,26 +364,6 @@ class _SideInfo:
     def production(self, var: int):
         prod = self.slp.productions[var]
         return _TERMINAL if isinstance(prod, str) else prod
-
-    def content(self, key) -> str:
-        text = self._content.get(key)
-        if text is None:
-            var, kind = key
-            if kind == EXACT:
-                text = expand(self.slp, var)
-            else:
-                # walk the accumulation chain back to the run start
-                pieces = []
-                v = var
-                grows = None
-                while v is not None:
-                    prev, hang, grows = self._chains[v]
-                    pieces.append(expand(self.slp, hang))
-                    v = prev
-                pieces.reverse()
-                text = "".join(pieces) if grows == "suffix" else "".join(reversed(pieces))
-            self._content[key] = text
-        return text
 
     def chain_link(self, var: int):
         return self._chains[var]

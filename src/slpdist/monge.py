@@ -26,6 +26,96 @@ def strict_checks_enabled() -> bool:
     return bool(os.environ.get(STRICT_ENV))
 
 
+def _smawk(rows, cols, best, best_row, base):
+    """The SMAWK recursion both public kernels share: REDUCE, recurse on
+    the odd columns, then interpolate between their argmins.
+
+    ``rows`` are ``(u, row, t)`` triples in increasing t; the element in
+    column c is ``u + row[c]``, read once per query.  Writes column c's
+    minimum and the smallest t attaining it to ``best[c - base]`` and
+    ``best_row[c - base]``, and returns the number of element queries.
+
+    Query bound, for R rows and C columns: at most ``4 * R + 7 * C``.
+    REDUCE makes at most 2R - 1 - F comparisons of two queries each when it
+    leaves F rows; interpolation reads at most F - 1 + ceil(C / 2)
+    elements; the floors read C or F * C <= 2F.  Induction on C then gives
+    at most 5F + 4C for a call that starts with F <= C rows, so 5R + 4C
+    when R <= C and 4R - 2 - 2F + 5F + 4C <= 4R + 7C - 2 when R > C.
+    All-zero matrices of shape n x (n - 1) with n a power of two approach
+    4.5 * (R + C).
+    """
+    queries = 0
+    ncl = len(cols)
+    if len(rows) > ncl:
+        # REDUCE: drop rows that cannot hold any column minimum
+        kept = []
+        for tr in rows:
+            ut, rowt, _ = tr
+            while kept:
+                c = cols[len(kept) - 1]
+                uk, rowk, _ = kept[-1]
+                queries += 2
+                if uk + rowk[c] > ut + rowt[c]:
+                    kept.pop()
+                else:
+                    break
+            if len(kept) < ncl:
+                kept.append(tr)
+        rows = kept
+    if len(rows) == 1:
+        ut, rowt, t = rows[0]
+        for c in cols:
+            best[c - base] = ut + rowt[c]
+            best_row[c - base] = t
+        return queries + ncl
+    if ncl <= 2:
+        # the constant-size floor of the recursion: scan directly
+        for c in cols:
+            bv = None
+            bt = 0
+            for ut, rowt, t in rows:
+                v = ut + rowt[c]
+                if bv is None or v < bv:
+                    bv, bt = v, t
+            best[c - base] = bv
+            best_row[c - base] = bt
+        return queries + len(rows) * ncl
+    queries += _smawk(rows, cols[1::2], best, best_row, base)
+    # Fill the even-position columns; their argmin rows are bracketed by
+    # the already-final argmins of the neighbouring odd columns.
+    ri = 0
+    for ci in range(0, ncl, 2):
+        c = cols[ci]
+        stop = best_row[cols[ci + 1] - base] if ci + 1 < ncl else rows[-1][2]
+        bv = None
+        bt = 0
+        while True:
+            ut, rowt, t = rows[ri]
+            queries += 1
+            v = ut + rowt[c]
+            if bv is None or v < bv:
+                bv, bt = v, t
+            if t == stop:
+                break
+            ri += 1
+        best[c - base] = bv
+        best_row[c - base] = bt
+    return queries
+
+
+class _EntryRow:
+    """Row i of an implicit matrix: ``row[j]`` calls ``entry(i, j)``."""
+
+    __slots__ = ("entry", "i")
+
+    def __init__(self, entry, i):
+        self.entry = entry
+        self.i = i
+
+    def __getitem__(self, j):
+        return self.entry(self.i, j)
+
+
 def smawk_column_minima(nrows: int, ncols: int, entry):
     """All column minima of an implicit totally monotone matrix.
 
@@ -33,7 +123,8 @@ def smawk_column_minima(nrows: int, ncols: int, entry):
     be finite (run ``substitute_infinities`` first if the source matrix has
     unreachable entries).  Returns ``(values, rows)`` where ``rows[j]`` is
     the smallest row index attaining ``values[j]``.  Ties always break to
-    the smallest row so results are reproducible.
+    the smallest row so results are reproducible.  Each element query is
+    one ``entry`` call, at most ``4 * nrows + 7 * ncols`` of them.
     """
     if ncols <= 0:
         return [], []
@@ -41,53 +132,8 @@ def smawk_column_minima(nrows: int, ncols: int, entry):
         raise ValueError("matrix must have at least one row")
     best = [None] * ncols
     best_row = [0] * ncols
-
-    def solve(rows, cols):
-        if len(rows) > len(cols):
-            # REDUCE: drop rows that cannot hold any column minimum.
-            kept = []
-            for r in rows:
-                while kept:
-                    c = cols[len(kept) - 1]
-                    if entry(kept[-1], c) > entry(r, c):
-                        kept.pop()
-                    else:
-                        break
-                if len(kept) < len(cols):
-                    kept.append(r)
-            rows = kept
-        if len(cols) == 1:
-            c = cols[0]
-            bv = entry(rows[0], c)
-            br = rows[0]
-            for r in rows[1:]:
-                v = entry(r, c)
-                if v < bv:
-                    bv, br = v, r
-            best[c] = bv
-            best_row[c] = br
-            return
-        solve(rows, cols[1::2])
-        # Fill the even-position columns; their argmin rows are bracketed by
-        # the already-final argmins of the neighbouring odd columns.
-        ri = 0
-        for ci in range(0, len(cols), 2):
-            c = cols[ci]
-            stop = best_row[cols[ci + 1]] if ci + 1 < len(cols) else rows[-1]
-            bv = None
-            br = None
-            while True:
-                r = rows[ri]
-                v = entry(r, c)
-                if bv is None or v < bv:
-                    bv, br = v, r
-                if r == stop:
-                    break
-                ri += 1
-            best[c] = bv
-            best_row[c] = br
-
-    solve(list(range(nrows)), list(range(ncols)))
+    rows = [(0, _EntryRow(entry, i), i) for i in range(nrows)]
+    _smawk(rows, range(ncols), best, best_row, 0)
     return best, best_row
 
 
@@ -95,10 +141,9 @@ def minplus_row(u, rows, jlo, jhi, counter=None):
     """Column minima of the implicit matrix ``u[t] + rows[t][j]`` for j in
     [jlo, jhi), as a list of jhi - jlo values.
 
-    Same algorithm as ``smawk_column_minima`` (REDUCE, recurse on odd
-    columns, interpolate between their argmins), with the element
-    arithmetic inlined: this is the inner loop of every table merge and of
-    the block sweep.  ``u`` and ``rows`` must be fully finite.
+    The inner loop of every table merge and of the block sweep: single rows
+    and tiny matrices are scanned, everything else goes through the shared
+    SMAWK recursion.  ``u`` and ``rows`` must be fully finite.
     ``counter[0]``, when given, accumulates the element evaluation count.
     """
     ncols = jhi - jlo
@@ -125,70 +170,18 @@ def minplus_row(u, rows, jlo, jhi, counter=None):
             out.append(best)
         return out
 
-    queries = 0
     best = [None] * ncols
     best_row = [0] * ncols
     # each row travels as a (u[t], rows[t], t) triple: one indexing per query
     triples = [(u[t], rows[t], t) for t in range(nrows)]
-
-    def solve(rws, cols):
-        nonlocal queries
-        ncl = len(cols)
-        if len(rws) > ncl:
-            kept = []
-            for tr in rws:
-                ut, rowt, _ = tr
-                while kept:
-                    c = cols[len(kept) - 1]
-                    uk, rowk, _ = kept[-1]
-                    queries += 2
-                    if uk + rowk[c] > ut + rowt[c]:
-                        kept.pop()
-                    else:
-                        break
-                if len(kept) < ncl:
-                    kept.append(tr)
-            rws = kept
-        if len(rws) == 1:
-            ut, rowt, t = rws[0]
-            queries += ncl
-            for c in cols:
-                best[c - jlo] = ut + rowt[c]
-                best_row[c - jlo] = t
-            return
-        if ncl <= 2:
-            # the constant-size floor of the recursion: scan directly
-            queries += len(rws) * ncl
-            for c in cols:
-                bv = None
-                bt = 0
-                for ut, rowt, t in rws:
-                    v = ut + rowt[c]
-                    if bv is None or v < bv:
-                        bv, bt = v, t
-                best[c - jlo] = bv
-                best_row[c - jlo] = bt
-            return
-        solve(rws, cols[1::2])
-        ri = 0
-        for ci in range(0, ncl, 2):
-            c = cols[ci]
-            stop = best_row[cols[ci + 1] - jlo] if ci + 1 < ncl else rws[-1][2]
-            bv = None
-            bt = 0
-            while True:
-                ut, rowt, t = rws[ri]
-                queries += 1
-                v = ut + rowt[c]
-                if bv is None or v < bv:
-                    bv, bt = v, t
-                if t == stop:
-                    break
-                ri += 1
-            best[c - jlo] = bv
-            best_row[c - jlo] = bt
-
-    solve(triples, range(jlo, jhi))
+    try:
+        queries = _smawk(triples, range(jlo, jhi), best, best_row, jlo)
+    except IndexError:
+        # only input that is not totally monotone walks off the row list
+        if not strict_checks_enabled():
+            raise
+        queries = 0
+        best = None
     if counter is not None:
         counter[0] += queries
     if strict_checks_enabled():
@@ -361,17 +354,8 @@ def minplus_multiply(d1, d2):
     ceiling = max_finite(d1) + max_finite(d2)
     s1, _ = substitute_infinities(d1, ceiling)
     s2, _ = substitute_infinities(d2, ceiling)
-    strict = strict_checks_enabled()
     out = []
-    for i in range(len(d1)):
-        row1 = s1[i]
-        if strict and not is_totally_monotone(
-            [[row1[k] + s2[k][j] for j in range(ncols)] for k in range(inner)]
-        ):
-            values = [
-                min(row1[k] + s2[k][j] for k in range(inner)) for j in range(ncols)
-            ]
-        else:
-            values = minplus_row(row1, s2, 0, ncols)
+    for row1 in s1:
+        values = minplus_row(row1, s2, 0, ncols)
         out.append([v if v <= ceiling else None for v in values])
     return out

@@ -86,21 +86,9 @@ def _events(slp: Slp, x: int):
     """
     prods = slp.productions
     lengths = slp.lengths
-    is_key = {}
-
-    def key(v):
-        k = is_key.get(v)
-        if k is None:
-            prod = prods[v]
-            k = (
-                not isinstance(prod, str)
-                and lengths[v] >= x
-                and lengths[prod[0]] < x
-                and lengths[prod[1]] < x
-            )
-            is_key[v] = k
-        return k
-
+    # the root derives at least x characters here, so some variable
+    # qualifies and key_variables never falls back to the root
+    keys = key_variables(slp, x)
     out = []
     stack = [("visit", slp.root, 0)]
     while stack:
@@ -110,7 +98,7 @@ def _events(slp: Slp, x: int):
             continue
         if lengths[v] < x:
             raise InvariantViolation("descended into a subtree shorter than x")
-        if key(v):
+        if v in keys:
             out.append(("key", v, off))
             continue
         p, q = prods[v]

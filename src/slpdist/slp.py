@@ -238,20 +238,6 @@ def lz78_to_slp(phrases) -> Slp:
     return b.finish(root)
 
 
-def fibonacci_slp(order: int, alphabet=("a", "b")) -> Slp:
-    """The Fibonacci-word grammar: W1 = alphabet[1], W2 = alphabet[0],
-    W(k) = W(k-1) W(k-2).  Grammar size is the order, string length the
-    order-th Fibonacci number: a maximally compressible benchmark family."""
-    if order < 1:
-        raise SlpError("order must be >= 1")
-    prods = [alphabet[1]]
-    if order >= 2:
-        prods.append(alphabet[0])
-    for i in range(3, order + 1):
-        prods.append((i - 1, i - 2))
-    return slp_from_productions(prods)
-
-
 def fibonacci_prefix_slp(length: int, alphabet=("a", "b")) -> Slp:
     """Grammar for the prefix of the infinite Fibonacci word of an exact
     length.  The prefix decomposes greedily into O(log length) whole

@@ -159,6 +159,29 @@ def test_malformed_slp_is_input_error(tmp_path, capsys):
     assert "missing productions" in err
 
 
+def test_huge_slp_header_is_input_error(tmp_path, capsys):
+    # the header count must be checked before it sizes any allocation
+    bad = tmp_path / "huge.slp"
+    bad.write_text("SLP 100000000000000\n1 -> 'a'\n")
+    code, out, err = run_cli(capsys, "expand", str(bad))
+    assert code == 1
+    assert "header declares 100000000000000 variables" in err
+    assert out == ""
+
+
+def test_distance_stats_with_baseline_rejected_before_work(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    a.write_text("abab\n")
+    stats = tmp_path / "stats.txt"
+    code, out, err = run_cli(
+        capsys, "distance", str(a), str(a), "--algorithm", "baseline", "--stats", str(stats)
+    )
+    assert code == 1
+    assert "--stats requires the block algorithm" in err
+    assert out == ""
+    assert not stats.exists()
+
+
 def test_scoring_file(tmp_path, capsys):
     scoring = tmp_path / "costs.tsv"
     scoring.write_text(

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from conftest import random_monge_matrix, random_text
@@ -72,6 +74,25 @@ def test_smawk_query_count_linear(rng):
         counter = [0]
         smawk_column_minima(nrows, ncols, counting(m, counter))
         assert counter[0] <= 4 * (nrows + ncols)
+
+
+def test_smawk_query_bound_on_ties(rng):
+    # documented kernel bound: queries <= 4 * rows + 7 * cols.  Ties make
+    # the last even column of every level scan all kept rows, so all-zero
+    # n x (n - 1) matrices exceed 4 * (rows + cols) and approach 4.5.
+    shapes = [(n, n - 1) for n in (4, 8, 16, 32, 64, 128, 256)]
+    shapes += [(r, c) for r in range(1, 40, 2) for c in range(1, 40, 2)]
+    matrices = [[[0] * c for _ in range(r)] for r, c in shapes]
+    for hi in (0, 1):
+        for _ in range(200):
+            nrows, ncols = rng.randint(1, 64), rng.randint(1, 64)
+            matrices.append(random_monge_matrix(rng, nrows, ncols, hi=hi))
+    for m in matrices:
+        nrows, ncols = len(m), len(m[0])
+        counter = [0]
+        values, rows = smawk_column_minima(nrows, ncols, counting(m, counter))
+        assert (values, rows) == brute_column_minima(m)
+        assert counter[0] <= 4 * nrows + 7 * ncols, (counter[0], nrows, ncols)
 
 
 def test_minplus_row_matches_brute(rng):
@@ -205,3 +226,44 @@ def test_strict_mode_still_correct(rng, monkeypatch):
         m1 = random_monge_matrix(rng, 5, 5)
         m2 = random_monge_matrix(rng, 5, 5)
         assert minplus_multiply(m1, m2) == brute_minplus(m1, m2)
+
+
+def test_strict_mode_checks_and_falls_back_past_the_plain_scan(rng, monkeypatch):
+    # 8 x 8 operands: 64 entries per row product, so every row goes through
+    # the SMAWK recursion and then the strict cross-check
+    monkeypatch.setenv("SLPDIST_STRICT", "1")
+    for _ in range(20):
+        m1 = random_monge_matrix(rng, 8, 8)
+        m2 = random_monge_matrix(rng, 8, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert minplus_multiply(m1, m2) == brute_minplus(m1, m2)
+    # not totally monotone: the interpolation walks past the last kept row
+    m1 = [
+        [1, 3, 1, 3, 7, 3, 5, 3],
+        [7, 9, 9, 0, 7, 5, 1, 1],
+        [6, 3, 7, 2, 6, 5, 1, 6],
+        [7, 6, 1, 2, 2, 2, 0, 2],
+        [9, 7, 2, 9, 9, 7, 5, 2],
+        [8, 8, 2, 0, 0, 1, 8, 2],
+        [6, 3, 3, 0, 4, 3, 4, 8],
+        [3, 9, 5, 4, 8, 6, 2, 0],
+    ]
+    m2 = [
+        [5, 7, 9, 8, 6, 8, 2, 8],
+        [2, 8, 8, 0, 7, 2, 9, 0],
+        [2, 2, 2, 7, 9, 1, 8, 0],
+        [5, 8, 8, 8, 7, 1, 8, 0],
+        [3, 3, 4, 0, 1, 8, 7, 8],
+        [0, 1, 7, 5, 9, 8, 9, 8],
+        [3, 4, 7, 8, 8, 7, 8, 3],
+        [8, 4, 8, 3, 7, 2, 6, 1],
+    ]
+    with pytest.warns(RuntimeWarning, match="not totally monotone"):
+        assert minplus_multiply(m1, m2) == brute_minplus(m1, m2)
+    for _ in range(100):
+        m1 = [[rng.randint(0, 9) for _ in range(8)] for _ in range(8)]
+        m2 = [[rng.randint(0, 9) for _ in range(8)] for _ in range(8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert minplus_multiply(m1, m2) == brute_minplus(m1, m2)
