@@ -20,7 +20,9 @@ class RunStats:
     block sweep (one per output vertex per block); ``sweep_queries`` counts
     the matrix element lookups the sweep's SMAWK passes performed.  Both
     scale as N^2/x while the table-building counters scale as n^2, which is
-    the trade the block parameter x tunes.
+    the trade the block parameter x tunes.  ``table_entries`` is the sum of
+    s^2 over the distinct tables the repository holds, the driver of peak
+    memory.
     """
 
     n_chars_a: int = 0
@@ -32,6 +34,7 @@ class RunStats:
     parts_b: int = 0
     block_count: int = 0
     memo_size: int = 0
+    table_entries: int = 0
     direct_builds: int = 0
     merges: int = 0
     cache_hits: int = 0
@@ -134,6 +137,7 @@ def block_edit_distance(
     t0 = time.perf_counter()
     repo = build_repository(slp_a, slp_b, part_a, part_b, sf)
     stats.memo_size = repo.memo_size
+    stats.table_entries = repo.table_entries
     stats.direct_builds = repo.direct_builds
     stats.merges = repo.merges
     stats.elapsed["repository"] = time.perf_counter() - t0

@@ -16,19 +16,45 @@ boundary be merged with SMAWK in O(s^2) instead of rebuilt in O(s^3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .monge import max_finite, minplus_row, substitute_infinities
+from .monge import fill_stand_ins, max_finite, minplus_row, substitute_infinities
 from .partition import COMPOSITE, EXACT, InvariantViolation, StringPartition
 from .slp import Slp, expand
 
 
-@dataclass
 class DistTable:
-    a: str  # substring of A spanned by the block's rows
-    b: str  # substring of B spanned by the block's columns
-    m: list  # s x s rows; None = no monotone path
-    _subst: dict = field(default_factory=dict, repr=False, compare=False)
+    """The boundary distance table of the block (a, b), stored once.
+
+    ``rows`` is the s x s matrix the min-plus kernel reads, finite
+    throughout: reachable entries are exact path weights, at most
+    ``ceiling``, and unreachable ones are stand-ins above it (see
+    ``substitute_infinities``), shared objects from one ladder per table.
+    The constructor takes the public form ``m``, with ``None`` for
+    unreachable entries, and converts it once against ``ceiling`` (default:
+    its largest finite entry).
+    """
+
+    __slots__ = ("a", "b", "rows", "ceiling")
+
+    def __init__(self, a: str, b: str, m: list, ceiling=None):
+        self.a = a  # substring of A spanned by the block's rows
+        self.b = b  # substring of B spanned by the block's columns
+        self.rows, self.ceiling = substitute_infinities(m, ceiling)
+
+    @classmethod
+    def _from_rows(cls, a, b, rows, ceiling):
+        """Table from rows that hold some value above ``ceiling`` wherever
+        no path exists; those entries get the table's stand-ins in place."""
+        table = cls.__new__(cls)
+        table.a, table.b, table.ceiling = a, b, ceiling
+        table.rows = fill_stand_ins(rows, ceiling)
+        return table
+
+    @property
+    def m(self) -> list:
+        """s x s rows with ``None`` for no monotone path; derived from
+        ``rows`` on every access."""
+        ceiling = self.ceiling
+        return [[None if v > ceiling else v for v in row] for row in self.rows]
 
     @property
     def h(self) -> int:
@@ -43,19 +69,15 @@ class DistTable:
         return len(self.a) + len(self.b) + 1
 
     def max_finite(self):
-        cached = self._subst.get("maxfin")
-        if cached is None:
-            cached = max_finite(self.m)
-            self._subst["maxfin"] = cached
-        return cached
+        return max_finite(self.m)
 
-    def substituted(self, ceiling):
-        """Finite, totally monotone version of ``m``; cached per ceiling."""
-        cached = self._subst.get(ceiling)
-        if cached is None:
-            cached, _ = substitute_infinities(self.m, ceiling)
-            self._subst[ceiling] = cached
-        return cached
+    def finite_rows(self, ceiling):
+        """Rows that keep results up to ``ceiling`` apart from unreachable
+        ones: the stored rows when they were built against at least that
+        bound, else a copy built for this call only."""
+        if ceiling <= self.ceiling:
+            return self.rows
+        return substitute_infinities(self.m, ceiling)[0]
 
     def render_text(self) -> str:
         """Diagnostic dump; unreachable entries render as ``inf``."""
@@ -74,10 +96,11 @@ def output_position(h: int, w: int, k: int):
     return (h, k) if k <= w else (h - (k - w), w)
 
 
-def build_direct(a: str, b: str, sf) -> DistTable:
+def build_direct(a: str, b: str, sf, ceiling=None) -> DistTable:
     """Table by direct dynamic programming: one sweep of the block per input
     vertex, O(s^3) overall.  Base-case builder for terminal blocks and the
-    correctness oracle every merge is tested against."""
+    correctness oracle every merge is tested against.  The table is stored
+    against ``ceiling`` (see ``DistTable``)."""
     h, w = len(a), len(b)
     s = h + w + 1
     del_costs = [None] + [sf.del_cost(c) for c in a]
@@ -111,7 +134,7 @@ def build_direct(a: str, b: str, sf) -> DistTable:
                             best = v
                 row[c] = best
         m.append([dist[r][c] for r, c in (output_position(h, w, j) for j in range(s))])
-    return DistTable(a, b, m)
+    return DistTable(a, b, m, ceiling)
 
 
 def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
@@ -123,7 +146,8 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
     that boundary with d2's rows, one SMAWK pass per input vertex.  Total
     cost O(s^2).  ``ceiling`` is the unreachable-detection bound; it must
     be at least the largest finite entry either operand can contribute to
-    (defaults to the sum of the operands' maxima).
+    (defaults to the sum of the operands' maxima).  The result is stored
+    against it.
     """
     if d1.a != d2.a:
         raise ValueError("horizontal merge needs a common row substring")
@@ -133,21 +157,19 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
     s = h + w1 + d2.w + 1
     if ceiling is None:
         ceiling = d1.max_finite() + d2.max_finite()
-    m1 = d1.substituted(ceiling)
-    m2 = d2.substituted(ceiling)
+    m1 = d1.finite_rows(ceiling)
+    m2 = d2.finite_rows(ceiling)
     out = []
     for i in range(s1):
-        row_d1 = d1.m[i]
-        row_out = row_d1[: w1 + 1]
+        row_out = m1[i][: w1 + 1]
         # cross region: route through the shared column (d1 columns
         # w1..s1-1 are its vertices bottom-to-top, as are d2 rows 0..h)
-        values = minplus_row(m1[i][w1:], m2, 1, s2)
-        row_out.extend(v if v <= ceiling else None for v in values)
+        row_out.extend(minplus_row(m1[i][w1:], m2, 1, s2))
         out.append(row_out)
-    for i in range(s1, s):
-        row_d2 = d2.m[i - w1]
-        out.append([None] * (w1 + 1) + row_d2[1:])
-    return DistTable(d1.a, d1.b + d2.b, out)
+    # no path from d2's inputs reaches d1's outputs
+    unreachable = [ceiling + 1] * (w1 + 1)
+    out.extend(unreachable + m2[i - w1][1:] for i in range(s1, s))
+    return DistTable._from_rows(d1.a, d1.b + d2.b, out, ceiling)
 
 
 def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
@@ -162,19 +184,18 @@ def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
     s = d1.h + h2 + w + 1
     if ceiling is None:
         ceiling = d1.max_finite() + d2.max_finite()
-    m1 = d1.substituted(ceiling)
-    m2 = d2.substituted(ceiling)
+    m1 = d1.finite_rows(ceiling)
+    m2 = d2.finite_rows(ceiling)
     m2_shifted = m2[h2:]
-    out = []
-    for i in range(h2):
-        out.append(d2.m[i] + [None] * (s - s2))
-    out.append(d2.m[h2] + d1.m[0][s2 - h2 :])
+    # no path from d2's lower inputs reaches d1's outputs
+    unreachable = [ceiling + 1] * (s - s2)
+    out = [m2[i] + unreachable for i in range(h2)]
+    out.append(m2[h2] + m1[0][s2 - h2 :])
     for i in range(h2 + 1, s):
-        values = minplus_row(m1[i - h2][: w + 1], m2_shifted, 0, s2)
-        row_out = [v if v <= ceiling else None for v in values]
-        row_out.extend(d1.m[i - h2][s2 - h2 :])
+        row_out = minplus_row(m1[i - h2][: w + 1], m2_shifted, 0, s2)
+        row_out.extend(m1[i - h2][s2 - h2 :])
         out.append(row_out)
-    return DistTable(d1.a + d2.a, d1.b, out)
+    return DistTable._from_rows(d1.a + d2.a, d1.b, out, ceiling)
 
 
 def merge_quad(d11, d12, d21, d22, ceiling=None) -> DistTable:
@@ -208,8 +229,7 @@ def apply_inputs(d: DistTable, inputs, _counter=None, _ceiling=None):
     ceiling = _ceiling
     if ceiling is None:
         ceiling = d.max_finite() + max(inputs)
-    sub = d.substituted(ceiling)
-    values = minplus_row(inputs, sub, 0, s, _counter)
+    values = minplus_row(inputs, d.finite_rows(ceiling), 0, s, _counter)
     if any(v > ceiling for v in values):
         raise InvariantViolation("unreachable output vertex in a grid block")
     return values
@@ -250,7 +270,8 @@ class Repository:
         self.cache_hits = 0
         self._sides = (_SideInfo(slp_a, part_a), _SideInfo(slp_b, part_b))
         # One unreachable-detection bound that dominates every finite value
-        # the grid can produce, so each table is substituted exactly once.
+        # the grid can produce: every table is stored against it, so merges
+        # and the sweep read the stored rows as they are.
         max_cost = max(
             max(sf.delete.values()),
             max(sf.insert.values()),
@@ -261,6 +282,12 @@ class Repository:
     @property
     def memo_size(self) -> int:
         return len(self.memo)
+
+    @property
+    def table_entries(self) -> int:
+        """Entries held by the distinct tables (aliased keys share one)."""
+        tables = {id(t): t for t in self.memo.values()}
+        return sum(t.s * t.s for t in tables.values())
 
     def lookup(self, key_a, key_b) -> DistTable:
         """Table for an already-built pair; counts a cache hit."""
@@ -330,7 +357,7 @@ class Repository:
             (va, _), (vb, _) = key
             a = expand(self._sides[0].slp, va)
             b = expand(self._sides[1].slp, vb)
-            return build_direct(a, b, self.sf)
+            return build_direct(a, b, self.sf, self.ceiling)
         if op == "alias":
             return tables[0]
         if op == "quad":

@@ -170,6 +170,7 @@ def minplus_row(u, rows, jlo, jhi, counter=None):
             out.append(best)
         return out
 
+    strict = strict_checks_enabled()
     best = [None] * ncols
     best_row = [0] * ncols
     # each row travels as a (u[t], rows[t], t) triple: one indexing per query
@@ -178,13 +179,13 @@ def minplus_row(u, rows, jlo, jhi, counter=None):
         queries = _smawk(triples, range(jlo, jhi), best, best_row, jlo)
     except IndexError:
         # only input that is not totally monotone walks off the row list
-        if not strict_checks_enabled():
+        if not strict:
             raise
         queries = 0
         best = None
     if counter is not None:
         counter[0] += queries
-    if strict_checks_enabled():
+    if strict:
         check = []
         for j in range(jlo, jhi):
             low = u[0] + rows[0][j]
@@ -239,70 +240,78 @@ def max_finite(matrix):
     return 0 if best is None else best
 
 
-def _row_spans(matrix, ncols):
-    """(first, last) finite column per row; empty rows get a synthetic
-    one-past span so the substitution stays monotone at the edges."""
-    spans = []
-    for row in matrix:
-        lo = None
-        hi = None
-        for j in range(ncols):
-            if row[j] is not None:
-                if lo is None:
-                    lo = j
-                hi = j
-        spans.append((lo, hi))
-    prev_hi = -1
-    fixed = []
-    for lo, hi in spans:
-        if lo is None:
-            lo, hi = prev_hi + 1, prev_hi
-        fixed.append((lo, hi))
-        prev_hi = hi
-    return fixed
-
-
-def substitute_infinities(matrix, ceiling=None):
-    """Replace unreachable entries by finite stand-ins that keep the matrix
-    totally monotone.
+def fill_stand_ins(rows, ceiling):
+    """Replace, in place, every entry of ``rows`` above ``ceiling`` (an
+    unreachable one) by a finite stand-in that keeps the matrix totally
+    monotone, and return ``rows``.
 
     The reachable entries of a boundary distance table form a staircase:
     each row covers a contiguous column range whose ends move weakly right
-    on lower rows.  Each unreachable entry is replaced by ``K * d`` where
-    ``d`` is its column distance past the row's reachable range and
-    ``K = (ceiling + 1) * (rows + cols)``.  Any value exceeding ``ceiling``
-    therefore marks an unreachable result, and no stand-in can ever beat a
-    reachable entry in its column.
+    on lower rows.  An entry ``d`` columns past its row's range becomes
+    ``K * d`` with ``K = (ceiling + 1) * (rows + cols)``, so no stand-in can
+    beat a reachable entry in its column and any result above ``ceiling``
+    marks an unreachable one.  Equal stand-ins are one shared object.  A row
+    with no reachable entry gets the synthetic one-past range after the
+    previous row's, so the matrix stays monotone at the edges.
+    """
+    ncols = len(rows[0]) if rows else 0
+    big = (ceiling + 1) * (len(rows) + ncols)
+    ladder = [big * d for d in range(ncols + 1)]
+    hi = -1
+    for row in rows:
+        lo = 0
+        while lo < ncols and row[lo] > ceiling:
+            lo += 1
+        if lo == ncols:
+            lo = hi + 1
+        else:
+            hi = ncols - 1
+            while row[hi] > ceiling:
+                hi -= 1
+        for j in range(lo):
+            row[j] = ladder[lo - j]
+        for j in range(hi + 1, ncols):
+            row[j] = ladder[j - hi]
+    return rows
+
+
+def substitute_infinities(matrix, ceiling=None):
+    """Finite copy of a matrix with ``None`` for unreachable entries, each
+    replaced by its stand-in (see ``fill_stand_ins``).
 
     Returns ``(substituted, ceiling)``.  ``ceiling`` defaults to the largest
     finite entry; callers combining several matrices must pass the largest
     finite value any combination can reach.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if matrix else 0
     if ceiling is None:
         ceiling = max_finite(matrix)
-    big = (ceiling + 1) * (nrows + ncols)
-    spans = _row_spans(matrix, ncols)
-    out = []
-    for i, row in enumerate(matrix):
-        lo, hi = spans[i]
-        new_row = list(row)
-        for j in range(ncols):
-            if new_row[j] is None:
-                d = j - hi if j > hi else lo - j
-                new_row[j] = big * d
-        out.append(new_row)
-    return out, ceiling
+    above = ceiling + 1
+    rows = [[above if v is None else v for v in row] for row in matrix]
+    return fill_stand_ins(rows, ceiling), ceiling
 
 
 def is_monge(matrix, finite_only: bool = True) -> bool:
-    """Exhaustive Monge check over all row/column quadruples.
-
-    Quadratic in the entry count; intended for tests and strict mode, not
-    for hot paths.  With ``finite_only`` the inequality is only required
+    """Monge check.  With ``finite_only`` the inequality is only required
     when all four corners are reachable.
+
+    A fully finite matrix is Monge exactly when every adjacent 2x2 cell is,
+    because the cross-difference of any row/column quadruple is the sum of
+    the adjacent cells' cross-differences it spans; that check is
+    O(rows * cols).  Matrices with ``None`` entries get the exhaustive scan.
     """
+    for row in matrix:
+        if None in row:
+            return _is_monge_exhaustive(matrix, finite_only)
+    for upper, lower in zip(matrix, matrix[1:]):
+        for j in range(len(upper) - 1):
+            if upper[j] + lower[j + 1] > upper[j + 1] + lower[j]:
+                return False
+    return True
+
+
+def _is_monge_exhaustive(matrix, finite_only: bool = True) -> bool:
+    """Monge check over all row/column quadruples; quadratic in the entry
+    count, for matrices with unreachable entries."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
     for i in range(nrows - 1):

@@ -14,6 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# Longest string ``expand`` derives, in characters (2**24).  A grammar can
+# derive a string exponentially longer than itself (a doubling grammar of 64
+# variables derives 2**63 characters), so the length is checked against
+# this limit before anything is allocated.
+MAX_EXPAND_LENGTH = 1 << 24
+
 
 class SlpError(ValueError):
     """Structurally invalid grammar or malformed compressed input."""
@@ -107,12 +113,17 @@ def expand(slp: Slp, var: int | None = None) -> str:
 
     Iterative with an explicit work stack: parse trees of chain-shaped
     grammars are as deep as the grammar is large, so recursion is not an
-    option.
+    option.  Strings longer than ``MAX_EXPAND_LENGTH`` are refused.
     """
     if var is None:
         var = slp.root
     if not (1 <= var <= slp.root):
         raise SlpError(f"variable {var} out of range 1..{slp.root}")
+    if slp.lengths[var] > MAX_EXPAND_LENGTH:
+        raise SlpError(
+            f"variable {var} derives {slp.lengths[var]} characters, more than "
+            f"the expansion limit of {MAX_EXPAND_LENGTH}"
+        )
     prods = slp.productions
     out = []
     stack = [var]

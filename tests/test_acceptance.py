@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Documented constants (see README): SMAWK element queries <= 4 * (rows +
-cols); repository work (direct builds + merges) <= 2 * nA * nB.
+Documented constants (see README): SMAWK element queries <= 4 * rows +
+7 * cols; repository work (direct builds + merges) <= 2 * nA * nB.
 """
 
 import math

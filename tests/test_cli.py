@@ -1,7 +1,7 @@
 import pytest
 
 from slpdist.cli import dump_slp, main, parse_scoring, parse_slp
-from slpdist.slp import expand
+from slpdist.slp import MAX_EXPAND_LENGTH, expand
 
 FIB7_SLP_TEXT = """SLP 7
 # the worked example grammar
@@ -143,6 +143,7 @@ def test_distance_stats_output(tmp_path, capsys):
     record = stats.read_text()
     assert "block_count=" in record
     assert "boundary_cells_propagated=" in record
+    assert "table_entries=" in record
 
 
 def test_missing_file_is_input_error(capsys):
@@ -167,6 +168,31 @@ def test_huge_slp_header_is_input_error(tmp_path, capsys):
     assert code == 1
     assert "header declares 100000000000000 variables" in err
     assert out == ""
+
+
+def _doubling_slp_text(lines, tail=False):
+    """'a' doubled lines - 1 times, optionally followed by one more 'a'."""
+    prods = ["1 -> 'a'"] + [f"{i} -> {i - 1} {i - 1}" for i in range(2, lines + 1)]
+    if tail:
+        prods.append(f"{lines + 1} -> {lines} 1")
+    return f"SLP {len(prods)}\n" + "\n".join(prods) + "\n"
+
+
+def test_over_long_expansion_is_input_error(tmp_path, capsys):
+    # 64 lines derive 2**63 characters; the length is checked before expanding
+    huge = tmp_path / "huge.slp"
+    huge.write_text(_doubling_slp_text(64))
+    for argv in (("expand", str(huge)), ("distance", str(huge), str(huge))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert f"derives {2**63} characters" in err
+        assert out == ""
+    # one character over the limit is refused too
+    over = tmp_path / "over.slp"
+    over.write_text(_doubling_slp_text(MAX_EXPAND_LENGTH.bit_length(), tail=True))
+    code, out, err = run_cli(capsys, "distance", str(over), str(over))
+    assert code == 1
+    assert f"derives {MAX_EXPAND_LENGTH + 1} characters" in err
 
 
 def test_distance_stats_with_baseline_rejected_before_work(tmp_path, capsys):

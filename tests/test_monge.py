@@ -12,7 +12,7 @@ from slpdist import (
     smawk_column_minima,
     substitute_infinities,
 )
-from slpdist.monge import is_totally_monotone, minplus_row
+from slpdist.monge import _is_monge_exhaustive, is_totally_monotone, minplus_row
 
 
 def counting(matrix, counter):
@@ -66,8 +66,26 @@ def test_smawk_matches_brute_on_random_monge(rng):
         assert rows == brows
 
 
+def test_is_monge_adjacent_check_matches_exhaustive(rng):
+    # fully finite matrices take the adjacent-cell path; the quadruple scan
+    # must give the same answer on Monge and non-Monge ones
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+        if rng.random() < 0.5:
+            m = random_monge_matrix(rng, nrows, ncols)
+            if rng.random() < 0.5:
+                m[rng.randrange(nrows)][rng.randrange(ncols)] += rng.choice((-5, -1, 1, 5))
+        else:
+            m = [[rng.randint(0, 9) for _ in range(ncols)] for _ in range(nrows)]
+        want = _is_monge_exhaustive(m)
+        assert is_monge(m) == want
+        seen[want] += 1
+    assert min(seen.values()) > 50, seen
+
+
 def test_smawk_query_count_linear(rng):
-    # documented kernel constant: queries <= 4 * (rows + cols)
+    # documented kernel bound: queries <= 4 * rows + 7 * cols
     for _ in range(200):
         nrows, ncols = rng.randint(1, 64), rng.randint(1, 64)
         m = random_monge_matrix(rng, nrows, ncols)

@@ -2,11 +2,15 @@ from conftest import random_slp, random_scoring
 from slpdist import (
     COMPOSITE,
     EXACT,
+    block_edit,
+    block_edit_distance,
     build_direct,
     build_repository,
+    dist,
     expand,
     levenshtein,
     partition_string,
+    wagner_fischer,
 )
 from slpdist.slp import slp_from_productions
 
@@ -90,3 +94,43 @@ def test_composite_chain_tables(fib7_slp):
     assert composites, "expected composite parts at block size 2"
     for (ka, kb), table in repo.memo.items():
         assert table.m == build_direct(table.a, table.b, sf).m
+
+
+def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch):
+    # one finite matrix per table, built against the repository's ceiling;
+    # the sweep reads those very rows, and stand-ins are shared objects
+    real_build, real_kernel = block_edit.build_repository, dist.minplus_row
+    built, swept = [], []
+
+    def build(*args):
+        built.append(real_build(*args))
+        swept.clear()
+        return built[-1]
+
+    def kernel(u, rows, jlo, jhi, counter=None):
+        swept.append(rows)
+        return real_kernel(u, rows, jlo, jhi, counter)
+
+    monkeypatch.setattr(block_edit, "build_repository", build)
+    monkeypatch.setattr(dist, "minplus_row", kernel)
+    for _ in range(10):
+        ga = random_slp(rng, max_len=40)
+        gb = random_slp(rng, max_len=40)
+        text_a, text_b = expand(ga), expand(gb)
+        sf = random_scoring(rng, sorted(set(text_a) | set(text_b)))
+        built.clear()
+        cost, stats = block_edit_distance(ga, gb, sf, 3)
+        assert cost == wagner_fischer(text_a, text_b, sf)
+        (repo,) = built
+        tables = {id(t): t for t in repo.memo.values()}.values()
+        for t in tables:
+            assert not hasattr(t, "__dict__")
+            assert t.ceiling == repo.ceiling
+            assert all(v is not None for row in t.rows for v in row)
+            stand_ins = [v for row in t.rows for v in row if v > t.ceiling]
+            shared = {id(v) for v in stand_ins}
+            assert len(shared) == len(set(stand_ins)) <= 2 * t.s
+        assert stats.table_entries == sum(t.s * t.s for t in tables)
+        assert len(swept) == stats.block_count
+        stored = {id(t.rows) for t in tables}
+        assert all(id(rows) in stored for rows in swept)
