@@ -40,6 +40,7 @@ class RunStats:
     cache_hits: int = 0
     boundary_cells_propagated: int = 0
     sweep_queries: int = 0
+    sweep_memo_hits: int = 0
     elapsed: dict = field(default_factory=dict)
 
     def as_record(self) -> list:
@@ -150,7 +151,11 @@ def block_edit_distance(
     frontier = [0] * (len(text_b) + 1)
     for j, c in enumerate(text_b, start=1):
         frontier[j] = frontier[j - 1] + sf.insert[c]
-    counter = [0]
+    # Blocks with the same table and input shape share outputs up to a
+    # shift; reuse them only for int costs (see ``apply_inputs``).
+    costs = (*sf.delete.values(), *sf.insert.values(), *sf.substitute.values())
+    memo = {} if all(type(c) is int for c in costs) else None
+    counter = [0, 0]  # kernel queries, memo hits
     cells = 0
     r0 = 0
     for pa in part_a.parts:
@@ -167,17 +172,17 @@ def block_edit_distance(
             if frontier[c0] != left[0]:
                 raise InvariantViolation("frontier and left edge disagree at a corner")
             table = repo.lookup((pa.var, pa.kind), (pb.var, pb.kind))
-            inputs = [left[h - k] for k in range(h + 1)]
+            inputs = left[::-1]
             inputs.extend(frontier[c0 + 1 : c1 + 1])
-            outputs = apply_inputs(table, inputs, counter, repo.ceiling)
+            outputs = apply_inputs(table, inputs, counter, repo.ceiling, memo)
             cells += len(outputs)
             new_frontier[c0 : c1 + 1] = outputs[: w + 1]
-            left = [outputs[w + h - t] for t in range(h + 1)]
+            left = outputs[w:][::-1]
             c0 = c1
         frontier = new_frontier
         r0 = r1
     stats.boundary_cells_propagated = cells
-    stats.sweep_queries = counter[0]
+    stats.sweep_queries, stats.sweep_memo_hits = counter
     stats.cache_hits = repo.cache_hits
     stats.elapsed["sweep"] = time.perf_counter() - t0
     return frontier[-1], stats

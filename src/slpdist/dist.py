@@ -215,13 +215,25 @@ def merge_quad(d11, d12, d21, d22, ceiling=None) -> DistTable:
     )
 
 
-def apply_inputs(d: DistTable, inputs, _counter=None, _ceiling=None):
+SWEEP_MEMO_SIZE = 64
+
+
+def apply_inputs(d: DistTable, inputs, _counter=None, _ceiling=None, _memo=None):
     """Output boundary values from input boundary values:
     ``out[j] = min_i inputs[i] + m[i][j]``.
 
-    One SMAWK pass over the implicit matrix, O(s) element queries.  Inputs
-    must be finite; every column of a distance table has a reachable entry,
-    so the outputs are finite too.
+    One min-plus row product over the table's stored rows (``minplus_row``:
+    a scan or a SMAWK pass, O(s) element queries).  Inputs must be finite;
+    every column of a distance table has a reachable entry, so the outputs
+    are finite too.
+
+    ``_memo``, a dict owned by the caller, reuses earlier answers.  Min-plus
+    is shift-equivariant, so the outputs minus ``inputs[0]`` depend only on
+    the table and the inputs minus ``inputs[0]`` (the input shape).  The
+    memo maps the ``SWEEP_MEMO_SIZE`` most recently used (table, shape)
+    pairs to their output shapes; a hit runs no kernel, adds no queries to
+    ``_counter[0]`` and adds one to ``_counter[1]``.  The shift is exact
+    only for ints: a Decimal shifted back can carry another exponent.
     """
     s = d.s
     if len(inputs) != s:
@@ -229,8 +241,23 @@ def apply_inputs(d: DistTable, inputs, _counter=None, _ceiling=None):
     ceiling = _ceiling
     if ceiling is None:
         ceiling = d.max_finite() + max(inputs)
-    values = minplus_row(inputs, d.finite_rows(ceiling), 0, s, _counter)
-    if any(v > ceiling for v in values):
+    if _memo is None:
+        values = minplus_row(inputs, d.finite_rows(ceiling), 0, s, _counter)
+    else:
+        base = inputs[0]
+        key = (d, tuple([v - base for v in inputs]))
+        shape = _memo.pop(key, None)
+        if shape is None:
+            values = minplus_row(inputs, d.finite_rows(ceiling), 0, s, _counter)
+            shape = tuple([v - base for v in values])
+            if len(_memo) >= SWEEP_MEMO_SIZE:
+                del _memo[next(iter(_memo))]
+        else:
+            values = [base + v for v in shape]
+            if _counter is not None:
+                _counter[1] += 1
+        _memo[key] = shape  # most recently used last
+    if max(values) > ceiling:
         raise InvariantViolation("unreachable output vertex in a grid block")
     return values
 

@@ -4,14 +4,18 @@ from conftest import (
     edit_distance_by_recursion,
     mutated_periodic,
     random_scoring,
+    random_slp,
     random_text,
 )
 from slpdist import (
     ScoringError,
     ScoringFunction,
+    block_edit,
     block_edit_distance,
     default_block_size,
+    dist,
     expand,
+    fibonacci_prefix_slp,
     from_plain,
     levenshtein,
     lz78_parse,
@@ -231,3 +235,75 @@ def test_memo_counters_consistent(rng):
     assert stats.cache_hits >= stats.block_count
     assert stats.boundary_cells_propagated > 0
     assert stats.sweep_queries > 0
+
+
+def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
+    # integer and unit cost tables run the sweep through the memo; it never
+    # holds more than its cap, also when a small cap makes it evict
+    real = block_edit.apply_inputs
+    sizes = []
+
+    def apply(d, inputs, counter, ceiling, memo):
+        out = real(d, inputs, counter, ceiling, memo)
+        sizes.append(len(memo))
+        return out
+
+    monkeypatch.setattr(block_edit, "apply_inputs", apply)
+    evicting = 0
+    for cap in (dist.SWEEP_MEMO_SIZE, 2):
+        monkeypatch.setattr(dist, "SWEEP_MEMO_SIZE", cap)
+        for _ in range(40):
+            ga, gb = random_slp(rng), random_slp(rng)
+            text_a, text_b = expand(ga), expand(gb)
+            chars = "".join(sorted(set(text_a) | set(text_b)))
+            sf = random_scoring(rng, chars) if rng.random() < 0.5 else levenshtein(chars)
+            sizes.clear()
+            got, stats = block_edit_distance(ga, gb, sf, rng.randint(2, 5))
+            assert got == wagner_fischer(text_a, text_b, sf)
+            assert max(sizes) <= cap
+            assert 0 <= stats.sweep_memo_hits < stats.block_count
+            # more kernel calls than the cap: the memo had to evict
+            evicting += max(sizes) == cap < stats.block_count - stats.sweep_memo_hits
+    assert evicting > 0
+    # a repetitive pair: nearly every block repeats an earlier shape
+    monkeypatch.setattr(dist, "SWEEP_MEMO_SIZE", 64)
+    ga = fibonacci_prefix_slp(300)
+    gb = fibonacci_prefix_slp(300, alphabet=("b", "a"))
+    sf = levenshtein("ab")
+    got, stats = block_edit_distance(ga, gb, sf, 5)
+    assert got == wagner_fischer(expand(ga), expand(gb), sf)
+    assert stats.sweep_memo_hits > stats.block_count // 2
+
+
+def test_sweep_memo_leaves_decimal_results_unchanged(rng, monkeypatch):
+    # A Decimal shifted by the memo can come back with another exponent
+    # (14.00 for 14.0), so Decimal runs must print what the sweep without a
+    # memo prints.  That is not always WF's string: equal-cost paths can
+    # differ in exponent (11.5 against 11.50), and the two algorithms may
+    # pick different ones.
+    from decimal import Decimal
+
+    costs = [Decimal(t) for t in ("1.5", "2.25", "3", "0.75", "1.0", "2.50")]
+    real = block_edit.apply_inputs
+
+    def without_memo(d, inputs, counter, ceiling, memo):
+        return real(d, inputs, counter, ceiling)
+
+    for _ in range(300):
+        text_a = mutated_periodic(rng, "ab", rng.randint(10, 40), rng.randint(2, 5), 2)
+        text_b = mutated_periodic(rng, "ab", rng.randint(10, 40), rng.randint(2, 5), 2)
+        chars = ("a", "b")
+        sf = ScoringFunction(
+            chars,
+            {c: rng.choice(costs) for c in chars},
+            {c: rng.choice(costs) for c in chars},
+            {(x, y): (Decimal(0) if x == y else rng.choice(costs)) for x in chars for y in chars},
+        )
+        x = rng.randint(2, 5)
+        ga, gb = from_plain(text_a), from_plain(text_b)
+        got, _ = block_edit_distance(ga, gb, sf, x)
+        monkeypatch.setattr(block_edit, "apply_inputs", without_memo)
+        plain, _ = block_edit_distance(ga, gb, sf, x)
+        monkeypatch.setattr(block_edit, "apply_inputs", real)
+        assert str(got) == str(plain)
+        assert got == wagner_fischer(text_a, text_b, sf)
