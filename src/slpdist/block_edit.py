@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from decimal import Decimal
 
 from .dist import apply_inputs, build_repository
 from .partition import InvariantViolation, partition_string
-from .scoring import ScoringError, ScoringFunction
+from .scoring import ScoringError, ScoringFunction, scaled_to_ints
 from .slp import Slp, expand
 
 
@@ -53,6 +54,13 @@ class RunStats:
         return lines
 
 
+def _unscaled(cost: int, sf, scaled, e):
+    """The int result of a run on ``scaled_to_ints(sf) == (scaled, e)`` in
+    the number type of ``sf``: as it is for an int table, else the Decimal
+    with exponent e (built from a string, so no context rounds it)."""
+    return cost if scaled is sf else Decimal(f"{cost}E{e}")
+
+
 def wagner_fischer(a: str, b: str, sf: ScoringFunction):
     """Textbook edit-distance dynamic program, O(|a| * |b|) time and
     O(min(|a|, |b|)) extra space.  The correctness oracle for everything
@@ -60,18 +68,13 @@ def wagner_fischer(a: str, b: str, sf: ScoringFunction):
     missing = sf.missing_chars(a) | sf.missing_chars(b)
     if missing:
         raise ScoringError(f"characters outside the scoring alphabet: {sorted(missing)!r}")
+    scaled, e = scaled_to_ints(sf)
+    ins, dele, sub = scaled.insert, scaled.delete, scaled.substitute
     if len(b) > len(a):
         # transpose the problem so the rolling row is the short side
         a, b = b, a
-        sf = ScoringFunction(
-            sf.alphabet,
-            dict(sf.insert),
-            dict(sf.delete),
-            {(y, x): c for (x, y), c in sf.substitute.items()},
-        )
-    ins = sf.insert
-    dele = sf.delete
-    sub = sf.substitute
+        ins, dele = dele, ins
+        sub = {(y, x): c for (x, y), c in sub.items()}
     prev = [0] * (len(b) + 1)
     for j, cb in enumerate(b, start=1):
         prev[j] = prev[j - 1] + ins[cb]
@@ -89,7 +92,7 @@ def wagner_fischer(a: str, b: str, sf: ScoringFunction):
                 best = v
             cur[j] = best
         prev, cur = cur, prev
-    return prev[-1]
+    return _unscaled(prev[-1], sf, scaled, e)
 
 
 def default_block_size(total_chars: int, total_vars: int) -> int:
@@ -108,8 +111,9 @@ def block_edit_distance(
     tables, then sweeps the grid block by block, carrying only the frontier
     row and the current block column.  Returns ``(cost, RunStats)``; the
     cost is exactly what ``wagner_fischer`` returns on the expanded
-    strings, for every valid block size.
+    strings, for every valid block size, as the same printed string.
     """
+    scaled, e = scaled_to_ints(sf)
     stats = RunStats()
     t0 = time.perf_counter()
     text_a = expand(slp_a)
@@ -136,7 +140,7 @@ def block_edit_distance(
     stats.elapsed["partition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    repo = build_repository(slp_a, slp_b, part_a, part_b, sf)
+    repo = build_repository(slp_a, slp_b, part_a, part_b, scaled)
     stats.memo_size = repo.memo_size
     stats.table_entries = repo.table_entries
     stats.direct_builds = repo.direct_builds
@@ -147,37 +151,35 @@ def block_edit_distance(
     # base-case values along the grid's first column and row
     del_prefix = [0] * (len(text_a) + 1)
     for i, c in enumerate(text_a, start=1):
-        del_prefix[i] = del_prefix[i - 1] + sf.delete[c]
+        del_prefix[i] = del_prefix[i - 1] + scaled.delete[c]
     frontier = [0] * (len(text_b) + 1)
     for j, c in enumerate(text_b, start=1):
-        frontier[j] = frontier[j - 1] + sf.insert[c]
-    # Blocks with the same table and input shape share outputs up to a
-    # shift; reuse them only for int costs (see ``apply_inputs``).
-    costs = (*sf.delete.values(), *sf.insert.values(), *sf.substitute.values())
-    memo = {} if all(type(c) is int for c in costs) else None
+        frontier[j] = frontier[j - 1] + scaled.insert[c]
+    # blocks with the same table and input shape share outputs up to a
+    # shift (see ``apply_inputs``)
+    memo = {}
     counter = [0, 0]  # kernel queries, memo hits
     cells = 0
     r0 = 0
     for pa in part_a.parts:
         h = pa.length
         r1 = r0 + h
-        # values on the block row's left edge, top to bottom
-        left = [del_prefix[r0 + t] for t in range(h + 1)]
+        # values on the block row's left edge, bottom to top (input order)
+        left = [del_prefix[r1 - t] for t in range(h + 1)]
         new_frontier = [0] * (len(text_b) + 1)
         new_frontier[0] = del_prefix[r1]
         c0 = 0
         for pb in part_b.parts:
             w = pb.length
             c1 = c0 + w
-            if frontier[c0] != left[0]:
+            if frontier[c0] != left[-1]:
                 raise InvariantViolation("frontier and left edge disagree at a corner")
             table = repo.lookup((pa.var, pa.kind), (pb.var, pb.kind))
-            inputs = left[::-1]
-            inputs.extend(frontier[c0 + 1 : c1 + 1])
+            inputs = left + frontier[c0 + 1 : c1 + 1]
             outputs = apply_inputs(table, inputs, counter, repo.ceiling, memo)
             cells += len(outputs)
             new_frontier[c0 : c1 + 1] = outputs[: w + 1]
-            left = outputs[w:][::-1]
+            left = outputs[w:]
             c0 = c1
         frontier = new_frontier
         r0 = r1
@@ -185,4 +187,4 @@ def block_edit_distance(
     stats.sweep_queries, stats.sweep_memo_hits = counter
     stats.cache_hits = repo.cache_hits
     stats.elapsed["sweep"] = time.perf_counter() - t0
-    return frontier[-1], stats
+    return _unscaled(frontier[-1], sf, scaled, e), stats

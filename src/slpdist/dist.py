@@ -232,8 +232,9 @@ def apply_inputs(d: DistTable, inputs, _counter=None, _ceiling=None, _memo=None)
     the table and the inputs minus ``inputs[0]`` (the input shape).  The
     memo maps the ``SWEEP_MEMO_SIZE`` most recently used (table, shape)
     pairs to their output shapes; a hit runs no kernel, adds no queries to
-    ``_counter[0]`` and adds one to ``_counter[1]``.  The shift is exact
-    only for ints: a Decimal shifted back can carry another exponent.
+    ``_counter[0]`` and adds one to ``_counter[1]``.  ``block_edit_distance``
+    passes a memo for every table, since it sweeps int costs only (see
+    ``scoring.scaled_to_ints``).
     """
     s = d.s
     if len(inputs) != s:

@@ -3,27 +3,33 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
+
+# Most decimal digits a cost may take once its table is scaled to ints (see
+# ``scaled_to_ints``), the precision of the decimal module's default context.
+# Checked before the ints are built, so a cost such as 1e999999, or a table
+# mixing 1e20 with 1e-10, is refused without allocating its digits.
+MAX_COST_DIGITS = 28
 
 
 class ScoringError(ValueError):
     """Malformed scoring table, or a character outside the alphabet."""
 
 
-def _finite(cost) -> bool:
-    # ints and Decimals are always finite; floats may carry inf/nan
-    if isinstance(cost, float):
-        return cost == cost and cost not in (float("inf"), float("-inf"))
-    return True
+def _exact(cost) -> bool:
+    """Whether the algorithms take ``cost``: an int or a finite Decimal."""
+    return isinstance(cost, int) or (isinstance(cost, Decimal) and cost.is_finite())
 
 
 @dataclass(frozen=True)
 class ScoringFunction:
     """Per-character deletion/insertion costs and pairwise replacement costs.
 
-    Costs are exact numbers (int by default, decimal.Decimal for the
-    fixed-precision mode); nothing here ever converts them to floats.
-    Instances are immutable after construction and safe to share between
-    concurrent readers.
+    Costs are ints, or finite ``decimal.Decimal`` values; floats are
+    refused.  The algorithms compute on ints only: they scale a table once
+    (``scaled_to_ints``) and give the result back with the table's smallest
+    exponent.  Instances are immutable after construction and safe to share
+    between concurrent readers.
 
     Replacing a character with itself usually costs 0, but that is a
     convention of the common tables, not an enforced invariant.
@@ -85,16 +91,64 @@ def validate(sf: ScoringFunction) -> list:
         for b in sf.alphabet:
             if (a, b) not in sf.substitute:
                 problems.append(f"incomplete table: missing SUB({a!r},{b!r})")
-    seen = []
+    for label, key, cost in _costs(sf):
+        # a NaN cannot be compared with 0, so this check comes first
+        if not _exact(cost):
+            problems.append(f"non-finite or inexact cost: {label}{key!r} = {cost!r}")
+        elif cost < 0:
+            problems.append(f"negative cost: {label}{key!r} = {cost!r}")
+    return problems
+
+
+def _costs(sf: ScoringFunction):
     for table, label in (
         (sf.delete, "DEL"),
         (sf.insert, "INS"),
         (sf.substitute, "SUB"),
     ):
         for key, cost in table.items():
-            if not _finite(cost):
-                seen.append(f"non-finite cost: {label}{key!r} = {cost!r}")
-            elif cost < 0:
-                seen.append(f"negative cost: {label}{key!r} = {cost!r}")
-    problems.extend(seen)
-    return problems
+            yield label, key, cost
+
+
+def scaled_to_ints(sf: ScoringFunction) -> tuple:
+    """``(table, e)``: the table with every cost an int, and the exponent e
+    such that each cost of ``sf`` equals its int times 10**e.
+
+    An all-int table comes back as it is (the same object) with e = 0.
+    Otherwise e is the smallest exponent among the costs, and never above 0.
+    The scaling is exact: it works on each cost's digits and exponent, never
+    under a rounding context.  Raises ``ScoringError`` for a cost that is
+    not an int or a finite Decimal, and for a scaled cost of more than
+    ``MAX_COST_DIGITS`` digits.
+    """
+    costs = list(_costs(sf))
+    for label, key, cost in costs:
+        if not _exact(cost):
+            raise ScoringError(
+                f"cost {label}{key!r} = {cost!r} is not an int or a finite Decimal"
+            )
+    parts = [Decimal(cost).as_tuple() for _, _, cost in costs]
+    e = min([0] + [exp for _, _, exp in parts])
+    scaled = {}
+    for (label, key, cost), (sign, digits, exp) in zip(costs, parts):
+        value = 0
+        if any(digits):
+            if len(digits) + exp - e > MAX_COST_DIGITS:
+                raise ScoringError(
+                    f"cost {label}{key!r} = {cost} takes {len(digits) + exp - e} "
+                    f"digits as a multiple of 1E{e}, more than the limit of "
+                    f"{MAX_COST_DIGITS}"
+                )
+            value = int("".join(map(str, digits))) * 10 ** (exp - e)
+        scaled[label, key] = -value if sign else value
+    if all(type(cost) is int for _, _, cost in costs):
+        return sf, 0
+    return (
+        ScoringFunction(
+            sf.alphabet,
+            {c: scaled["DEL", c] for c in sf.delete},
+            {c: scaled["INS", c] for c in sf.insert},
+            {pair: scaled["SUB", pair] for pair in sf.substitute},
+        ),
+        e,
+    )

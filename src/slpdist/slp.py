@@ -20,6 +20,10 @@ from dataclasses import dataclass, field
 # this limit before anything is allocated.
 MAX_EXPAND_LENGTH = 1 << 24
 
+# ``expand`` joins its output in pieces of this many characters, so it never
+# holds one list entry per character of a long string.
+_EXPAND_CHUNK = 1 << 16
+
 
 class SlpError(ValueError):
     """Structurally invalid grammar or malformed compressed input."""
@@ -125,6 +129,7 @@ def expand(slp: Slp, var: int | None = None) -> str:
             f"the expansion limit of {MAX_EXPAND_LENGTH}"
         )
     prods = slp.productions
+    chunks = []
     out = []
     stack = [var]
     while stack:
@@ -132,11 +137,15 @@ def expand(slp: Slp, var: int | None = None) -> str:
         prod = prods[v]
         if isinstance(prod, str):
             out.append(prod)
+            if len(out) == _EXPAND_CHUNK:
+                chunks.append("".join(out))
+                out = []
         else:
             p, q = prod
             stack.append(q)
             stack.append(p)
-    return "".join(out)
+    chunks.append("".join(out))
+    return "".join(chunks)
 
 
 class _Builder:

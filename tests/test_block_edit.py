@@ -240,6 +240,8 @@ def test_memo_counters_consistent(rng):
 def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
     # integer and unit cost tables run the sweep through the memo; it never
     # holds more than its cap, also when a small cap makes it evict
+    from decimal import Decimal
+
     real = block_edit.apply_inputs
     sizes = []
 
@@ -265,22 +267,28 @@ def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
             # more kernel calls than the cap: the memo had to evict
             evicting += max(sizes) == cap < stats.block_count - stats.sweep_memo_hits
     assert evicting > 0
-    # a repetitive pair: nearly every block repeats an earlier shape
+    # a repetitive pair: nearly every block repeats an earlier shape, with
+    # unit costs and Decimal costs alike
     monkeypatch.setattr(dist, "SWEEP_MEMO_SIZE", 64)
     ga = fibonacci_prefix_slp(300)
     gb = fibonacci_prefix_slp(300, alphabet=("b", "a"))
-    sf = levenshtein("ab")
-    got, stats = block_edit_distance(ga, gb, sf, 5)
-    assert got == wagner_fischer(expand(ga), expand(gb), sf)
-    assert stats.sweep_memo_hits > stats.block_count // 2
+    d1, d2 = Decimal("1.5"), Decimal("2.125")
+    decimal = ScoringFunction(
+        ("a", "b"),
+        {"a": d1, "b": d2},
+        {"a": 1, "b": d1},
+        {("a", "a"): 0, ("a", "b"): d2, ("b", "a"): d1, ("b", "b"): 0},
+    )
+    for sf in (levenshtein("ab"), decimal):
+        got, stats = block_edit_distance(ga, gb, sf, 5)
+        assert str(got) == str(wagner_fischer(expand(ga), expand(gb), sf))
+        assert stats.sweep_memo_hits > stats.block_count // 2
 
 
 def test_sweep_memo_leaves_decimal_results_unchanged(rng, monkeypatch):
-    # A Decimal shifted by the memo can come back with another exponent
-    # (14.00 for 14.0), so Decimal runs must print what the sweep without a
-    # memo prints.  That is not always WF's string: equal-cost paths can
-    # differ in exponent (11.5 against 11.50), and the two algorithms may
-    # pick different ones.
+    # Decimal runs sweep their table scaled to ints, so the memo's shifts
+    # are exact: a run prints what the sweep without a memo prints, with the
+    # table's smallest exponent whichever equal-cost path it follows.
     from decimal import Decimal
 
     costs = [Decimal(t) for t in ("1.5", "2.25", "3", "0.75", "1.0", "2.50")]

@@ -228,6 +228,86 @@ def test_scoring_file(tmp_path, capsys):
     assert out == "1\n"
 
 
+def _distance_strings(tmp_path, capsys, text_a, text_b, table, *extra):
+    """``slpdist distance`` output and status under each algorithm."""
+    a, b, scoring = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "s.tsv"
+    a.write_text(text_a + "\n")
+    b.write_text(text_b + "\n")
+    scoring.write_text(table)
+    results = {}
+    for algorithm in ("block", "baseline"):
+        results[algorithm] = run_cli(
+            capsys, "distance", str(a), str(b), "--scoring", str(scoring),
+            "--algorithm", algorithm, *extra,
+        )
+    return results
+
+
+def _ab_table(dela, delb, insa, insb, subab, subba):
+    return (
+        f"ALPHABET\tab\nDEL\ta\t{dela}\nDEL\tb\t{delb}\n"
+        f"INS\ta\t{insa}\nINS\tb\t{insb}\n"
+        f"SUB\ta\tb\t{subab}\nSUB\tb\ta\t{subba}\n"
+    )
+
+
+def test_decimal_distance_prints_one_string_for_both_algorithms(tmp_path, capsys):
+    # Equal-cost paths sum to 11.5 or to 11.50; the result carries the
+    # table's smallest exponent whichever path an algorithm takes.
+    results = _distance_strings(
+        tmp_path, capsys,
+        "abaabaabbabaabaabaabaabaabaabaabaa", "aaaabaaabbaababaaaabaaaabaaaa",
+        _ab_table("1.0", "1.5", "1.0", "1.0", "2.50", "2.50"),
+        "--block-size", "4",
+    )
+    for code, out, err in results.values():
+        assert (code, out, err) == (0, "11.50\n", "")
+
+
+@pytest.mark.parametrize("algorithm", ["block", "baseline"])
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("nan", "non-finite"),
+        ("sNaN", "non-finite"),
+        ("inf", "non-finite"),
+        ("1e999999", "more than the limit"),
+    ],
+)
+def test_non_finite_or_huge_cost_is_input_error(
+    tmp_path, capsys, token, message, algorithm
+):
+    results = _distance_strings(
+        tmp_path, capsys, "ab", "ba", _ab_table(token, 1, 1, 1, 1, 1)
+    )
+    code, out, err = results[algorithm]
+    assert code == 1
+    assert out == ""
+    assert err.startswith("slpdist: ") and "DEL'a'" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_scaled_costs_are_exact_up_to_the_digit_bound(tmp_path, capsys):
+    from slpdist.scoring import MAX_COST_DIGITS
+
+    # 28-digit costs whose sum takes 29 digits (SUB(a, b) + DEL(a)): printed
+    # in full, where the decimal module's default context would round it
+    assert MAX_COST_DIGITS >= 28
+    big = "99999999999999999.9999999999"
+    results = _distance_strings(
+        tmp_path, capsys, "aa", "b", _ab_table("0.0000000001", 1, 1, big, big, 1)
+    )
+    for code, out, err in results.values():
+        assert (code, out, err) == (0, "100000000000000000.0000000000\n", "")
+    # 1e20 next to 1e-10 scales to 10**30: refused, never printed rounded
+    results = _distance_strings(
+        tmp_path, capsys, "a", "b", _ab_table("1E+20", 1, 1, "1E-10", "1E+20", 1)
+    )
+    for code, out, err in results.values():
+        assert code == 1 and out == ""
+        assert f"more than the limit of {MAX_COST_DIGITS}" in err
+
+
 def test_scoring_file_decimal_mode(tmp_path):
     sf = parse_scoring(
         "ALPHABET\tab\n"
@@ -275,6 +355,24 @@ def test_selftest_smoke(capsys):
     code, out, err = run_cli(capsys, "selftest", "--cases", "8")
     assert code == 0
     assert "8 cases" in out
+
+
+def test_selftest_fails_on_equal_values_printed_differently(capsys, monkeypatch):
+    from decimal import Decimal
+
+    from slpdist import block_edit
+
+    real = block_edit.block_edit_distance
+
+    def trailing_zeros(*args):
+        cost, stats = real(*args)
+        # the same value with four decimals (selftest draws at most three)
+        return Decimal(cost) + Decimal("0.0000"), stats
+
+    monkeypatch.setattr(block_edit, "block_edit_distance", trailing_zeros)
+    code, out, err = run_cli(capsys, "selftest", "--cases", "4")
+    assert code == 2
+    assert "MISMATCH" in err and "4/4 cases failed" in err
 
 
 def test_bench_smoke(capsys):

@@ -75,3 +75,66 @@ def test_lookups_finite_and_nonnegative_after_validation(rng):
             assert sf.ins_cost(a) >= 0
             for b in sf.alphabet:
                 assert sf.sub_cost(a, b) >= 0
+
+
+def _table(*costs):
+    # DEL a, DEL b, INS a, INS b, SUB(a, b), SUB(b, a); SUB(x, x) = 0
+    d_a, d_b, i_a, i_b, s_ab, s_ba = costs
+    return ScoringFunction(
+        ("a", "b"),
+        {"a": d_a, "b": d_b},
+        {"a": i_a, "b": i_b},
+        {("a", "a"): 0, ("a", "b"): s_ab, ("b", "a"): s_ba, ("b", "b"): 0},
+    )
+
+
+def test_scaled_to_ints_passes_int_tables_through():
+    from slpdist.scoring import scaled_to_ints
+
+    for sf in (levenshtein("abc"), _table(1, 2, 3, 4, 5, 10 ** 27)):
+        assert scaled_to_ints(sf) == (sf, 0)
+        assert scaled_to_ints(sf)[0] is sf
+
+
+def test_scaled_to_ints_is_exact():
+    from decimal import Decimal, localcontext
+
+    from slpdist.scoring import scaled_to_ints
+
+    D = Decimal
+    sf = _table(D("1.5"), D("2.25"), 3, D("1E+2"), D("0.000"), D("-0.5"))
+    with localcontext() as ctx:
+        ctx.prec = 2  # a rounding context must not touch the scaling
+        scaled, e = scaled_to_ints(sf)
+    assert e == -3
+    assert scaled.delete == {"a": 1500, "b": 2250}
+    assert scaled.insert == {"a": 3000, "b": 100000}
+    assert scaled.substitute[("a", "b")] == 0
+    assert scaled.substitute[("b", "a")] == -500
+    assert scaled.substitute[("a", "a")] == 0
+    # exponents above 0 never make e positive
+    scaled, e = scaled_to_ints(_table(D("1E+3"), 1, 1, 1, 1, 1))
+    assert e == 0 and scaled.delete["a"] == 1000
+
+
+def test_scaled_to_ints_refuses_floats_non_finite_and_long_costs():
+    from decimal import Decimal
+
+    from slpdist.scoring import MAX_COST_DIGITS, scaled_to_ints
+
+    fits = Decimal("9" * (MAX_COST_DIGITS - 2) + ".01")
+    assert scaled_to_ints(_table(fits, 1, 1, 1, 1, 1))[0].delete["a"] == int(
+        "9" * (MAX_COST_DIGITS - 2) + "01"
+    )
+    for bad in (
+        1.5,
+        float("inf"),
+        Decimal("NaN"),
+        Decimal("sNaN"),
+        Decimal("Infinity"),
+        Decimal("1e999999"),
+        10 ** MAX_COST_DIGITS,
+        Decimal("9" * (MAX_COST_DIGITS - 1) + ".01"),  # one digit too many
+    ):
+        with pytest.raises(ScoringError):
+            scaled_to_ints(_table(Decimal("0.01"), bad, 1, 1, 1, 1))

@@ -147,3 +147,18 @@ def test_exponential_compression_without_expanding():
     g = slp_from_productions(prods)
     assert g.size == 30
     assert var_length(g, g.root) == 2 ** 29
+
+
+def test_expand_longer_than_one_join_chunk():
+    from slpdist.slp import _EXPAND_CHUNK
+
+    # Fibonacci words, built by plain concatenation as the reference
+    words = ["b", "a"]
+    prods = ["b", "a"]
+    while len(words[-1]) <= 2 * _EXPAND_CHUNK:
+        words.append(words[-1] + words[-2])
+        prods.append((len(prods), len(prods) - 1))
+    g = slp_from_productions(prods)
+    assert len(words[-1]) % _EXPAND_CHUNK  # the last chunk is a partial one
+    assert expand(g) == words[-1]
+    assert expand(g, g.root - 1) == words[-2]
