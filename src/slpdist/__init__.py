@@ -50,6 +50,7 @@ from .slp import (
     from_plain,
     lz78_parse,
     lz78_to_slp,
+    repair,
     slp_from_productions,
     var_length,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "merge_vertical",
     "minplus_multiply",
     "partition_string",
+    "repair",
     "slp_from_productions",
     "smawk_column_minima",
     "substitute_infinities",

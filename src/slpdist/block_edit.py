@@ -4,7 +4,6 @@ block sweep over grammar-compressed inputs."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
 from decimal import Decimal
 
 from .dist import apply_inputs, build_repository
@@ -13,7 +12,6 @@ from .scoring import ScoringError, ScoringFunction, scaled_to_ints
 from .slp import Slp, expand
 
 
-@dataclass
 class RunStats:
     """Counters and timings for one accelerated run.
 
@@ -23,32 +21,37 @@ class RunStats:
     scale as N^2/x while the table-building counters scale as n^2, which is
     the trade the block parameter x tunes.  ``table_entries`` is the sum of
     s^2 over the distinct tables the repository holds, the driver of peak
-    memory.
+    memory.  ``elapsed`` maps each phase to its seconds.
     """
 
-    n_chars_a: int = 0
-    n_chars_b: int = 0
-    n_vars_a: int = 0
-    n_vars_b: int = 0
-    block_size: int = 0
-    parts_a: int = 0
-    parts_b: int = 0
-    block_count: int = 0
-    memo_size: int = 0
-    table_entries: int = 0
-    direct_builds: int = 0
-    merges: int = 0
-    cache_hits: int = 0
-    boundary_cells_propagated: int = 0
-    sweep_queries: int = 0
-    sweep_memo_hits: int = 0
-    elapsed: dict = field(default_factory=dict)
+    COUNTERS = (
+        "n_chars_a",
+        "n_chars_b",
+        "n_vars_a",
+        "n_vars_b",
+        "block_size",
+        "parts_a",
+        "parts_b",
+        "block_count",
+        "memo_size",
+        "table_entries",
+        "direct_builds",
+        "merges",
+        "cache_hits",
+        "boundary_cells_propagated",
+        "sweep_queries",
+        "sweep_memo_hits",
+    )
+    __slots__ = COUNTERS + ("elapsed",)
+
+    def __init__(self):
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+        self.elapsed = {}
 
     def as_record(self) -> list:
-        """Flat key=value lines, one per counter, in field order."""
-        lines = [
-            f"{f.name}={getattr(self, f.name)}" for f in fields(self) if f.name != "elapsed"
-        ]
+        """Flat key=value lines, one per counter, in ``COUNTERS`` order."""
+        lines = [f"{name}={getattr(self, name)}" for name in self.COUNTERS]
         for phase, seconds in self.elapsed.items():
             lines.append(f"elapsed_{phase}={seconds:.6f}")
         return lines

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from decimal import Decimal, InvalidOperation
 
@@ -119,15 +120,27 @@ def parse_slp(text: str, source: str = "<input>") -> slp.Slp:
     return grammar
 
 
+# A cost is a decimal numeral in ASCII digits, with an optional sign,
+# fraction and exponent.  The names of the special values pass too, so that
+# the scoring check refuses them by name.  int() and Decimal() alone would
+# also take "1_0" for 10, non-ASCII digits and surrounding blanks.
+_INT_COST = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_COST = re.compile(
+    r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?"
+    r"|[+-]?(inf|infinity|s?nan[0-9]*)",
+    re.IGNORECASE,
+)
+
+
 def _parse_cost(token: str, source: str, no: int):
-    try:
+    if _INT_COST.fullmatch(token):
         return int(token)
-    except ValueError:
-        pass
-    try:
-        return Decimal(token)
-    except InvalidOperation:
-        raise CliError(f"{source}:{no}: bad cost {token!r}") from None
+    if _DECIMAL_COST.fullmatch(token):
+        try:
+            return Decimal(token)
+        except InvalidOperation:  # an exponent beyond the decimal module's range
+            pass
+    raise CliError(f"{source}:{no}: bad cost {token!r}")
 
 
 def parse_scoring(text: str, source: str = "<scoring>") -> scoring.ScoringFunction:
@@ -173,16 +186,37 @@ def _read(path: str) -> str:
         raise CliError(str(exc)) from None
 
 
-def _read_input(path: str) -> slp.Slp:
-    """Grammar file or plain text, told apart by the SLP header."""
-    text = _read(path)
-    if text.startswith("SLP "):
-        return parse_slp(text, path)
+_COMPRESSORS = {
+    "repair": slp.repair,
+    "lz78": lambda text: slp.lz78_to_slp(slp.lz78_parse(text)),
+    "balanced": slp.from_plain,
+}
+
+
+def _compress(text: str, path: str, method: str = "repair") -> slp.Slp:
+    """Grammar for the plain text read from ``path``, one trailing newline
+    stripped.  A text longer than the expansion limit is refused before the
+    compressor builds anything per character: ``expand`` and ``distance``
+    would refuse its grammar anyway."""
     if text.endswith("\n"):
         text = text[:-1]
     if not text:
         raise CliError(f"{path}: empty input")
-    return slp.from_plain(text)
+    if len(text) > slp.MAX_EXPAND_LENGTH:
+        raise CliError(
+            f"{path}: {len(text)} characters, more than the expansion limit "
+            f"of {slp.MAX_EXPAND_LENGTH}"
+        )
+    return _COMPRESSORS[method](text)
+
+
+def _read_input(path: str) -> slp.Slp:
+    """Grammar file or plain text, told apart by the SLP header; plain text
+    goes through ``compress``'s default method."""
+    text = _read(path)
+    if text.startswith("SLP "):
+        return parse_slp(text, path)
+    return _compress(text, path)
 
 
 def _resolve_scoring(choice: str, texts):
@@ -200,15 +234,7 @@ def _resolve_scoring(choice: str, texts):
 
 
 def _cmd_compress(args) -> int:
-    text = _read(args.input)
-    if text.endswith("\n"):
-        text = text[:-1]
-    if not text:
-        raise CliError(f"{args.input}: empty input")
-    if args.method == "lz78":
-        grammar = slp.lz78_to_slp(slp.lz78_parse(text))
-    else:
-        grammar = slp.from_plain(text)
+    grammar = _compress(_read(args.input), args.input, args.method)
     payload = dump_slp(grammar)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -298,9 +324,7 @@ def _cmd_selftest(args) -> int:
                     for b in chars
                 },
             )
-        make = slp.from_plain if rng.random() < 0.5 else (
-            lambda t: slp.lz78_to_slp(slp.lz78_parse(t))
-        )
+        make = _COMPRESSORS[rng.choice(tuple(_COMPRESSORS))]
         slp_a, slp_b = make(text_a), make(text_b)
         want = block_edit.wagner_fischer(text_a, text_b, sf)
         x = rng.choice((2, 3, 5, None))
@@ -327,7 +351,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compress", help="plain text file -> grammar file")
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--method", choices=("lz78", "balanced"), default="lz78")
+    p.add_argument("--method", choices=tuple(_COMPRESSORS), default="repair")
     p.set_defaults(run=_cmd_compress)
 
     p = sub.add_parser("expand", help="grammar file -> text on stdout")

@@ -16,7 +16,7 @@ tables be shared across occurrences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .slp import Slp, expand, var_length
 
@@ -28,8 +28,7 @@ class InvariantViolation(RuntimeError):
     """An internal consistency guarantee failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(namedtuple("Part", "var kind start length chain grows", defaults=((), None))):
     """One substring of the partition.
 
     ``kind == EXACT``: the substring is the full derivation of ``var``.
@@ -40,19 +39,11 @@ class Part:
     path variable.
     """
 
-    var: int
-    kind: str
-    start: int
-    length: int
-    chain: tuple = ()
-    grows: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StringPartition:
-    block_size: int
-    text: str
-    parts: tuple
+class StringPartition(namedtuple("StringPartition", "block_size text parts")):
+    __slots__ = ()
 
     def contents(self):
         return [self.text[p.start : p.start + p.length] for p in self.parts]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 
 # Most decimal digits a cost may take once its table is scaled to ints (see
@@ -21,8 +21,7 @@ def _exact(cost) -> bool:
     return isinstance(cost, int) or (isinstance(cost, Decimal) and cost.is_finite())
 
 
-@dataclass(frozen=True)
-class ScoringFunction:
+class ScoringFunction(namedtuple("ScoringFunction", "alphabet delete insert substitute")):
     """Per-character deletion/insertion costs and pairwise replacement costs.
 
     Costs are ints, or finite ``decimal.Decimal`` values; floats are
@@ -33,12 +32,11 @@ class ScoringFunction:
 
     Replacing a character with itself usually costs 0, but that is a
     convention of the common tables, not an enforced invariant.
+    ``alphabet`` is a tuple of characters, ``delete`` and ``insert`` map a
+    character to its cost, and ``substitute`` maps an (a, b) pair.
     """
 
-    alphabet: tuple[str, ...]
-    delete: dict
-    insert: dict
-    substitute: dict  # keyed by (a, b) tuples
+    __slots__ = ()
 
     def del_cost(self, a):
         try:

@@ -12,7 +12,9 @@ are immutable after construction and safe for concurrent readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections import namedtuple
+from heapq import heapify, heappop, heappush
 
 # Longest string ``expand`` derives, in characters (2**24).  A grammar can
 # derive a string exponentially longer than itself (a doubling grammar of 64
@@ -29,13 +31,15 @@ class SlpError(ValueError):
     """Structurally invalid grammar or malformed compressed input."""
 
 
-@dataclass(frozen=True)
-class Slp:
+# The package's records are named tuples, not dataclasses: importing
+# dataclasses (and inspect with it) took about 15 ms of the 85 ms start-up
+# of every ``slpdist`` command.
+class Slp(namedtuple("Slp", "productions lengths", defaults=((),))):
     # productions[0] is an unused sentinel so that variables are 1-based.
     # productions[i] is a one-character string (terminal) or an (p, q) pair
-    # of earlier variable indices.
-    productions: tuple
-    lengths: tuple = field(default=())
+    # of earlier variable indices.  lengths[i] caches the length of the
+    # string variable i derives.
+    __slots__ = ()
 
     @property
     def root(self) -> int:
@@ -172,10 +176,6 @@ class _Builder:
             self.pair_index[p, q] = v
         return v
 
-    def fresh_pair(self, p: int, q: int) -> int:
-        self.productions.append((p, q))
-        return len(self.productions) - 1
-
     def finish(self, root: int) -> Slp:
         # The root must be the last variable; append a copy when sharing
         # left an older variable on top.
@@ -185,14 +185,9 @@ class _Builder:
         return Slp(prods, _compute_lengths(prods))
 
 
-def from_plain(text: str) -> Slp:
-    """Grammar for an arbitrary string: shared terminals under a balanced
-    pairing tree of depth ceil(log2 N).  Identical subtree pairs are reused,
-    so repetitive inputs come out smaller than 2N."""
-    if not text:
-        raise SlpError("cannot build a grammar for the empty string")
-    b = _Builder()
-    level = [b.terminal(c) for c in text]
+def _join_balanced(b: _Builder, level: list) -> Slp:
+    """Join a sequence of variables under a balanced pairing tree of depth
+    ceil(log2 len(level)); identical subtree pairs are reused."""
     while len(level) > 1:
         nxt = []
         for i in range(0, len(level) - 1, 2):
@@ -201,6 +196,165 @@ def from_plain(text: str) -> Slp:
             nxt.append(level[-1])
         level = nxt
     return b.finish(level[0])
+
+
+def from_plain(text: str) -> Slp:
+    """Grammar for an arbitrary string: shared terminals under a balanced
+    pairing tree of depth ceil(log2 N).  Identical subtree pairs are reused,
+    so repetitive inputs come out smaller than 2N."""
+    if not text:
+        raise SlpError("cannot build a grammar for the empty string")
+    b = _Builder()
+    return _join_balanced(b, [b.terminal(c) for c in text])
+
+
+def repair(text: str) -> Slp:
+    """RePair grammar (Larsson & Moffat, DCC 1999).
+
+    Repeatedly replaces every occurrence of the most frequent adjacent pair
+    by a new variable, until no pair occurs twice, then joins what is left
+    under a balanced pairing tree.  Occurrences are counted without overlap:
+    in a run ``cccc`` the pair ``cc`` counts at the first and third
+    position only, as a left-to-right replacement would take them.
+
+    Total work is O(N log N).  The sequence is a doubly linked list over
+    the positions of the text.  Each pair keeps its number of counted
+    occurrences and a list of the positions where it was counted, some of
+    which may since have gone stale; a replacement updates the counts of
+    its neighbouring pairs in O(1), and the list is checked position by
+    position when the pair's turn comes.  A heap with lazy deletion yields
+    the most frequent pair.  Ties go to the smallest (left, right) variable
+    pair, and no step iterates over a hash-ordered container, so one text
+    always gives the same grammar.
+    """
+    if not text:
+        raise SlpError("cannot build a grammar for the empty string")
+    b = _Builder()
+    n = len(text)
+    code = {c: b.terminal(c) for c in dict.fromkeys(text)}
+    sym = array("i", map(code.__getitem__, text))
+    # linked sequence; -1 marks the ends
+    nxt = array("i", range(1, n + 1))
+    nxt[-1] = -1
+    prv = array("i", range(-1, n - 1))
+    # The pair at p is (sym[p], sym[nxt[p]]), keyed as one int.  counted[p]
+    # says whether p counts towards its pair; count and occ hold, per pair,
+    # the number of counted positions and a superset of them.
+    counted = bytearray(n)
+    count = {}
+    occ = {}
+    # pairs whose count rose during the current round; the heap is only read
+    # between rounds, so they are pushed once, at the round's end
+    grown = {}
+
+    def link(p):
+        key = sym[p] << 32 | sym[nxt[p]]
+        counted[p] = 1
+        c = count.get(key)
+        if c is None:
+            count[key] = 1
+            occ[key] = [p]
+        else:
+            count[key] = c + 1
+            occ[key].append(p)
+        grown[key] = None
+
+    def unlink(p):
+        if counted[p]:
+            counted[p] = 0
+            key = sym[p] << 32 | sym[nxt[p]]
+            c = count[key] - 1
+            if c:
+                count[key] = c
+            else:
+                del count[key], occ[key]
+
+    def settle(p):
+        # Recount p after its pair or its left neighbour changed.  In a run
+        # of equal symbols a pair counts unless the one before it counts, so
+        # a change walks on along the run until a position keeps its status.
+        while True:
+            r = nxt[p]
+            if r == -1:
+                return
+            s = sym[p]
+            run = s == sym[r]
+            q = prv[p]
+            want = not (run and q != -1 and sym[q] == s and counted[q])
+            if want == counted[p]:
+                return
+            if want:
+                link(p)
+            else:
+                unlink(p)
+            if not run:
+                return
+            p = r
+
+    for p in range(n - 1):
+        s, r = sym[p], sym[p + 1]
+        if not (s == r and p and sym[p - 1] == s and counted[p - 1]):
+            counted[p] = 1
+            occ.setdefault(s << 32 | r, []).append(p)
+    count.update((key, len(ps)) for key, ps in occ.items())
+    # (-count, key) entries, popped most frequent first and, on equal
+    # counts, smallest key first.  Every pair counted twice or more has an
+    # entry at least as high as its count; an entry whose count is stale is
+    # skipped, or pushed again with the lower count.
+    heap = [(-c, key) for key, c in count.items() if c > 1]
+    heapify(heap)
+    while True:
+        for key in grown:
+            c = count.get(key, 0)
+            if c > 1:
+                heappush(heap, (-c, key))
+        grown.clear()
+        while heap:
+            negc, key = heappop(heap)
+            c = count.get(key, 0)
+            if c == -negc:
+                break
+            if 1 < c < -negc:
+                heappush(heap, (-c, key))
+        else:
+            break
+        left, right = key >> 32, key & 0xFFFFFFFF
+        x = b.pair(left, right)
+        # Left to right: every x then lies left of the occurrence being
+        # replaced, so (x, sym[k]) below is never a run.
+        for i in sorted(occ[key]):
+            j = nxt[i]
+            if not counted[i] or sym[i] != left or j == -1 or sym[j] != right:
+                continue
+            h, k = prv[i], nxt[j]
+            if h != -1:
+                unlink(h)
+            unlink(i)
+            if k != -1:
+                unlink(j)
+            sym[i] = x
+            nxt[i] = k
+            if k != -1:
+                prv[k] = i
+            if h != -1:
+                if sym[h] == x:
+                    # (x, x) in a run of x; settling h settles i too
+                    settle(h)
+                else:
+                    link(h)
+            if k != -1:
+                if not counted[i]:
+                    link(i)
+                # k's left neighbour was a ``right`` and is now an x, which
+                # matters only within a run of ``right``
+                if sym[k] == right:
+                    settle(k)
+    level = []
+    p = 0
+    while p != -1:
+        level.append(sym[p])
+        p = nxt[p]
+    return _join_balanced(b, level)
 
 
 def lz78_parse(text: str):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from slpdist import ScoringFunction, from_plain, lz78_parse, lz78_to_slp
+from slpdist import ScoringFunction, from_plain, lz78_parse, lz78_to_slp, repair
 from slpdist.slp import slp_from_productions
 
 
@@ -39,13 +39,15 @@ def random_scoring(rng, sigma, hi=9) -> ScoringFunction:
 
 def random_slp(rng, max_len=60):
     """Mixed-shape grammars: compressor outputs plus hand-rolled trees."""
-    style = rng.randrange(5)
+    style = rng.randrange(6)
     sigma = rng.choice(("ab", "abc", "abcd"))
     if style == 0:
         return from_plain(random_text(rng, sigma, rng.randint(1, max_len)))
     if style == 1:
         return lz78_to_slp(lz78_parse(random_text(rng, sigma, rng.randint(1, max_len))))
     if style == 2:
+        return repair(random_text(rng, sigma, rng.randint(1, max_len)))
+    if style == 3:
         # power-style doubling grammar, truncated to the length budget
         prods = [sigma[0], (1, 1)]
         length = 2
@@ -53,7 +55,7 @@ def random_slp(rng, max_len=60):
             prods.append((len(prods), len(prods)))
             length *= 2
         return slp_from_productions(prods)
-    if style == 3:
+    if style == 4:
         # fibonacci-style grammar
         prods = [sigma[0], sigma[1]]
         lengths = [1, 1]

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from slpdist import cli
 from slpdist.cli import dump_slp, main, parse_scoring, parse_slp
-from slpdist.slp import MAX_EXPAND_LENGTH, expand
+from slpdist.slp import MAX_EXPAND_LENGTH, expand, repair
 
 FIB7_SLP_TEXT = """SLP 7
 # the worked example grammar
@@ -53,7 +59,7 @@ def test_expand_subcommand(tmp_path, capsys):
 
 
 def test_compress_expand_roundtrip(tmp_path, capsys):
-    for method in ("lz78", "balanced"):
+    for method in ("repair", "lz78", "balanced"):
         src = tmp_path / f"in_{method}.txt"
         dst = tmp_path / f"out_{method}.slp"
         src.write_text("abracadabra alakazam\n")
@@ -75,6 +81,83 @@ def test_compress_expand_roundtrip_multiline(tmp_path, capsys):
     code, out, err = run_cli(capsys, "expand", str(dst))
     assert code == 0
     assert out == "two\tcolumns\nsecond line\\end\n"
+
+
+def test_compress_defaults_to_repair(tmp_path, capsys):
+    text = "abcabcabdabcabcabd" * 5
+    src = tmp_path / "in.txt"
+    src.write_text(text + "\n")
+    code, default, err = run_cli(capsys, "compress", str(src))
+    assert code == 0
+    code, named, err = run_cli(capsys, "compress", str(src), "--method", "repair")
+    assert code == 0
+    assert default == named == dump_slp(repair(text))
+    dst = tmp_path / "out.slp"
+    dst.write_text(default)
+    assert run_cli(capsys, "expand", str(dst))[1] == text + "\n"
+
+
+def test_plain_text_distance_uses_the_compress_default(tmp_path, capsys):
+    texts = {"a": "abaababaabaababaababa" * 3, "b": "abaabbbaabaababaababa" * 3}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.txt").write_text(text + "\n")
+        code, out, err = run_cli(
+            capsys, "compress", str(tmp_path / f"{name}.txt"), "-o", str(tmp_path / f"{name}.slp")
+        )
+        assert code == 0
+    records = []
+    for ext in ("txt", "slp"):
+        stats = tmp_path / f"stats_{ext}"
+        code, out, err = run_cli(
+            capsys, "distance", str(tmp_path / f"a.{ext}"), str(tmp_path / f"b.{ext}"),
+            "--stats", str(stats),
+        )
+        assert code == 0
+        counters = [
+            line for line in stats.read_text().splitlines() if not line.startswith("elapsed_")
+        ]
+        records.append((out, counters))
+    assert records[0] == records[1]
+    assert f"n_vars_a={repair(texts['a']).size}" in records[0][1]
+
+
+def test_over_long_text_is_refused_before_compressing(tmp_path, capsys, monkeypatch):
+    calls = []
+    for method in cli._COMPRESSORS:
+        monkeypatch.setitem(
+            cli._COMPRESSORS, method, lambda text: calls.append(len(text)) or repair("a")
+        )
+    over = tmp_path / "over.txt"
+    over.write_text("a" * (MAX_EXPAND_LENGTH + 1) + "\n")
+    for argv in (
+        ("compress", str(over)),
+        ("compress", str(over), "--method", "lz78"),
+        ("distance", str(over), str(over)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"{MAX_EXPAND_LENGTH + 1} characters, more than the expansion limit" in err
+    assert calls == []
+    # the limit counts characters after the trailing newline is stripped
+    at_limit = tmp_path / "at_limit.txt"
+    at_limit.write_text("a" * MAX_EXPAND_LENGTH + "\n")
+    assert run_cli(capsys, "compress", str(at_limit))[0] == 0
+    assert calls == [MAX_EXPAND_LENGTH]
+    over.unlink()
+    at_limit.unlink()
+
+
+def test_start_up_imports_no_dataclasses():
+    # every command pays for the package's imports; dataclasses and inspect
+    # cost about 15 ms of an 85 ms start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, slpdist.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_distance_plain_inputs(tmp_path, capsys):
@@ -285,6 +368,23 @@ def test_non_finite_or_huge_cost_is_input_error(
     assert out == ""
     assert err.startswith("slpdist: ") and "DEL'a'" in err and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("token", ["1_0", "1_0.5", "1e1_0", " 1", "1 ", "\u0661", "0x1", "1.5.0", ""])
+def test_cost_must_be_a_plain_decimal_numeral(tmp_path, capsys, token):
+    # int() and Decimal() would read "1_0" as 10 and "\u0661" (an Arabic-Indic
+    # one) as 1
+    results = _distance_strings(tmp_path, capsys, "aa", "b", _ab_table(token, 1, 1, 1, 1, 1))
+    for code, out, err in results.values():
+        assert code == 1 and out == ""
+        assert f"bad cost {token!r}" in err
+
+
+def test_plain_decimal_numerals_are_costs():
+    sf = parse_scoring(_ab_table("10", "+2", ".5", "5.", "1E+1", "2.50"))
+    assert (sf.del_cost("a"), sf.del_cost("b")) == (10, 2)
+    assert [str(c) for c in (sf.ins_cost("a"), sf.ins_cost("b"))] == ["0.5", "5"]
+    assert [str(sf.sub_cost(*p)) for p in ("ab", "ba")] == ["1E+1", "2.50"]
 
 
 def test_scaled_costs_are_exact_up_to_the_digit_bound(tmp_path, capsys):

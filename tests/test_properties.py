@@ -16,6 +16,7 @@ from slpdist import (
     levenshtein,
     lz78_parse,
     lz78_to_slp,
+    repair,
     wagner_fischer,
 )
 
@@ -24,11 +25,13 @@ SIGMA = "abcd"
 
 @st.composite
 def grammars(draw):
-    style = draw(st.sampled_from(("plain", "lz78", "random_slp")))
+    style = draw(st.sampled_from(("plain", "lz78", "repair", "random_slp")))
     if style == "random_slp":
         return random_slp(random.Random(draw(st.integers(0, 2**32))), max_len=40)
     sigma = SIGMA[: draw(st.integers(1, 4))]
     text = draw(st.text(alphabet=sigma, min_size=1, max_size=40))
+    if style == "repair":
+        return repair(text)
     return from_plain(text) if style == "plain" else lz78_to_slp(lz78_parse(text))
 
 

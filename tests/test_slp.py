@@ -1,15 +1,24 @@
+import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
-from conftest import random_text
+from conftest import mutated_periodic, random_text
 from slpdist import (
     SlpError,
     expand,
     from_plain,
     lz78_parse,
     lz78_to_slp,
+    repair,
     var_length,
 )
-from slpdist.slp import Slp, slp_from_productions, validate
+from slpdist.cli import dump_slp
+from slpdist.slp import Slp, _Builder, _join_balanced, slp_from_productions, validate
 
 
 def test_worked_grammar_is_valid(fib7_slp):
@@ -162,3 +171,108 @@ def test_expand_longer_than_one_join_chunk():
     assert len(words[-1]) % _EXPAND_CHUNK  # the last chunk is a partial one
     assert expand(g) == words[-1]
     assert expand(g, g.root - 1) == words[-2]
+
+
+def repair_by_recount(text):
+    """RePair with a full recount every round: quadratic, but plainly the
+    definition.  Counts skip a pair that overlaps the counted pair before it
+    (``cc`` inside a run of ``c``), replacements go left to right, and ties
+    go to the smallest (left, right) pair."""
+    b = _Builder()
+    seq = [b.terminal(c) for c in text]
+    while True:
+        counts = {}
+        overlapped = False
+        for i in range(len(seq) - 1):
+            pair = (seq[i], seq[i + 1])
+            if not overlapped and i and pair[0] == pair[1] == seq[i - 1]:
+                overlapped = True
+                continue
+            overlapped = False
+            counts[pair] = counts.get(pair, 0) + 1
+        best = min(((-c, pair) for pair, c in counts.items() if c > 1), default=None)
+        if best is None:
+            return _join_balanced(b, seq)
+        pair = best[1]
+        x = b.pair(*pair)
+        out, i = [], 0
+        while i < len(seq):
+            if tuple(seq[i : i + 2]) == pair:
+                out.append(x)
+                i += 2
+            else:
+                out.append(seq[i])
+                i += 1
+        seq = out
+
+
+def _repair_inputs(rng):
+    texts = ["a", "aa", "aaa", "aaaa", "aaaaa", "ab" * 20, "abc" * 15 + "ab"]
+    texts.append(mutated_periodic(rng, "abcd", 300, 7, 4))
+    for _ in range(40):
+        texts.append(random_text(rng, rng.choice(("ab", "abcd", "abcXYZ")), rng.randint(1, 200)))
+        # runs of one letter, where counted pairs must not overlap
+        texts.append("".join(rng.choice("abc") * rng.randint(1, 9) for _ in range(rng.randint(1, 20))))
+    return texts
+
+
+def test_repair_round_trips_and_validates(rng):
+    for text in _repair_inputs(rng):
+        g = repair(text)
+        assert validate(g) == []
+        assert expand(g) == text
+
+
+def test_repair_on_runs():
+    # "aaaa" holds two non-overlapping "aa"; "aaa" holds only one
+    assert repair("aaaa").productions == (None, "a", (1, 1), (2, 2))
+    assert repair("aaa").size == 3
+    assert expand(repair("a")) == "a" and repair("a").size == 1
+
+
+def test_repair_matches_the_recount_definition(rng):
+    for text in _repair_inputs(rng):
+        assert dump_slp(repair(text)) == dump_slp(repair_by_recount(text))
+
+
+def test_repair_shrinks_periodic_text(rng):
+    text = mutated_periodic(rng, "abcd", 1024, 7, 4)
+    g = repair(text)
+    assert g.size < 100
+    assert g.size < lz78_to_slp(lz78_parse(text)).size / 3
+
+
+def test_repair_rejects_empty():
+    with pytest.raises(SlpError):
+        repair("")
+
+
+def test_repair_is_deterministic_across_processes(rng):
+    text = mutated_periodic(rng, "ab\tc\u00e9", 500, 11, 6)
+    assert dump_slp(repair(text)) == dump_slp(repair(text))
+    # str hashes are salted per process; the grammar must not depend on them
+    code = (
+        "import sys; from slpdist import repair; from slpdist.cli import dump_slp;"
+        "sys.stdout.write(dump_slp(repair(sys.stdin.read())))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    dumps = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=text, env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        dumps.add(out)
+    assert dumps == {dump_slp(repair(text))}
+
+
+def test_repair_large_random_text_in_n_log_n_time():
+    # a recount per round needs about 40 s here; O(N log N) needs about 1 s
+    text = random_text(random.Random(16), "abcd", 1 << 16)
+    t0 = time.perf_counter()
+    g = repair(text)
+    elapsed = time.perf_counter() - t0
+    assert expand(g) == text
+    assert elapsed < 20, f"repair took {elapsed:.1f} s on 2**16 characters"
