@@ -27,7 +27,6 @@ from .dist import (
 from .monge import (
     brute_column_minima,
     is_monge,
-    minplus_multiply,
     smawk_column_minima,
     substitute_infinities,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "merge_horizontal",
     "merge_quad",
     "merge_vertical",
-    "minplus_multiply",
     "partition_string",
     "repair",
     "slp_from_productions",

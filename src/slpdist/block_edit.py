@@ -37,7 +37,6 @@ class RunStats:
         "table_entries",
         "direct_builds",
         "merges",
-        "cache_hits",
         "boundary_cells_propagated",
         "sweep_queries",
         "sweep_memo_hits",
@@ -188,6 +187,5 @@ def block_edit_distance(
         r0 = r1
     stats.boundary_cells_propagated = cells
     stats.sweep_queries, stats.sweep_memo_hits = counter
-    stats.cache_hits = repo.cache_hits
     stats.elapsed["sweep"] = time.perf_counter() - t0
     return _unscaled(frontier[-1], sf, scaled, e), stats

@@ -19,8 +19,11 @@ finite decimals.  Both algorithms compute on the table scaled to integers by
 exponent e; a cost of more than ``scoring.MAX_COST_DIGITS`` digits once
 scaled is refused.  The name ``lev`` selects built-in unit costs.
 
-Plain-text inputs have one trailing newline stripped; ``expand`` writes one
-back, so compress -> expand round-trips newline-terminated files exactly.
+Lines in both formats end with LF or CRLF.
+
+Plain-text inputs are read as they are, ``\r`` included, with one trailing
+``\n`` stripped; ``expand`` writes one back, so compress -> expand
+round-trips newline-terminated files exactly.
 """
 
 from __future__ import annotations
@@ -61,10 +64,17 @@ def dump_slp(grammar: slp.Slp) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str) -> list:
+    """Lines ended by LF or CRLF.  ``str.splitlines`` would also break at
+    characters such as form feed or U+2028, which ``dump_slp`` writes
+    literally."""
+    return [line.removesuffix("\r") for line in text.split("\n")]
+
+
 def parse_slp(text: str, source: str = "<input>") -> slp.Slp:
     lines = [
         (no, line.strip())
-        for no, line in enumerate(text.splitlines(), start=1)
+        for no, line in enumerate(_lines(text), start=1)
         if line.strip() and not line.strip().startswith("#")
     ]
     if not lines or not lines[0][1].startswith("SLP "):
@@ -146,7 +156,7 @@ def _parse_cost(token: str, source: str, no: int):
 def parse_scoring(text: str, source: str = "<scoring>") -> scoring.ScoringFunction:
     alphabet = None
     delete, insert, substitute = {}, {}, {}
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for no, raw in enumerate(_lines(text), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         fields = raw.split("\t")
@@ -180,7 +190,7 @@ def parse_scoring(text: str, source: str = "<scoring>") -> scoring.ScoringFuncti
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(str(exc)) from None

@@ -9,15 +9,17 @@ orders start at the bottom-left corner and end at the top-right corner, so
 input 0 coincides with output 0 and input s-1 with output s-1.
 
 ``table.m[i][j]`` holds the cheapest monotone (down/right) path weight from
-input i to output j, or ``None`` when no such path exists.  These matrices
-are Monge on their finite entries, which is what lets two tables sharing a
-boundary be merged with SMAWK in O(s^2) instead of rebuilt in O(s^3).
+input i to output j, or ``None`` when no such path exists (a view of the
+finite ``rows`` a table is stored as).  These matrices are Monge on their
+finite entries, which is what lets two tables sharing a boundary be merged
+with SMAWK in O(s^2) instead of rebuilt in O(s^3).
 """
 
 from __future__ import annotations
 
-from .monge import fill_stand_ins, max_finite, minplus_row, substitute_infinities
+from .monge import fill_stand_ins, minplus_row, substitute_infinities
 from .partition import COMPOSITE, EXACT, InvariantViolation, StringPartition
+from .scoring import max_cost
 from .slp import Slp, expand
 
 
@@ -27,27 +29,18 @@ class DistTable:
     ``rows`` is the s x s matrix the min-plus kernel reads, finite
     throughout: reachable entries are exact path weights, at most
     ``ceiling``, and unreachable ones are stand-ins above it (see
-    ``substitute_infinities``), shared objects from one ladder per table.
-    The constructor takes the public form ``m``, with ``None`` for
-    unreachable entries, and converts it once against ``ceiling`` (default:
-    its largest finite entry).
+    ``fill_stand_ins``), shared objects from one ladder per table.  The
+    constructor takes rows that hold some value above ``ceiling`` wherever
+    no path exists, and puts the stand-ins there in place.
     """
 
     __slots__ = ("a", "b", "rows", "ceiling")
 
-    def __init__(self, a: str, b: str, m: list, ceiling=None):
+    def __init__(self, a: str, b: str, rows: list, ceiling):
         self.a = a  # substring of A spanned by the block's rows
         self.b = b  # substring of B spanned by the block's columns
-        self.rows, self.ceiling = substitute_infinities(m, ceiling)
-
-    @classmethod
-    def _from_rows(cls, a, b, rows, ceiling):
-        """Table from rows that hold some value above ``ceiling`` wherever
-        no path exists; those entries get the table's stand-ins in place."""
-        table = cls.__new__(cls)
-        table.a, table.b, table.ceiling = a, b, ceiling
-        table.rows = fill_stand_ins(rows, ceiling)
-        return table
+        self.ceiling = ceiling
+        self.rows = fill_stand_ins(rows, ceiling)
 
     @property
     def m(self) -> list:
@@ -68,9 +61,6 @@ class DistTable:
     def s(self) -> int:
         return len(self.a) + len(self.b) + 1
 
-    def max_finite(self):
-        return max_finite(self.m)
-
     def finite_rows(self, ceiling):
         """Rows that keep results up to ``ceiling`` apart from unreachable
         ones: the stored rows when they were built against at least that
@@ -78,13 +68,6 @@ class DistTable:
         if ceiling <= self.ceiling:
             return self.rows
         return substitute_infinities(self.m, ceiling)[0]
-
-    def render_text(self) -> str:
-        """Diagnostic dump; unreachable entries render as ``inf``."""
-        rows = []
-        for row in self.m:
-            rows.append("\t".join("inf" if v is None else str(v) for v in row))
-        return "\n".join(rows)
 
 
 def input_position(h: int, w: int, k: int):
@@ -100,41 +83,43 @@ def build_direct(a: str, b: str, sf, ceiling=None) -> DistTable:
     """Table by direct dynamic programming: one sweep of the block per input
     vertex, O(s^3) overall.  Base-case builder for terminal blocks and the
     correctness oracle every merge is tested against.  The table is stored
-    against ``ceiling`` (see ``DistTable``)."""
+    against ``ceiling`` (see ``DistTable``), by default ``(h + w)`` times
+    the largest cost, a bound on every path in the block."""
     h, w = len(a), len(b)
     s = h + w + 1
+    if ceiling is None:
+        ceiling = (h + w) * max_cost(sf)
     del_costs = [None] + [sf.del_cost(c) for c in a]
     ins_costs = [None] + [sf.ins_cost(c) for c in b]
     sub_rows = [None] + [[None] + [sf.sub_cost(ca, cb) for cb in b] for ca in a]
-    m = []
+    outputs = [output_position(h, w, j) for j in range(s)]
+    rows = []
     for k in range(s):
         r0, c0 = input_position(h, w, k)
-        # cheapest monotone path weight from (r0, c0) to every grid vertex
-        dist = [[None] * (w + 1) for _ in range(h + 1)]
-        dist[r0][c0] = 0
-        for r in range(r0, h + 1):
+        # cheapest monotone path weight from (r0, c0) to every grid vertex;
+        # exactly the quadrant below and right of the source is reachable
+        dist = [[ceiling + 1] * (w + 1) for _ in range(h + 1)]
+        row = dist[r0]
+        row[c0] = 0
+        for c in range(c0 + 1, w + 1):
+            row[c] = row[c - 1] + ins_costs[c]
+        for r in range(r0 + 1, h + 1):
+            above = row
             row = dist[r]
-            above = dist[r - 1] if r > r0 else None
-            dcost = del_costs[r] if r > r0 else None
-            subs = sub_rows[r] if r > r0 else None
-            for c in range(c0, w + 1):
-                best = row[c]  # 0 at the source, None elsewhere
-                if above is not None and above[c] is not None:
-                    v = above[c] + dcost
-                    if best is None or v < best:
-                        best = v
-                if c > c0:
-                    if row[c - 1] is not None:
-                        v = row[c - 1] + ins_costs[c]
-                        if best is None or v < best:
-                            best = v
-                    if above is not None and above[c - 1] is not None:
-                        v = above[c - 1] + subs[c]
-                        if best is None or v < best:
-                            best = v
-                row[c] = best
-        m.append([dist[r][c] for r, c in (output_position(h, w, j) for j in range(s))])
-    return DistTable(a, b, m, ceiling)
+            dcost = del_costs[r]
+            subs = sub_rows[r]
+            left = row[c0] = above[c0] + dcost
+            for c in range(c0 + 1, w + 1):
+                best = above[c] + dcost
+                v = left + ins_costs[c]
+                if v < best:
+                    best = v
+                v = above[c - 1] + subs[c]
+                if v < best:
+                    best = v
+                row[c] = left = best
+        rows.append([dist[r][c] for r, c in outputs])
+    return DistTable(a, b, rows, ceiling)
 
 
 def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
@@ -146,7 +131,7 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
     that boundary with d2's rows, one SMAWK pass per input vertex.  Total
     cost O(s^2).  ``ceiling`` is the unreachable-detection bound; it must
     be at least the largest finite entry either operand can contribute to
-    (defaults to the sum of the operands' maxima).  The result is stored
+    (defaults to the sum of the operands' ceilings).  The result is stored
     against it.
     """
     if d1.a != d2.a:
@@ -156,7 +141,7 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
     s1, s2 = d1.s, d2.s
     s = h + w1 + d2.w + 1
     if ceiling is None:
-        ceiling = d1.max_finite() + d2.max_finite()
+        ceiling = d1.ceiling + d2.ceiling
     m1 = d1.finite_rows(ceiling)
     m2 = d2.finite_rows(ceiling)
     out = []
@@ -169,7 +154,7 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
     # no path from d2's inputs reaches d1's outputs
     unreachable = [ceiling + 1] * (w1 + 1)
     out.extend(unreachable + m2[i - w1][1:] for i in range(s1, s))
-    return DistTable._from_rows(d1.a, d1.b + d2.b, out, ceiling)
+    return DistTable(d1.a, d1.b + d2.b, out, ceiling)
 
 
 def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
@@ -183,7 +168,7 @@ def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
     s1, s2 = d1.s, d2.s
     s = d1.h + h2 + w + 1
     if ceiling is None:
-        ceiling = d1.max_finite() + d2.max_finite()
+        ceiling = d1.ceiling + d2.ceiling
     m1 = d1.finite_rows(ceiling)
     m2 = d2.finite_rows(ceiling)
     m2_shifted = m2[h2:]
@@ -195,7 +180,7 @@ def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
         row_out = minplus_row(m1[i - h2][: w + 1], m2_shifted, 0, s2)
         row_out.extend(m1[i - h2][s2 - h2 :])
         out.append(row_out)
-    return DistTable._from_rows(d1.a + d2.a, d1.b, out, ceiling)
+    return DistTable(d1.a + d2.a, d1.b, out, ceiling)
 
 
 def merge_quad(d11, d12, d21, d22, ceiling=None) -> DistTable:
@@ -241,7 +226,7 @@ def apply_inputs(d: DistTable, inputs, _counter=None, _ceiling=None, _memo=None)
         raise ValueError(f"expected {s} input values, got {len(inputs)}")
     ceiling = _ceiling
     if ceiling is None:
-        ceiling = d.max_finite() + max(inputs)
+        ceiling = d.ceiling + max(inputs)
     if _memo is None:
         values = minplus_row(inputs, d.finite_rows(ceiling), 0, s, _counter)
     else:
@@ -286,8 +271,8 @@ class Repository:
     Dependencies are listed in grid order (left before right, upper before
     lower), so each merge takes its operands as listed.
 
-    Every repeated occurrence of a pair is a cache hit, which is where the
-    grammar's repetitiveness pays off.
+    Every repeated occurrence of a pair reuses its table, which is where
+    the grammar's repetitiveness pays off.
     """
 
     def __init__(self, slp_a: Slp, slp_b: Slp, part_a, part_b, sf):
@@ -295,17 +280,11 @@ class Repository:
         self.memo = {}
         self.direct_builds = 0
         self.merges = 0
-        self.cache_hits = 0
         self._sides = (_SideInfo(slp_a, part_a), _SideInfo(slp_b, part_b))
         # One unreachable-detection bound that dominates every finite value
         # the grid can produce: every table is stored against it, so merges
         # and the sweep read the stored rows as they are.
-        max_cost = max(
-            max(sf.delete.values()),
-            max(sf.insert.values()),
-            max(sf.substitute.values()),
-        )
-        self.ceiling = (len(part_a.text) + len(part_b.text)) * max_cost
+        self.ceiling = (len(part_a.text) + len(part_b.text)) * max_cost(sf)
 
     @property
     def memo_size(self) -> int:
@@ -318,10 +297,8 @@ class Repository:
         return sum(t.s * t.s for t in tables.values())
 
     def lookup(self, key_a, key_b) -> DistTable:
-        """Table for an already-built pair; counts a cache hit."""
-        table = self.memo[key_a, key_b]
-        self.cache_hits += 1
-        return table
+        """Table for an already-built pair."""
+        return self.memo[key_a, key_b]
 
     def ensure(self, key_a, key_b) -> DistTable:
         """Build (and memoize) the table for a pair and its dependencies."""

@@ -344,27 +344,3 @@ def is_totally_monotone(matrix) -> bool:
                         return False
     return True
 
-
-def minplus_multiply(d1, d2):
-    """Min-plus matrix product with unreachable propagation.
-
-    ``result[i][j] = min_k d1[i][k] + d2[k][j]`` where an unreachable
-    operand makes the term unreachable.  Both operands must be Monge on
-    their finite entries with staircase unreachable patterns.  Each output
-    row is one SMAWK pass over an implicit finite matrix, so the element
-    queries total O(rows * (inner + cols)).
-    """
-    if not d1 or not d2:
-        raise ValueError("empty operand")
-    inner = len(d1[0])
-    if inner != len(d2):
-        raise ValueError(f"inner dimensions differ: {inner} vs {len(d2)}")
-    ncols = len(d2[0])
-    ceiling = max_finite(d1) + max_finite(d2)
-    s1, _ = substitute_infinities(d1, ceiling)
-    s2, _ = substitute_infinities(d2, ceiling)
-    out = []
-    for row1 in s1:
-        values = minplus_row(row1, s2, 0, ncols)
-        out.append([v if v <= ceiling else None for v in values])
-    return out

@@ -108,6 +108,11 @@ def _costs(sf: ScoringFunction):
             yield label, key, cost
 
 
+def max_cost(sf: ScoringFunction):
+    """The largest single-edit cost; a path of k edits weighs at most k times it."""
+    return max([cost for _, _, cost in _costs(sf)])
+
+
 def scaled_to_ints(sf: ScoringFunction) -> tuple:
     """``(table, e)``: the table with every cost an int, and the exponent e
     such that each cost of ``sf`` equals its int times 10**e.

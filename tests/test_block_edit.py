@@ -232,7 +232,6 @@ def test_memo_counters_consistent(rng):
     a = random_text(rng, "ab", 40)
     ga = from_plain(a)
     _, stats = block_edit_distance(ga, ga, sf, 4)
-    assert stats.cache_hits >= stats.block_count
     assert stats.boundary_cells_propagated > 0
     assert stats.sweep_queries > 0
 

@@ -83,6 +83,59 @@ def test_compress_expand_roundtrip_multiline(tmp_path, capsys):
     assert out == "two\tcolumns\nsecond line\\end\n"
 
 
+def test_distance_reads_carriage_returns_exactly(tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_bytes(b"ab\rcd\r\nef")
+    b.write_bytes(b"ab\ncd\nef")
+    for algorithm in ("block", "baseline"):
+        code, out, err = run_cli(capsys, "distance", str(a), str(b), "--algorithm", algorithm)
+        assert (code, out) == (0, "2\n")
+
+
+def test_compress_expand_roundtrip_keeps_carriage_returns(tmp_path, capsys):
+    src, dst = tmp_path / "in.txt", tmp_path / "out.slp"
+    src.write_bytes(b"ab\rcd\r\nef\r\n")
+    assert run_cli(capsys, "compress", str(src), "-o", str(dst))[0] == 0
+    code, out, err = run_cli(capsys, "expand", str(dst))
+    assert (code, out) == (0, "ab\rcd\r\nef\r\n")
+
+
+def test_crlf_grammar_and_scoring_files(tmp_path, capsys):
+    table = _ab_table(2, 2, 3, 3, 1, 1)
+    other = tmp_path / "other.txt"
+    other.write_text("abaabbbaabaab\n")
+    outs = []
+    for ending in ("\n", "\r\n"):
+        grammar, scoring = tmp_path / "g.slp", tmp_path / "s.tsv"
+        grammar.write_bytes(FIB7_SLP_TEXT.replace("\n", ending).encode())
+        scoring.write_bytes(table.replace("\n", ending).encode())
+        code, out, err = run_cli(
+            capsys, "distance", str(grammar), str(other), "--scoring", str(scoring)
+        )
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1] == "1\n"
+
+
+# characters str.splitlines breaks lines at, which dump_slp writes literally
+LINE_BREAKING_TERMINALS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", LINE_BREAKING_TERMINALS)
+def test_terminals_that_splitlines_breaks_at_round_trip(tmp_path, capsys, char):
+    text = f"ab{char}cab{char}c{char}d"
+    src, dst, other = tmp_path / "in.txt", tmp_path / "out.slp", tmp_path / "other.txt"
+    src.write_text(text + "\n", encoding="utf-8")
+    other.write_text(f"ab{char}cabc{char}{char}d\n", encoding="utf-8")
+    assert run_cli(capsys, "compress", str(src), "-o", str(dst))[0] == 0
+    code, out, err = run_cli(capsys, "expand", str(dst))
+    assert (code, out) == (0, text + "\n")
+    code, from_text, err = run_cli(capsys, "distance", str(src), str(other))
+    assert code == 0
+    assert run_cli(capsys, "distance", str(dst), str(other)) == (0, from_text, "")
+    assert from_text == "2\n"
+
+
 def test_compress_defaults_to_repair(tmp_path, capsys):
     text = "abcabcabdabcabcabd" * 5
     src = tmp_path / "in.txt"

@@ -75,13 +75,6 @@ def test_tables_are_monge_on_finite(rng):
         assert is_monge(build_direct(a, b, sf).m)
 
 
-def test_render_text_uses_inf():
-    d = build_direct("a", "b", levenshtein("ab"))
-    dump = d.render_text()
-    assert "inf" in dump
-    assert dump.splitlines()[0].split("\t") == ["0", "1", "inf"]
-
-
 def test_merge_horizontal_example():
     sf = levenshtein("abc")
     merged = merge_horizontal(build_direct("a", "b", sf), build_direct("a", "c", sf))
@@ -177,7 +170,9 @@ def test_merges_match_direct_random(rng):
 
 
 def test_apply_inputs_example():
-    d = DistTable("a", "b", [[0, 1, None], [1, 1, 1], [None, 1, 0]])
+    # ceiling 1: the corner entries 2 stand for "no path"
+    d = DistTable("a", "b", [[0, 1, 2], [1, 1, 1], [2, 1, 0]], 1)
+    assert d.m == [[0, 1, None], [1, 1, 1], [None, 1, 0]]
     assert apply_inputs(d, [0, 0, 0]) == [0, 1, 0]
 
 

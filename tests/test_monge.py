@@ -8,7 +8,6 @@ from slpdist import (
     build_direct,
     is_monge,
     levenshtein,
-    minplus_multiply,
     smawk_column_minima,
     substitute_infinities,
 )
@@ -164,78 +163,13 @@ def test_substitute_random_tables_stay_monge_and_preserve_minima(rng):
 
 
 def brute_minplus(m1, m2):
-    out = []
-    for i in range(len(m1)):
-        row = []
-        for j in range(len(m2[0])):
-            best = None
-            for k in range(len(m2)):
-                x, y = m1[i][k], m2[k][j]
-                if x is None or y is None:
-                    continue
-                v = x + y
-                if best is None or v < best:
-                    best = v
-            row.append(best)
-        out.append(row)
-    return out
+    cols = range(len(m2[0]))
+    return [[min(x + m2[k][j] for k, x in enumerate(u)) for j in cols] for u in m1]
 
 
-def test_minplus_identity():
-    d = [[0, 3, 7], [2, 0, 4], [9, 1, 0]]
-    ident = [
-        [0, None, None],
-        [None, 0, None],
-        [None, None, 0],
-    ]
-    assert minplus_multiply(d, ident) == d
-    assert minplus_multiply(ident, d) == d
-
-
-def test_minplus_example_with_unreachable():
-    got = minplus_multiply([[0, 1], [None, 0]], [[0, 2], [None, 0]])
-    assert got == [[0, 1], [None, 0]]
-
-
-def test_minplus_dimension_mismatch():
-    with pytest.raises(ValueError):
-        minplus_multiply([[1, 2]], [[1, 2]])
-
-
-def test_minplus_matches_brute_on_random_monge_pairs(rng):
-    for _ in range(500):
-        n1, inner, n2 = rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12)
-        m1 = random_monge_matrix(rng, n1, inner)
-        m2 = random_monge_matrix(rng, inner, n2)
-        assert minplus_multiply(m1, m2) == brute_minplus(m1, m2)
-
-
-def test_minplus_matches_brute_on_dist_tables(rng):
-    # staircase unreachable patterns, via boundary tables sharing a side
-    sf = levenshtein("ab")
-    for _ in range(150):
-        a = random_text(rng, "ab", rng.randint(0, 4))
-        b = random_text(rng, "ab", rng.randint(0, 4))
-        m = build_direct(a, b, sf).m
-        mt = [list(row) for row in zip(*m)]  # transpose is Monge too
-        assert minplus_multiply(m, mt) == brute_minplus(m, mt)
-
-
-def test_minplus_associative_on_monge_chains(rng):
-    for _ in range(100):
-        d1 = random_monge_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-        d2 = random_monge_matrix(rng, len(d1[0]), rng.randint(1, 8))
-        d3 = random_monge_matrix(rng, len(d2[0]), rng.randint(1, 8))
-        left = minplus_multiply(minplus_multiply(d1, d2), d3)
-        right = minplus_multiply(d1, minplus_multiply(d2, d3))
-        assert left == right
-
-
-def test_minplus_preserves_monge(rng):
-    for _ in range(100):
-        d1 = random_monge_matrix(rng, rng.randint(2, 8), rng.randint(2, 8))
-        d2 = random_monge_matrix(rng, len(d1[0]), rng.randint(2, 8))
-        assert is_monge(minplus_multiply(d1, d2))
+def minplus_rows(m1, m2):
+    """The product m1 * m2, one ``minplus_row`` call per row of m1."""
+    return [minplus_row(u, m2, 0, len(m2[0])) for u in m1]
 
 
 def test_strict_mode_still_correct(rng, monkeypatch):
@@ -243,7 +177,7 @@ def test_strict_mode_still_correct(rng, monkeypatch):
     for _ in range(20):
         m1 = random_monge_matrix(rng, 5, 5)
         m2 = random_monge_matrix(rng, 5, 5)
-        assert minplus_multiply(m1, m2) == brute_minplus(m1, m2)
+        assert minplus_rows(m1, m2) == brute_minplus(m1, m2)
 
 
 def test_strict_mode_checks_and_falls_back_past_the_plain_scan(rng, monkeypatch):
@@ -255,7 +189,7 @@ def test_strict_mode_checks_and_falls_back_past_the_plain_scan(rng, monkeypatch)
         m2 = random_monge_matrix(rng, 8, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert minplus_multiply(m1, m2) == brute_minplus(m1, m2)
+            assert minplus_rows(m1, m2) == brute_minplus(m1, m2)
     # not totally monotone: the interpolation walks past the last kept row
     m1 = [
         [1, 3, 1, 3, 7, 3, 5, 3],
@@ -278,10 +212,10 @@ def test_strict_mode_checks_and_falls_back_past_the_plain_scan(rng, monkeypatch)
         [8, 4, 8, 3, 7, 2, 6, 1],
     ]
     with pytest.warns(RuntimeWarning, match="not totally monotone"):
-        assert minplus_multiply(m1, m2) == brute_minplus(m1, m2)
+        assert minplus_rows(m1, m2) == brute_minplus(m1, m2)
     for _ in range(100):
         m1 = [[rng.randint(0, 9) for _ in range(8)] for _ in range(8)]
         m2 = [[rng.randint(0, 9) for _ in range(8)] for _ in range(8)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert minplus_multiply(m1, m2) == brute_minplus(m1, m2)
+            assert minplus_rows(m1, m2) == brute_minplus(m1, m2)

