@@ -19,9 +19,10 @@ class RunStats:
     block sweep (one per output vertex per block); ``sweep_queries`` counts
     the matrix element lookups the sweep's SMAWK passes performed.  Both
     scale as N^2/x while the table-building counters scale as n^2, which is
-    the trade the block parameter x tunes.  ``table_entries`` is the sum of
-    s^2 over the distinct tables the repository holds, the driver of peak
-    memory.  ``elapsed`` maps each phase to its seconds.
+    the trade the block parameter x tunes; ``merge_queries`` counts the
+    element lookups the repository's merges performed.  ``table_entries``
+    is the sum of s^2 over the distinct tables the repository holds, the
+    driver of peak memory.  ``elapsed`` maps each phase to its seconds.
     """
 
     COUNTERS = (
@@ -40,6 +41,7 @@ class RunStats:
         "boundary_cells_propagated",
         "sweep_queries",
         "sweep_memo_hits",
+        "merge_queries",
     )
     __slots__ = COUNTERS + ("elapsed",)
 
@@ -147,6 +149,7 @@ def block_edit_distance(
     stats.table_entries = repo.table_entries
     stats.direct_builds = repo.direct_builds
     stats.merges = repo.merges
+    stats.merge_queries = repo.merge_queries
     stats.elapsed["repository"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

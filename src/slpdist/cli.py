@@ -312,6 +312,8 @@ def _random_cost(rng, hi: int, decimal: bool):
 
 
 def _cmd_selftest(args) -> int:
+    if args.cases < 1:
+        raise CliError(f"--cases must be at least 1, got {args.cases}")
     rng = random.Random(args.seed)
     bad = 0
     for case in range(args.cases):

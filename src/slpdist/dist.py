@@ -12,7 +12,10 @@ input 0 coincides with output 0 and input s-1 with output s-1.
 input i to output j, or ``None`` when no such path exists (a view of the
 finite ``rows`` a table is stored as).  These matrices are Monge on their
 finite entries, which is what lets two tables sharing a boundary be merged
-with SMAWK in O(s^2) instead of rebuilt in O(s^3).
+with SMAWK in O(s^2) instead of rebuilt in O(s^3).  A monotone path only
+goes down or right, so each merge row hands the kernel just the shared
+vertices and outputs its input can reach: a contiguous block of a totally
+monotone matrix, which leaves out only rows that cannot win.
 """
 
 from __future__ import annotations
@@ -122,17 +125,21 @@ def build_direct(a: str, b: str, sf, ceiling=None) -> DistTable:
     return DistTable(a, b, rows, ceiling)
 
 
-def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
+def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -> DistTable:
     """Table of the side-by-side block (a, b1 + b2) from the tables of
     (a, b1) and (a, b2).
 
     Entries whose paths stay inside one sub-block are copies; paths that
     cross the shared column are the min-plus product of d1's columns on
-    that boundary with d2's rows, one SMAWK pass per input vertex.  Total
-    cost O(s^2).  ``ceiling`` is the unreachable-detection bound; it must
-    be at least the largest finite entry either operand can contribute to
-    (defaults to the sum of the operands' ceilings).  The result is stored
-    against it.
+    that boundary with d2's rows, one kernel pass per input vertex over
+    only what that input can reach.  Input i <= h sits on the left column
+    at row h - i, so it reaches the lowest i + 1 shared vertices and,
+    through them, d2's outputs up to w2 + i; the outputs above get no
+    path.  Top-row inputs reach everything.  Total cost O(s^2).
+    ``ceiling`` is the unreachable-detection bound; it must be at least
+    the largest finite entry either operand can contribute to (defaults to
+    the sum of the operands' ceilings).  The result is stored against it.
+    ``counter[0]``, when given, accumulates the kernel's element queries.
     """
     if d1.a != d2.a:
         raise ValueError("horizontal merge needs a common row substring")
@@ -144,12 +151,16 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
         ceiling = d1.ceiling + d2.ceiling
     m1 = d1.finite_rows(ceiling)
     m2 = d2.finite_rows(ceiling)
+    unreachable = [ceiling + 1] * h
     out = []
     for i in range(s1):
         row_out = m1[i][: w1 + 1]
         # cross region: route through the shared column (d1 columns
-        # w1..s1-1 are its vertices bottom-to-top, as are d2 rows 0..h)
-        row_out.extend(minplus_row(m1[i][w1:], m2, 1, s2))
+        # w1..s1-1 are its vertices bottom-to-top, as are d2 rows 0..h);
+        # input i reaches its lowest r + 1 vertices and d2's outputs 1..w2 + r
+        r = min(i, h)
+        row_out.extend(minplus_row(m1[i][w1 : w1 + r + 1], m2, 1, s2 - h + r, counter))
+        row_out.extend(unreachable[r:])
         out.append(row_out)
     # no path from d2's inputs reaches d1's outputs
     unreachable = [ceiling + 1] * (w1 + 1)
@@ -157,16 +168,19 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
     return DistTable(d1.a, d1.b + d2.b, out, ceiling)
 
 
-def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
+def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -> DistTable:
     """Table of the stacked block (a1 + a2, b); d1 is the upper block
     (earlier characters of A are earlier grid rows).  Mirror image of
-    ``merge_horizontal`` across the shared boundary row."""
+    ``merge_horizontal`` across the shared boundary row: d1's top-row input
+    at column c reaches only the shared vertices c..w and, through them,
+    d2's outputs from c on; left-column inputs reach everything."""
     if d1.b != d2.b:
         raise ValueError("vertical merge needs a common column substring")
     w = d1.w
+    h1 = d1.h
     h2 = d2.h
     s1, s2 = d1.s, d2.s
-    s = d1.h + h2 + w + 1
+    s = h1 + h2 + w + 1
     if ceiling is None:
         ceiling = d1.ceiling + d2.ceiling
     m1 = d1.finite_rows(ceiling)
@@ -176,27 +190,33 @@ def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None) -> DistTable:
     unreachable = [ceiling + 1] * (s - s2)
     out = [m2[i] + unreachable for i in range(h2)]
     out.append(m2[h2] + m1[0][s2 - h2 :])
-    for i in range(h2 + 1, s):
-        row_out = minplus_row(m1[i - h2][: w + 1], m2_shifted, 0, s2)
-        row_out.extend(m1[i - h2][s2 - h2 :])
+    for k in range(1, s1):
+        row1 = m1[k]
+        c = max(k - h1, 0)
+        # a top-row input at column c reaches no output left of column c
+        row_out = [ceiling + 1] * c
+        row_out.extend(minplus_row(row1[c : w + 1], m2_shifted[c:], c, s2, counter))
+        row_out.extend(row1[s2 - h2 :])
         out.append(row_out)
     return DistTable(d1.a + d2.a, d1.b, out, ceiling)
 
 
-def merge_quad(d11, d12, d21, d22, ceiling=None) -> DistTable:
+def merge_quad(d11, d12, d21, d22, ceiling=None, counter=None) -> DistTable:
     """Table of the 2x2 block arrangement::
 
         (a1, b1) (a1, b2)
         (a2, b1) (a2, b2)
 
     Two horizontal merges followed by one vertical merge, each with the
-    given unreachable-detection ``ceiling`` (see ``merge_horizontal``)."""
+    given unreachable-detection ``ceiling`` and query ``counter`` (see
+    ``merge_horizontal``)."""
     if d11.a != d12.a or d21.a != d22.a or d11.b != d21.b or d12.b != d22.b:
         raise ValueError("quad merge given inconsistent substring references")
     return merge_vertical(
-        merge_horizontal(d11, d12, ceiling),
-        merge_horizontal(d21, d22, ceiling),
+        merge_horizontal(d11, d12, ceiling, counter),
+        merge_horizontal(d21, d22, ceiling, counter),
         ceiling,
+        counter,
     )
 
 
@@ -280,6 +300,7 @@ class Repository:
         self.memo = {}
         self.direct_builds = 0
         self.merges = 0
+        self._queries = [0]  # kernel element queries spent in merges
         self._sides = (_SideInfo(slp_a, part_a), _SideInfo(slp_b, part_b))
         # One unreachable-detection bound that dominates every finite value
         # the grid can produce: every table is stored against it, so merges
@@ -289,6 +310,10 @@ class Repository:
     @property
     def memo_size(self) -> int:
         return len(self.memo)
+
+    @property
+    def merge_queries(self) -> int:
+        return self._queries[0]
 
     @property
     def table_entries(self) -> int:
@@ -367,10 +392,10 @@ class Repository:
             return tables[0]
         if op == "quad":
             self.merges += 3
-            return merge_quad(*tables, self.ceiling)
+            return merge_quad(*tables, self.ceiling, self._queries)
         self.merges += 1
         merge = merge_horizontal if op == "hmerge" else merge_vertical
-        return merge(*tables, self.ceiling)
+        return merge(*tables, self.ceiling, self._queries)
 
 
 class _SideInfo:

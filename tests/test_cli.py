@@ -281,6 +281,7 @@ def test_distance_stats_output(tmp_path, capsys):
     assert "boundary_cells_propagated=" in record
     assert "table_entries=" in record
     assert "sweep_memo_hits=" in record
+    assert "merge_queries=" in record
 
 
 def test_missing_file_is_input_error(capsys):
@@ -508,6 +509,20 @@ def test_selftest_smoke(capsys):
     code, out, err = run_cli(capsys, "selftest", "--cases", "8")
     assert code == 0
     assert "8 cases" in out
+
+
+def test_selftest_refuses_fewer_than_one_case(capsys, monkeypatch):
+    from slpdist import block_edit
+
+    def no_case(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(block_edit, "block_edit_distance", no_case)
+    for cases in ("-1", "0"):
+        code, out, err = run_cli(capsys, "selftest", "--cases", cases)
+        assert code == 1
+        assert out == ""
+        assert f"--cases must be at least 1, got {cases}" in err
 
 
 def test_selftest_fails_on_equal_values_printed_differently(capsys, monkeypatch):

@@ -15,7 +15,9 @@ from slpdist import (
     merge_quad,
     merge_vertical,
 )
+from slpdist import dist
 from slpdist.dist import DistTable, input_position, output_position
+from slpdist.scoring import max_cost
 
 
 def test_boundary_orderings():
@@ -155,18 +157,62 @@ def test_merge_quad_random(rng):
         assert quad.m == build_direct(a1 + a2, b1 + b2, sf).m
 
 
+def _merge_operands(rng):
+    """Random texts for a horizontal merge (a | b1 b2) and a vertical one
+    (a over a2, both over b1), each empty one time in four, a scoring
+    table, and one ceiling that bounds every path in either merged block."""
+    sigma = rng.choice(("ab", "abc"))
+    sf = random_scoring(rng, sigma)
+    a, a2, b1, b2 = (
+        random_text(rng, sigma, 0 if rng.random() < 0.25 else rng.randint(1, 8))
+        for _ in range(4)
+    )
+    ceiling = (len(a) + len(a2) + len(b1) + len(b2)) * max_cost(sf) + rng.randint(0, 3)
+    return sf, a, a2, b1, b2, ceiling
+
+
 def test_merges_match_direct_random(rng):
-    for _ in range(120):
-        sigma = rng.choice(("ab", "abc"))
-        sf = random_scoring(rng, sigma)
-        a = random_text(rng, sigma, rng.randint(0, 8))
-        b1 = random_text(rng, sigma, rng.randint(0, 8))
-        b2 = random_text(rng, sigma, rng.randint(0, 8))
-        got = merge_horizontal(build_direct(a, b1, sf), build_direct(a, b2, sf))
-        assert got.m == build_direct(a, b1 + b2, sf).m
-        a2 = random_text(rng, sigma, rng.randint(0, 8))
-        got = merge_vertical(build_direct(a, b1, sf), build_direct(a2, b1, sf))
-        assert got.m == build_direct(a + a2, b1, sf).m
+    for _ in range(160):
+        sf, a, a2, b1, b2, C = _merge_operands(rng)
+        got = merge_horizontal(build_direct(a, b1, sf, C), build_direct(a, b2, sf, C), C)
+        want = build_direct(a, b1 + b2, sf, C)
+        assert (got.rows, got.ceiling) == (want.rows, want.ceiling)
+        got = merge_vertical(build_direct(a, b1, sf, C), build_direct(a2, b1, sf, C), C)
+        want = build_direct(a + a2, b1, sf, C)
+        assert (got.rows, got.ceiling) == (want.rows, want.ceiling)
+
+
+def test_merges_hand_the_kernel_only_reachable_vertices(rng, monkeypatch):
+    calls = []
+    real = dist.minplus_row
+
+    def recording(u, rows, jlo, jhi, counter=None):
+        calls.append((list(u), jhi - jlo))
+        return real(u, rows, jlo, jhi, counter)
+
+    monkeypatch.setattr(dist, "minplus_row", recording)
+    for _ in range(160):
+        sf, a, a2, b1, b2, C = _merge_operands(rng)
+        h, w1, w2 = len(a), len(b1), len(b2)
+        d1 = build_direct(a, b1, sf, C)
+        calls.clear()
+        merge_horizontal(d1, build_direct(a, b2, sf, C), C)
+        # input i sits at row h - i of the left column: it reaches the
+        # lowest min(i, h) + 1 shared vertices and d2's outputs 1..w2 + i
+        assert [(len(u), n) for u, n in calls] == [
+            (min(i, h) + 1, w2 + min(i, h)) for i in range(d1.s)
+        ]
+        assert all(v <= C for u, _ in calls for v in u)
+        h1, h2 = len(a), len(a2)
+        calls.clear()
+        merge_vertical(d1, build_direct(a2, b1, sf, C), C)
+        # d1's input k > h1 sits on the top row at column k - h1: it reaches
+        # the shared vertices from that column on, and d2's outputs too
+        cols = [max(k - h1, 0) for k in range(1, d1.s)]
+        assert [(len(u), n) for u, n in calls] == [
+            (w1 + 1 - c, h2 + w1 + 1 - c) for c in cols
+        ]
+        assert all(v <= C for u, _ in calls for v in u)
 
 
 def test_apply_inputs_example():
