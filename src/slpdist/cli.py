@@ -196,6 +196,14 @@ def _read(path: str) -> str:
         raise CliError(str(exc)) from None
 
 
+def _write(path: str, payload: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise CliError(str(exc)) from None
+
+
 _COMPRESSORS = {
     "repair": slp.repair,
     "lz78": lambda text: slp.lz78_to_slp(slp.lz78_parse(text)),
@@ -247,8 +255,7 @@ def _cmd_compress(args) -> int:
     grammar = _compress(_read(args.input), args.input, args.method)
     payload = dump_slp(grammar)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write(args.output, payload)
     else:
         sys.stdout.write(payload)
     return 0
@@ -263,6 +270,8 @@ def _cmd_expand(args) -> int:
 def _cmd_distance(args) -> int:
     if args.stats and args.algorithm == "baseline":
         raise CliError("--stats requires the block algorithm")
+    if args.stats:
+        _write(args.stats, "")  # an unwritable path fails before any work
     slp_a = _read_input(args.a)
     slp_b = _read_input(args.b)
     text_a, text_b = slp.expand(slp_a), slp.expand(slp_b)
@@ -273,12 +282,15 @@ def _cmd_distance(args) -> int:
         cost, stats = block_edit.block_edit_distance(slp_a, slp_b, sf, args.block_size)
     print(cost)
     if args.stats:
-        with open(args.stats, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(stats.as_record()) + "\n")
+        _write(args.stats, "\n".join(stats.as_record()) + "\n")
     return 0
 
 
 def _cmd_bench(args) -> int:
+    # each size is split into two strings of at least one character
+    too_small = [total for total in args.sizes if total < 2]
+    if too_small:
+        raise CliError(f"--sizes must be at least 2, got {too_small[0]}")
     print("total_n\tvars\tblock\tparts\tblocks\tcells\tqueries\tbaseline_cells\tratio")
     previous = None
     for total in args.sizes:

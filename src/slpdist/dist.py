@@ -209,7 +209,9 @@ def merge_quad(d11, d12, d21, d22, ceiling=None, counter=None) -> DistTable:
 
     Two horizontal merges followed by one vertical merge, each with the
     given unreachable-detection ``ceiling`` and query ``counter`` (see
-    ``merge_horizontal``)."""
+    ``merge_horizontal``).  A public helper only: the repository does not
+    call it, because it discards the two horizontal results, the tables of
+    (a1, b) and (a2, b), which other pairs need."""
     if d11.a != d12.a or d21.a != d22.a or d11.b != d21.b or d12.b != d22.b:
         raise ValueError("quad merge given inconsistent substring references")
     return merge_vertical(
@@ -280,9 +282,10 @@ class Repository:
     path variable).  Construction works bottom-up over an explicit
     worklist, so grammar depth never hits the Python recursion limit:
 
-    * exact x exact   -- merge the four child-pair tables (quad), falling
-      back to a single horizontal/vertical merge when one side is a
-      terminal, and to direct construction for terminal x terminal;
+    * exact x exact   -- direct construction for terminal x terminal;
+      otherwise split the side whose variable derives the longer string
+      (A on a tie) and merge the tables of its two children against the
+      whole other side, so the shared boundary is the shorter side;
     * composite sides -- peel the accumulation chain one hanging child at a
       time, merging the previous accumulated table with the child's exact
       table (column side first, so composite x composite reduces to
@@ -292,7 +295,8 @@ class Repository:
     lower), so each merge takes its operands as listed.
 
     Every repeated occurrence of a pair reuses its table, which is where
-    the grammar's repetitiveness pays off.
+    the grammar's repetitiveness pays off.  Each entry that is not an alias
+    costs exactly one direct build or one merge.
     """
 
     def __init__(self, slp_a: Slp, slp_b: Slp, part_a, part_b, sf):
@@ -362,23 +366,14 @@ class Repository:
         prod_b = self._sides[1].production(vb)
         if prod_a is _TERMINAL and prod_b is _TERMINAL:
             return [], "direct"
-        if prod_a is _TERMINAL:
-            r, t = prod_b
-            return [(key_a, (r, EXACT)), (key_a, (t, EXACT))], "hmerge"
-        if prod_b is _TERMINAL:
+        # split the side that derives the longer string (A on a tie), so the
+        # shared boundary, and with it each kernel call, is the shorter side;
+        # a terminal is never the longer side of a pair with a non-terminal
+        if self._sides[0].slp.lengths[va] >= self._sides[1].slp.lengths[vb]:
             p, q = prod_a
             return [((p, EXACT), key_b), ((q, EXACT), key_b)], "vmerge"
-        p, q = prod_a
         r, t = prod_b
-        return (
-            [
-                ((p, EXACT), (r, EXACT)),
-                ((p, EXACT), (t, EXACT)),
-                ((q, EXACT), (r, EXACT)),
-                ((q, EXACT), (t, EXACT)),
-            ],
-            "quad",
-        )
+        return [(key_a, (r, EXACT)), (key_a, (t, EXACT))], "hmerge"
 
     def _combine(self, key, op, tables):
         if op == "direct":
@@ -390,9 +385,6 @@ class Repository:
             return build_direct(a, b, self.sf, self.ceiling)
         if op == "alias":
             return tables[0]
-        if op == "quad":
-            self.merges += 3
-            return merge_quad(*tables, self.ceiling, self._queries)
         self.merges += 1
         merge = merge_horizontal if op == "hmerge" else merge_vertical
         return merge(*tables, self.ceiling, self._queries)
@@ -431,9 +423,9 @@ def build_repository(slp_a, slp_b, part_a, part_b, sf) -> Repository:
 
     The partitions must have been built with the same block parameter.  The
     number of memo entries is bounded by 4 * n_A * n_B (two kinds per
-    variable per side), and each entry costs one direct build or at most
-    three merges, which is where the overall O(n^2 x^2) table-building
-    bound comes from.
+    variable per side), and each distinct table costs one direct build or
+    one merge, which is where the overall O(n^2 x^2) table-building bound
+    comes from.
     """
     if part_a.block_size != part_b.block_size:
         raise ValueError("partitions built with different block parameters")

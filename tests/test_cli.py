@@ -284,6 +284,32 @@ def test_distance_stats_output(tmp_path, capsys):
     assert "merge_queries=" in record
 
 
+def test_unwritable_stats_path_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    from slpdist import block_edit
+
+    def no_run(*args):
+        raise AssertionError("the distance ran")
+
+    monkeypatch.setattr(block_edit, "block_edit_distance", no_run)
+    a = tmp_path / "a.txt"
+    a.write_text("abab\n")
+    for target in (tmp_path / "no" / "such" / "st.txt", tmp_path):
+        code, out, err = run_cli(capsys, "distance", str(a), str(a), "--stats", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("slpdist: ") and str(target) in err
+
+
+def test_unwritable_compress_output_is_input_error(tmp_path, capsys):
+    text = tmp_path / "t.txt"
+    text.write_text("abab\n")
+    for target in (tmp_path / "no" / "such" / "x.slp", tmp_path):
+        code, out, err = run_cli(capsys, "compress", str(text), "-o", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("slpdist: ") and str(target) in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, out, err = run_cli(capsys, "distance", "/nonexistent/a", "/nonexistent/b")
     assert code == 1
@@ -549,6 +575,17 @@ def test_bench_smoke(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("total_n")
+
+
+def test_bench_refuses_sizes_below_two_before_printing(capsys):
+    for sizes, bad in (("3,1", 1), ("0", 0), ("4,-2", -2)):
+        code, out, err = run_cli(capsys, "bench", "--sizes", sizes)
+        assert code == 1
+        assert out == ""
+        assert f"--sizes must be at least 2, got {bad}" in err
+    code, out, err = run_cli(capsys, "bench", "--sizes", "2,3")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 3
 
 
 def test_usage_error_exits_one(capsys):

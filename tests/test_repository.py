@@ -144,3 +144,73 @@ def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch):
         assert len(swept) == stats.block_count - stats.sweep_memo_hits
         stored = {id(t.rows) for t in tables}
         assert all(id(rows) in stored for rows in swept)
+
+
+def _random_pairs(rng, count, max_len=40):
+    for _ in range(count):
+        ga = random_slp(rng, max_len=max_len)
+        gb = random_slp(rng, max_len=max_len)
+        yield ga, gb, random_scoring(rng, sorted(set(expand(ga)) | set(expand(gb))))
+
+
+def test_each_distinct_table_costs_one_build(rng):
+    # every memo entry that is not an alias is one direct build or one merge
+    for ga, gb, sf in _random_pairs(rng, 15):
+        for x in (2, 3, 5, 8):
+            repo, _, _ = _repo_for(ga, gb, sf, x)
+            distinct = len({id(t) for t in repo.memo.values()})
+            assert repo.direct_builds + repo.merges == distinct
+
+
+def test_repository_never_calls_merge_quad(fib7_slp, rng, monkeypatch):
+    def no_quad(*args):
+        raise AssertionError("merge_quad was called")
+
+    monkeypatch.setattr(dist, "merge_quad", no_quad)
+    _repo_for(fib7_slp, fib7_slp, levenshtein("ab"), 2)
+    for ga, gb, sf in _random_pairs(rng, 5):
+        _repo_for(ga, gb, sf, 3)
+
+
+def test_exact_pairs_split_the_longer_side(fib7_slp, rng, monkeypatch):
+    # an exact x exact table of two non-terminals merges the tables of the
+    # longer side's children (A on a tie) with the whole shorter side
+    made = {}
+
+    def recording(kind, merge):
+        def wrapped(d1, d2, *args):
+            table = merge(d1, d2, *args)
+            made[id(table)] = (kind, d1, d2)
+            return table
+
+        return wrapped
+
+    monkeypatch.setattr(dist, "merge_vertical", recording("v", dist.merge_vertical))
+    monkeypatch.setattr(dist, "merge_horizontal", recording("h", dist.merge_horizontal))
+    grammars = [(fib7_slp, fib7_slp, levenshtein("ab"))] + list(_random_pairs(rng, 10))
+    splits = {"v": 0, "h": 0, "tie": 0}
+    for ga, gb, sf in grammars:
+        for x in (2, 3, 5):
+            made.clear()
+            repo, _, _ = _repo_for(ga, gb, sf, x)
+            for (ka, kb), table in repo.memo.items():
+                (va, kind_a), (vb, kind_b) = ka, kb
+                prod_a, prod_b = ga.productions[va], gb.productions[vb]
+                if kind_a != EXACT or kind_b != EXACT:
+                    continue
+                if isinstance(prod_a, str) or isinstance(prod_b, str):
+                    continue
+                kind, d1, d2 = made[id(table)]
+                if ga.lengths[va] >= gb.lengths[vb]:
+                    p, q = prod_a
+                    assert kind == "v"
+                    assert d1 is repo.memo[(p, EXACT), kb]
+                    assert d2 is repo.memo[(q, EXACT), kb]
+                    splits["tie"] += ga.lengths[va] == gb.lengths[vb]
+                else:
+                    r, t = prod_b
+                    assert kind == "h"
+                    assert d1 is repo.memo[ka, (r, EXACT)]
+                    assert d2 is repo.memo[ka, (t, EXACT)]
+                splits[kind] += 1
+    assert all(splits.values()), splits
