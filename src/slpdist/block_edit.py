@@ -22,7 +22,9 @@ class RunStats:
     the trade the block parameter x tunes; ``merge_queries`` counts the
     element lookups the repository's merges performed.  ``table_entries``
     is the sum of s^2 over the distinct tables the repository holds, the
-    driver of peak memory.  ``elapsed`` maps each phase to its seconds.
+    driver of peak memory: an 8-byte list slot each, since equal values
+    within one merge share one int object.  ``elapsed`` maps each phase to
+    its seconds.
     """
 
     COUNTERS = (

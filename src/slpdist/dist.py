@@ -140,6 +140,9 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -
     the largest finite entry either operand can contribute to (defaults to
     the sum of the operands' ceilings).  The result is stored against it.
     ``counter[0]``, when given, accumulates the kernel's element queries.
+    Copied entries share the operands' objects, and the values the kernel
+    returns pass through one dict per call, so the result holds one int
+    object per distinct path weight it computed.
     """
     if d1.a != d2.a:
         raise ValueError("horizontal merge needs a common row substring")
@@ -152,6 +155,7 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -
     m1 = d1.finite_rows(ceiling)
     m2 = d2.finite_rows(ceiling)
     unreachable = [ceiling + 1] * h
+    values = {}  # one object per distinct computed path weight
     out = []
     for i in range(s1):
         row_out = m1[i][: w1 + 1]
@@ -159,7 +163,8 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -
         # w1..s1-1 are its vertices bottom-to-top, as are d2 rows 0..h);
         # input i reaches its lowest r + 1 vertices and d2's outputs 1..w2 + r
         r = min(i, h)
-        row_out.extend(minplus_row(m1[i][w1 : w1 + r + 1], m2, 1, s2 - h + r, counter))
+        res = minplus_row(m1[i][w1 : w1 + r + 1], m2, 1, s2 - h + r, counter)
+        row_out.extend(map(values.setdefault, res, res))
         row_out.extend(unreachable[r:])
         out.append(row_out)
     # no path from d2's inputs reaches d1's outputs
@@ -173,7 +178,8 @@ def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -> 
     (earlier characters of A are earlier grid rows).  Mirror image of
     ``merge_horizontal`` across the shared boundary row: d1's top-row input
     at column c reaches only the shared vertices c..w and, through them,
-    d2's outputs from c on; left-column inputs reach everything."""
+    d2's outputs from c on; left-column inputs reach everything.  Computed
+    values are shared per distinct weight, as there."""
     if d1.b != d2.b:
         raise ValueError("vertical merge needs a common column substring")
     w = d1.w
@@ -190,12 +196,14 @@ def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -> 
     unreachable = [ceiling + 1] * (s - s2)
     out = [m2[i] + unreachable for i in range(h2)]
     out.append(m2[h2] + m1[0][s2 - h2 :])
+    values = {}  # one object per distinct computed path weight
     for k in range(1, s1):
         row1 = m1[k]
         c = max(k - h1, 0)
         # a top-row input at column c reaches no output left of column c
         row_out = [ceiling + 1] * c
-        row_out.extend(minplus_row(row1[c : w + 1], m2_shifted[c:], c, s2, counter))
+        res = minplus_row(row1[c : w + 1], m2_shifted[c:], c, s2, counter)
+        row_out.extend(map(values.setdefault, res, res))
         row_out.extend(row1[s2 - h2 :])
         out.append(row_out)
     return DistTable(d1.a + d2.a, d1.b, out, ceiling)

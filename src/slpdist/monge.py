@@ -268,10 +268,8 @@ def fill_stand_ins(rows, ceiling):
             hi = ncols - 1
             while row[hi] > ceiling:
                 hi -= 1
-        for j in range(lo):
-            row[j] = ladder[lo - j]
-        for j in range(hi + 1, ncols):
-            row[j] = ladder[j - hi]
+        row[:lo] = ladder[lo:0:-1]
+        row[hi + 1 :] = ladder[1 : ncols - hi]
     return rows
 
 

@@ -219,13 +219,14 @@ def repair(text: str) -> Slp:
 
     Total work is O(N log N).  The sequence is a doubly linked list over
     the positions of the text.  Each pair keeps its number of counted
-    occurrences and a list of the positions where it was counted, some of
-    which may since have gone stale; a replacement updates the counts of
-    its neighbouring pairs in O(1), and the list is checked position by
-    position when the pair's turn comes.  A heap with lazy deletion yields
-    the most frequent pair.  Ties go to the smallest (left, right) variable
-    pair, and no step iterates over a hash-ordered container, so one text
-    always gives the same grammar.
+    occurrences and an ``array('i')`` of the positions where it was
+    counted (4 bytes a position, where a list holds an 8-byte slot and an
+    int object), some of which may since have gone stale; a replacement
+    updates the counts of its neighbouring pairs in O(1), and the array is
+    checked position by position when the pair's turn comes.  A heap with
+    lazy deletion yields the most frequent pair.  Ties go to the smallest
+    (left, right) variable pair, and no step iterates over a hash-ordered
+    container, so one text always gives the same grammar.
     """
     if not text:
         raise SlpError("cannot build a grammar for the empty string")
@@ -253,7 +254,7 @@ def repair(text: str) -> Slp:
         c = count.get(key)
         if c is None:
             count[key] = 1
-            occ[key] = [p]
+            occ[key] = array("i", (p,))
         else:
             count[key] = c + 1
             occ[key].append(p)
@@ -295,7 +296,12 @@ def repair(text: str) -> Slp:
         s, r = sym[p], sym[p + 1]
         if not (s == r and p and sym[p - 1] == s and counted[p - 1]):
             counted[p] = 1
-            occ.setdefault(s << 32 | r, []).append(p)
+            key = s << 32 | r
+            ps = occ.get(key)
+            if ps is None:
+                occ[key] = array("i", (p,))
+            else:
+                ps.append(p)
     count.update((key, len(ps)) for key, ps in occ.items())
     # (-count, key) entries, popped most frequent first and, on equal
     # counts, smallest key first.  Every pair counted twice or more has an

@@ -7,6 +7,7 @@ from conftest import (
     random_text,
 )
 from slpdist import (
+    ScoringFunction,
     apply_inputs,
     build_direct,
     is_monge,
@@ -213,6 +214,33 @@ def test_merges_hand_the_kernel_only_reachable_vertices(rng, monkeypatch):
             (w1 + 1 - c, h2 + w1 + 1 - c) for c in cols
         ]
         assert all(v <= C for u, _ in calls for v in u)
+
+
+def test_merges_share_one_object_per_computed_value(rng):
+    # costs above 256, so path weights are not CPython's shared small ints
+    for _ in range(60):
+        sigma = rng.choice(("ab", "abc"))
+        sf = ScoringFunction(
+            tuple(sigma),
+            {c: rng.randint(300, 700) for c in sigma},
+            {c: rng.randint(300, 700) for c in sigma},
+            {(x, y): 0 if x == y else rng.randint(300, 700) for x in sigma for y in sigma},
+        )
+        a, a2, b1, b2 = (random_text(rng, sigma, rng.randint(1, 8)) for _ in range(4))
+        C = (len(a) + len(a2) + len(b1) + len(b2)) * max_cost(sf)
+        d1 = build_direct(a, b1, sf, C)
+        for merge, d2 in (
+            (merge_horizontal, build_direct(a, b2, sf, C)),
+            (merge_vertical, build_direct(a2, b1, sf, C)),
+        ):
+            merged = merge(d1, d2, C)
+            operand_ids = {id(v) for d in (d1, d2) for row in d.rows for v in row}
+            objects = {}
+            for row in merged.rows:
+                for v in row:
+                    if v <= C and id(v) not in operand_ids:
+                        objects.setdefault(v, set()).add(id(v))
+            assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_apply_inputs_example():
