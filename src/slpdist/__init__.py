@@ -21,7 +21,6 @@ from .dist import (
     build_direct,
     build_repository,
     merge_horizontal,
-    merge_quad,
     merge_vertical,
 )
 from .monge import (
@@ -85,7 +84,6 @@ __all__ = [
     "lz78_parse",
     "lz78_to_slp",
     "merge_horizontal",
-    "merge_quad",
     "merge_vertical",
     "partition_string",
     "repair",

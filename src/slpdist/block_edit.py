@@ -183,7 +183,7 @@ def block_edit_distance(
                 raise InvariantViolation("frontier and left edge disagree at a corner")
             table = repo.lookup((pa.var, pa.kind), (pb.var, pb.kind))
             inputs = left + frontier[c0 + 1 : c1 + 1]
-            outputs = apply_inputs(table, inputs, counter, repo.ceiling, memo)
+            outputs = apply_inputs(table, inputs, counter, memo)
             cells += len(outputs)
             new_frontier[c0 : c1 + 1] = outputs[: w + 1]
             left = outputs[w:]

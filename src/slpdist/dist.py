@@ -16,11 +16,18 @@ with SMAWK in O(s^2) instead of rebuilt in O(s^3).  A monotone path only
 goes down or right, so each merge row hands the kernel just the shared
 vertices and outputs its input can reach: a contiguous block of a totally
 monotone matrix, which leaves out only rows that cannot win.
+
+All tables of one grid share one ceiling, picked once by the grid's owner:
+a bound on every path weight in the grid and on every boundary value the
+sweep carries.  ``build_direct`` is given it; the merges and
+``apply_inputs`` read it off their tables.  Each refuses, with
+``ValueError``, what that ceiling cannot hold.
 """
 
 from __future__ import annotations
 
-from .monge import fill_stand_ins, minplus_row, substitute_infinities
+from .monge import fill_stand_ins, minplus_row
+from .monge import substitute_infinities  # noqa: F401 - bench/tracing.py patches it here
 from .partition import COMPOSITE, EXACT, InvariantViolation, StringPartition
 from .scoring import max_cost
 from .slp import Slp, expand
@@ -64,14 +71,6 @@ class DistTable:
     def s(self) -> int:
         return len(self.a) + len(self.b) + 1
 
-    def finite_rows(self, ceiling):
-        """Rows that keep results up to ``ceiling`` apart from unreachable
-        ones: the stored rows when they were built against at least that
-        bound, else a copy built for this call only."""
-        if ceiling <= self.ceiling:
-            return self.rows
-        return substitute_infinities(self.m, ceiling)[0]
-
 
 def input_position(h: int, w: int, k: int):
     """Grid coordinates (row, col) of input vertex k, 0-based."""
@@ -82,16 +81,18 @@ def output_position(h: int, w: int, k: int):
     return (h, k) if k <= w else (h - (k - w), w)
 
 
-def build_direct(a: str, b: str, sf, ceiling=None) -> DistTable:
+def build_direct(a: str, b: str, sf, ceiling) -> DistTable:
     """Table by direct dynamic programming: one sweep of the block per input
     vertex, O(s^3) overall.  Base-case builder for terminal blocks and the
     correctness oracle every merge is tested against.  The table is stored
-    against ``ceiling`` (see ``DistTable``), by default ``(h + w)`` times
-    the largest cost, a bound on every path in the block."""
+    against the grid's ``ceiling`` (see ``DistTable``), which must be at
+    least ``(h + w)`` times the largest cost, a bound on every path in the
+    block."""
     h, w = len(a), len(b)
     s = h + w + 1
-    if ceiling is None:
-        ceiling = (h + w) * max_cost(sf)
+    bound = (h + w) * max_cost(sf)
+    if ceiling < bound:
+        raise ValueError(f"ceiling {ceiling} is below {bound}, the path bound of a {h}x{w} block")
     del_costs = [None] + [sf.del_cost(c) for c in a]
     ins_costs = [None] + [sf.ins_cost(c) for c in b]
     sub_rows = [None] + [[None] + [sf.sub_cost(ca, cb) for cb in b] for ca in a]
@@ -125,7 +126,7 @@ def build_direct(a: str, b: str, sf, ceiling=None) -> DistTable:
     return DistTable(a, b, rows, ceiling)
 
 
-def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -> DistTable:
+def merge_horizontal(d1: DistTable, d2: DistTable, counter=None) -> DistTable:
     """Table of the side-by-side block (a, b1 + b2) from the tables of
     (a, b1) and (a, b2).
 
@@ -136,24 +137,24 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -
     at row h - i, so it reaches the lowest i + 1 shared vertices and,
     through them, d2's outputs up to w2 + i; the outputs above get no
     path.  Top-row inputs reach everything.  Total cost O(s^2).
-    ``ceiling`` is the unreachable-detection bound; it must be at least
-    the largest finite entry either operand can contribute to (defaults to
-    the sum of the operands' ceilings).  The result is stored against it.
-    ``counter[0]``, when given, accumulates the kernel's element queries.
-    Copied entries share the operands' objects, and the values the kernel
-    returns pass through one dict per call, so the result holds one int
-    object per distinct path weight it computed.
+    Both operands must be stored against the same ceiling, the grid's, and
+    the result is stored against it too; a merge that computes a path
+    weight above it raises ``ValueError``.  ``counter[0]``, when given,
+    accumulates the kernel's element queries.  Copied entries share the
+    operands' objects, and the values the kernel returns pass through one
+    dict per call, so the result holds one int object per distinct path
+    weight it computed.
     """
     if d1.a != d2.a:
         raise ValueError("horizontal merge needs a common row substring")
+    ceiling = d1.ceiling
+    if d2.ceiling != ceiling:
+        raise ValueError(f"tables stored against ceilings {ceiling} and {d2.ceiling}")
     h = d1.h
     w1 = d1.w
     s1, s2 = d1.s, d2.s
     s = h + w1 + d2.w + 1
-    if ceiling is None:
-        ceiling = d1.ceiling + d2.ceiling
-    m1 = d1.finite_rows(ceiling)
-    m2 = d2.finite_rows(ceiling)
+    m1, m2 = d1.rows, d2.rows
     unreachable = [ceiling + 1] * h
     values = {}  # one object per distinct computed path weight
     out = []
@@ -167,30 +168,32 @@ def merge_horizontal(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -
         row_out.extend(map(values.setdefault, res, res))
         row_out.extend(unreachable[r:])
         out.append(row_out)
+    if max(values, default=0) > ceiling:
+        raise ValueError(f"a merged path weight exceeds the ceiling {ceiling}")
     # no path from d2's inputs reaches d1's outputs
     unreachable = [ceiling + 1] * (w1 + 1)
     out.extend(unreachable + m2[i - w1][1:] for i in range(s1, s))
     return DistTable(d1.a, d1.b + d2.b, out, ceiling)
 
 
-def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -> DistTable:
+def merge_vertical(d1: DistTable, d2: DistTable, counter=None) -> DistTable:
     """Table of the stacked block (a1 + a2, b); d1 is the upper block
     (earlier characters of A are earlier grid rows).  Mirror image of
     ``merge_horizontal`` across the shared boundary row: d1's top-row input
     at column c reaches only the shared vertices c..w and, through them,
-    d2's outputs from c on; left-column inputs reach everything.  Computed
-    values are shared per distinct weight, as there."""
+    d2's outputs from c on; left-column inputs reach everything.  The
+    ceiling, the refusals and the shared computed values are as there."""
     if d1.b != d2.b:
         raise ValueError("vertical merge needs a common column substring")
+    ceiling = d1.ceiling
+    if d2.ceiling != ceiling:
+        raise ValueError(f"tables stored against ceilings {ceiling} and {d2.ceiling}")
     w = d1.w
     h1 = d1.h
     h2 = d2.h
     s1, s2 = d1.s, d2.s
     s = h1 + h2 + w + 1
-    if ceiling is None:
-        ceiling = d1.ceiling + d2.ceiling
-    m1 = d1.finite_rows(ceiling)
-    m2 = d2.finite_rows(ceiling)
+    m1, m2 = d1.rows, d2.rows
     m2_shifted = m2[h2:]
     # no path from d2's lower inputs reaches d1's outputs
     unreachable = [ceiling + 1] * (s - s2)
@@ -206,74 +209,58 @@ def merge_vertical(d1: DistTable, d2: DistTable, ceiling=None, counter=None) -> 
         row_out.extend(map(values.setdefault, res, res))
         row_out.extend(row1[s2 - h2 :])
         out.append(row_out)
+    if max(values, default=0) > ceiling:
+        raise ValueError(f"a merged path weight exceeds the ceiling {ceiling}")
     return DistTable(d1.a + d2.a, d1.b, out, ceiling)
-
-
-def merge_quad(d11, d12, d21, d22, ceiling=None, counter=None) -> DistTable:
-    """Table of the 2x2 block arrangement::
-
-        (a1, b1) (a1, b2)
-        (a2, b1) (a2, b2)
-
-    Two horizontal merges followed by one vertical merge, each with the
-    given unreachable-detection ``ceiling`` and query ``counter`` (see
-    ``merge_horizontal``).  A public helper only: the repository does not
-    call it, because it discards the two horizontal results, the tables of
-    (a1, b) and (a2, b), which other pairs need."""
-    if d11.a != d12.a or d21.a != d22.a or d11.b != d21.b or d12.b != d22.b:
-        raise ValueError("quad merge given inconsistent substring references")
-    return merge_vertical(
-        merge_horizontal(d11, d12, ceiling, counter),
-        merge_horizontal(d21, d22, ceiling, counter),
-        ceiling,
-        counter,
-    )
 
 
 SWEEP_MEMO_SIZE = 64
 
 
-def apply_inputs(d: DistTable, inputs, _counter=None, _ceiling=None, _memo=None):
+def apply_inputs(d: DistTable, inputs, _counter=None, _memo=None):
     """Output boundary values from input boundary values:
     ``out[j] = min_i inputs[i] + m[i][j]``.
 
     One min-plus row product over the table's stored rows (``minplus_row``:
-    a scan or a SMAWK pass, O(s) element queries).  Inputs must be finite;
-    every column of a distance table has a reachable entry, so the outputs
-    are finite too.
+    a scan or a SMAWK pass, O(s) element queries).  Inputs must be
+    non-negative, as a stand-in plus a negative input could win a column:
+    the kernel is not run on them (``ValueError``).  The table's ceiling
+    bounds every boundary value of the grid, and every column of a distance
+    table has a reachable entry, so an output above it raises
+    ``InvariantViolation``.
 
     ``_memo``, a dict owned by the caller, reuses earlier answers.  Min-plus
     is shift-equivariant, so the outputs minus ``inputs[0]`` depend only on
     the table and the inputs minus ``inputs[0]`` (the input shape).  The
     memo maps the ``SWEEP_MEMO_SIZE`` most recently used (table, shape)
     pairs to their output shapes; a hit runs no kernel, adds no queries to
-    ``_counter[0]`` and adds one to ``_counter[1]``.  ``block_edit_distance``
-    passes a memo for every table, since it sweeps int costs only (see
-    ``scoring.scaled_to_ints``).
+    ``_counter[0]`` and adds one to ``_counter[1]``, and is exact for any
+    inputs.  ``block_edit_distance`` passes a memo for every table, since it
+    sweeps int costs only (see ``scoring.scaled_to_ints``).
     """
     s = d.s
     if len(inputs) != s:
         raise ValueError(f"expected {s} input values, got {len(inputs)}")
-    ceiling = _ceiling
-    if ceiling is None:
-        ceiling = d.ceiling + max(inputs)
-    if _memo is None:
-        values = minplus_row(inputs, d.finite_rows(ceiling), 0, s, _counter)
-    else:
+    shape = None
+    if _memo is not None:
         base = inputs[0]
         key = (d, tuple([v - base for v in inputs]))
         shape = _memo.pop(key, None)
-        if shape is None:
-            values = minplus_row(inputs, d.finite_rows(ceiling), 0, s, _counter)
+    if shape is None:
+        if min(inputs) < 0:
+            raise ValueError("input values must be non-negative")
+        values = minplus_row(inputs, d.rows, 0, s, _counter)
+        if _memo is not None:
             shape = tuple([v - base for v in values])
             if len(_memo) >= SWEEP_MEMO_SIZE:
                 del _memo[next(iter(_memo))]
-        else:
-            values = [base + v for v in shape]
-            if _counter is not None:
-                _counter[1] += 1
+    else:
+        values = [base + v for v in shape]
+        if _counter is not None:
+            _counter[1] += 1
+    if _memo is not None:
         _memo[key] = shape  # most recently used last
-    if max(values) > ceiling:
+    if max(values) > d.ceiling:
         raise InvariantViolation("unreachable output vertex in a grid block")
     return values
 
@@ -395,7 +382,7 @@ class Repository:
             return tables[0]
         self.merges += 1
         merge = merge_horizontal if op == "hmerge" else merge_vertical
-        return merge(*tables, self.ceiling, self._queries)
+        return merge(*tables, self._queries)
 
 
 class _SideInfo:

@@ -9,8 +9,9 @@ entries finite::
 
 Column minima of such matrices move weakly down as the column index grows,
 which is what the SMAWK algorithm exploits to find all of them with only
-O(rows + cols) element queries.  Everything here is pure and stateless;
-callers may run independent computations concurrently.
+O(rows + cols) element queries.  Everything here is stateless and leaves
+its arguments unchanged, except ``fill_stand_ins``, which writes its rows
+in place; callers may run independent computations concurrently.
 """
 
 from __future__ import annotations
@@ -230,16 +231,6 @@ def brute_column_minima(matrix):
     return values, rows
 
 
-def max_finite(matrix):
-    """Largest reachable entry, or 0 for an all-unreachable matrix."""
-    best = None
-    for row in matrix:
-        for v in row:
-            if v is not None and (best is None or v > best):
-                best = v
-    return 0 if best is None else best
-
-
 def fill_stand_ins(rows, ceiling):
     """Replace, in place, every entry of ``rows`` above ``ceiling`` (an
     unreachable one) by a finite stand-in that keeps the matrix totally
@@ -273,19 +264,13 @@ def fill_stand_ins(rows, ceiling):
     return rows
 
 
-def substitute_infinities(matrix, ceiling=None):
+def substitute_infinities(matrix, ceiling):
     """Finite copy of a matrix with ``None`` for unreachable entries, each
-    replaced by its stand-in (see ``fill_stand_ins``).
-
-    Returns ``(substituted, ceiling)``.  ``ceiling`` defaults to the largest
-    finite entry; callers combining several matrices must pass the largest
-    finite value any combination can reach.
-    """
-    if ceiling is None:
-        ceiling = max_finite(matrix)
+    replaced by its stand-in (see ``fill_stand_ins``).  ``ceiling`` must be
+    at least every finite entry and every result read off the copy."""
     above = ceiling + 1
     rows = [[above if v is None else v for v in row] for row in matrix]
-    return fill_stand_ins(rows, ceiling), ceiling
+    return fill_stand_ins(rows, ceiling)
 
 
 def is_monge(matrix, finite_only: bool = True) -> bool:

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from slpdist import ScoringFunction, from_plain, lz78_parse, lz78_to_slp, repair
+from slpdist.scoring import max_cost
 from slpdist.slp import slp_from_productions
 
 
@@ -24,6 +25,12 @@ def rng():
 
 def random_text(rng, sigma, length):
     return "".join(rng.choice(sigma) for _ in range(length))
+
+
+def grid_ceiling(sf, *texts):
+    """The one ceiling of a grid whose sides are ``texts`` together, as the
+    repository picks it: the longest path through that grid."""
+    return sum(map(len, texts)) * max_cost(sf)
 
 
 def random_scoring(rng, sigma, hi=9) -> ScoringFunction:

@@ -8,7 +8,13 @@ import math
 import random
 import time
 
-from conftest import mutated_periodic, random_monge_matrix, random_scoring, random_slp
+from conftest import (
+    grid_ceiling,
+    mutated_periodic,
+    random_monge_matrix,
+    random_scoring,
+    random_slp,
+)
 from slpdist import (
     COMPOSITE,
     EXACT,
@@ -25,7 +31,6 @@ from slpdist import (
     lz78_parse,
     lz78_to_slp,
     merge_horizontal,
-    merge_quad,
     merge_vertical,
     partition_string,
     smawk_column_minima,
@@ -106,12 +111,14 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_merge_soundness():
     sf = levenshtein("ab")
     strings = _strings_of("ab", 4)
+    # one grid ceiling for every cached table: the longest pair's
+    ceiling = grid_ceiling(sf, strings[-1], strings[-1])
     cache = {}
 
     def direct(a, b):
         key = (a, b)
         if key not in cache:
-            cache[key] = build_direct(a, b, sf)
+            cache[key] = build_direct(a, b, sf, ceiling)
         return cache[key]
 
     count = 0
@@ -128,11 +135,9 @@ def test_criterion_2_merge_soundness():
                 count += 1
             for acut in range(len(a) + 1):
                 for bcut in range(len(b) + 1):
-                    got = merge_quad(
-                        direct(a[:acut], b[:bcut]),
-                        direct(a[:acut], b[bcut:]),
-                        direct(a[acut:], b[:bcut]),
-                        direct(a[acut:], b[bcut:]),
+                    got = merge_vertical(
+                        merge_horizontal(direct(a[:acut], b[:bcut]), direct(a[:acut], b[bcut:])),
+                        merge_horizontal(direct(a[acut:], b[:bcut]), direct(a[acut:], b[bcut:])),
                     )
                     assert got.m == target, ("q", a, b, acut, bcut)
                     count += 1
@@ -144,16 +149,17 @@ def test_criterion_2_merge_soundness():
         b = "".join(rng.choice(sigma) for _ in range(rng.randint(0, 8)))
         acut = rng.randint(0, len(a))
         bcut = rng.randint(0, len(b))
-        target = build_direct(a, b, sfr).m
+        C = grid_ceiling(sfr, a, b)
+        target = build_direct(a, b, sfr, C).m
         assert (
             merge_horizontal(
-                build_direct(a, b[:bcut], sfr), build_direct(a, b[bcut:], sfr)
+                build_direct(a, b[:bcut], sfr, C), build_direct(a, b[bcut:], sfr, C)
             ).m
             == target
         )
         assert (
             merge_vertical(
-                build_direct(a[:acut], b, sfr), build_direct(a[acut:], b, sfr)
+                build_direct(a[:acut], b, sfr, C), build_direct(a[acut:], b, sfr, C)
             ).m
             == target
         )

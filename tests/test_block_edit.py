@@ -244,8 +244,8 @@ def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
     real = block_edit.apply_inputs
     sizes = []
 
-    def apply(d, inputs, counter, ceiling, memo):
-        out = real(d, inputs, counter, ceiling, memo)
+    def apply(d, inputs, counter, memo):
+        out = real(d, inputs, counter, memo)
         sizes.append(len(memo))
         return out
 
@@ -293,8 +293,8 @@ def test_sweep_memo_leaves_decimal_results_unchanged(rng, monkeypatch):
     costs = [Decimal(t) for t in ("1.5", "2.25", "3", "0.75", "1.0", "2.50")]
     real = block_edit.apply_inputs
 
-    def without_memo(d, inputs, counter, ceiling, memo):
-        return real(d, inputs, counter, ceiling)
+    def without_memo(d, inputs, counter, memo):
+        return real(d, inputs, counter)
 
     for _ in range(300):
         text_a = mutated_periodic(rng, "ab", rng.randint(10, 40), rng.randint(2, 5), 2)

@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from conftest import random_monge_matrix, random_text
+from conftest import grid_ceiling, random_monge_matrix, random_text
 from slpdist import (
     brute_column_minima,
     build_direct,
@@ -124,14 +124,14 @@ def test_minplus_row_matches_brute(rng):
 
 def test_substitute_identity_when_finite():
     m = [[1, 2], [3, 4]]
-    out, ceiling = substitute_infinities(m)
+    out = substitute_infinities(m, 4)
     assert out == m
-    assert ceiling == 4
 
 
 def test_substitute_small_example():
     m = [[0, 1, None], [1, 1, 1], [None, 1, 0]]
-    out, ceiling = substitute_infinities(m)
+    ceiling = 1
+    out = substitute_infinities(m, ceiling)
     assert all(v is not None for row in out for v in row)
     assert brute_column_minima(out)[0] == [0, 1, 0]
     assert is_monge(out, finite_only=False)
@@ -144,8 +144,9 @@ def test_substitute_random_tables_stay_monge_and_preserve_minima(rng):
     for _ in range(200):
         a = random_text(rng, "ab", rng.randint(0, 6))
         b = random_text(rng, "ab", rng.randint(0, 6))
-        d = build_direct(a, b, sf)
-        out, ceiling = substitute_infinities(d.m)
+        ceiling = grid_ceiling(sf, a, b)
+        d = build_direct(a, b, sf, ceiling)
+        out = substitute_infinities(d.m, ceiling)
         assert is_monge(out, finite_only=False)
         assert is_totally_monotone(out)
         bvalues, brows = brute_column_minima(d.m)
