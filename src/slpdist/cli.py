@@ -1,4 +1,4 @@
-"""Command-line front-end: compress, expand, distance, bench, selftest.
+"""Command-line front-end: compress, expand, distance, selftest.
 
 File formats
 ------------
@@ -13,11 +13,12 @@ tab, carriage return and backslash terminals are written escaped (``\n``,
 Scoring files: tab-separated.  A header line ``ALPHABET<TAB><chars>``, then
 ``DEL<TAB><char><TAB><cost>``, ``INS<TAB><char><TAB><cost>`` and
 ``SUB<TAB><a><TAB><b><TAB><cost>`` lines.  A missing SUB(a, a) defaults to
-0; any other omission is an error.  Costs are non-negative integers or
-finite decimals.  Both algorithms compute on the table scaled to integers by
-10**-e, e the smallest exponent among its costs, and print the distance with
-exponent e; a cost of more than ``scoring.MAX_COST_DIGITS`` digits once
-scaled is refused.  The name ``lev`` selects built-in unit costs.
+0; any other omission is an error, and so is a character outside the
+alphabet.  Costs are non-negative integers or finite decimals.  Both
+algorithms compute on the table scaled to integers by 10**-e, e the
+smallest exponent among its costs, and print the distance with exponent e;
+a cost of more than ``scoring.MAX_COST_DIGITS`` digits once scaled is
+refused.  The name ``lev`` selects built-in unit costs.
 
 Lines in both formats end with LF or CRLF.
 
@@ -121,13 +122,9 @@ def parse_slp(text: str, source: str = "<input>") -> slp.Slp:
     if missing:
         raise CliError(f"{source}: missing productions for variables {missing}")
     try:
-        grammar = slp.slp_from_productions(productions[1:])
+        return slp.slp_from_productions(productions[1:])
     except slp.SlpError as exc:
         raise CliError(f"{source}: {exc}") from None
-    problems = slp.validate(grammar)
-    if problems:
-        raise CliError(f"{source}: invalid grammar: {problems[0]}")
-    return grammar
 
 
 # A cost is a decimal numeral in ASCII digits, with an optional sign,
@@ -286,33 +283,6 @@ def _cmd_distance(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    # each size is split into two strings of at least one character
-    too_small = [total for total in args.sizes if total < 2]
-    if too_small:
-        raise CliError(f"--sizes must be at least 2, got {too_small[0]}")
-    print("total_n\tvars\tblock\tparts\tblocks\tcells\tqueries\tbaseline_cells\tratio")
-    previous = None
-    for total in args.sizes:
-        half = total // 2
-        slp_a = slp.fibonacci_prefix_slp(half)
-        slp_b = slp.fibonacci_prefix_slp(half, alphabet=("b", "a"))
-        sf = scoring.levenshtein("ab")
-        _, stats = block_edit.block_edit_distance(slp_a, slp_b, sf)
-        baseline = (half + 1) * (half + 1)
-        growth = (
-            f"{stats.boundary_cells_propagated / previous:.2f}" if previous else "-"
-        )
-        print(
-            f"{total}\t{stats.n_vars_a + stats.n_vars_b}\t{stats.block_size}"
-            f"\t{stats.parts_a}x{stats.parts_b}\t{stats.block_count}"
-            f"\t{stats.boundary_cells_propagated}\t{stats.sweep_queries}"
-            f"\t{baseline}\t{growth}"
-        )
-        previous = stats.boundary_cells_propagated
-    return 0
-
-
 def _random_cost(rng, hi: int, decimal: bool):
     """An int in [0, hi], or a multiple of 0.5 in [0, hi] written with one to
     three decimals, so that paths of equal cost can sum to different
@@ -390,15 +360,6 @@ def build_parser() -> _Parser:
     p.add_argument("--algorithm", choices=("block", "baseline"), default="block")
     p.add_argument("--stats", default=None, help="write run counters to this path")
     p.set_defaults(run=_cmd_distance)
-
-    p = sub.add_parser("bench", help="counter trends on a compressible family")
-    p.add_argument(
-        "--sizes",
-        type=lambda s: [int(v) for v in s.split(",")],
-        default=[1024, 2048, 4096, 8192, 16384],
-        help="comma-separated total input lengths",
-    )
-    p.set_defaults(run=_cmd_bench)
 
     p = sub.add_parser("selftest", help="oracle equivalence at small scale")
     p.add_argument("--cases", type=int, default=60)

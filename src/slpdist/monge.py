@@ -16,16 +16,6 @@ in place; callers may run independent computations concurrently.
 
 from __future__ import annotations
 
-import os
-
-# When set, min-plus products double-check the substituted matrices and fall
-# back to a full scan if total monotonicity does not hold.
-STRICT_ENV = "SLPDIST_STRICT"
-
-
-def strict_checks_enabled() -> bool:
-    return bool(os.environ.get(STRICT_ENV))
-
 
 def _smawk(rows, cols, best, best_row, base):
     """The SMAWK recursion both public kernels share: REDUCE, recurse on
@@ -144,8 +134,10 @@ def minplus_row(u, rows, jlo, jhi, counter=None):
 
     The inner loop of every table merge and of the block sweep: single rows
     and tiny matrices are scanned, everything else goes through the shared
-    SMAWK recursion.  ``u`` and ``rows`` must be fully finite.
-    ``counter[0]``, when given, accumulates the element evaluation count.
+    SMAWK recursion.  ``u`` and ``rows`` must be fully finite, and the
+    matrix totally monotone over [jlo, jhi); nothing checks that at run
+    time, only the tests' oracles do.  ``counter[0]``, when given,
+    accumulates the element evaluation count.
     """
     ncols = jhi - jlo
     if ncols <= 0:
@@ -171,40 +163,13 @@ def minplus_row(u, rows, jlo, jhi, counter=None):
             out.append(best)
         return out
 
-    strict = strict_checks_enabled()
     best = [None] * ncols
     best_row = [0] * ncols
     # each row travels as a (u[t], rows[t], t) triple: one indexing per query
     triples = [(u[t], rows[t], t) for t in range(nrows)]
-    try:
-        queries = _smawk(triples, range(jlo, jhi), best, best_row, jlo)
-    except IndexError:
-        # only input that is not totally monotone walks off the row list
-        if not strict:
-            raise
-        queries = 0
-        best = None
+    queries = _smawk(triples, range(jlo, jhi), best, best_row, jlo)
     if counter is not None:
         counter[0] += queries
-    if strict:
-        check = []
-        for j in range(jlo, jhi):
-            low = u[0] + rows[0][j]
-            for t in range(1, nrows):
-                v = u[t] + rows[t][j]
-                if v < low:
-                    low = v
-            check.append(low)
-        if check != best:
-            import warnings
-
-            warnings.warn(
-                "SMAWK disagreed with a full scan; the input was not totally "
-                "monotone - falling back to the scanned minima",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return check
     return best
 
 

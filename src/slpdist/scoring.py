@@ -89,7 +89,11 @@ def validate(sf: ScoringFunction) -> list:
         for b in sf.alphabet:
             if (a, b) not in sf.substitute:
                 problems.append(f"incomplete table: missing SUB({a!r},{b!r})")
+    chars = set(sf.alphabet)
     for label, key, cost in _costs(sf):
+        # a stray entry would still move the scaling exponent
+        if not chars.issuperset(key if label == "SUB" else (key,)):
+            problems.append(f"character outside the alphabet: {label}{key!r}")
         # a NaN cannot be compared with 0, so this check comes first
         if not _exact(cost):
             problems.append(f"non-finite or inexact cost: {label}{key!r} = {cost!r}")

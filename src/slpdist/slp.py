@@ -34,7 +34,7 @@ class SlpError(ValueError):
 # The package's records are named tuples, not dataclasses: importing
 # dataclasses (and inspect with it) took about 15 ms of the 85 ms start-up
 # of every ``slpdist`` command.
-class Slp(namedtuple("Slp", "productions lengths", defaults=((),))):
+class Slp(namedtuple("Slp", "productions lengths")):
     # productions[0] is an unused sentinel so that variables are 1-based.
     # productions[i] is a one-character string (terminal) or an (p, q) pair
     # of earlier variable indices.  lengths[i] caches the length of the

@@ -154,22 +154,6 @@ def test_stats_record_roundtrip(fib7_slp):
     assert any(k.startswith("elapsed_") for k in fields)
 
 
-def test_strict_mode_block_distance(rng, monkeypatch):
-    # every SMAWK pass is cross-checked against a full scan and must agree
-    import warnings
-
-    monkeypatch.setenv("SLPDIST_STRICT", "1")
-    sf = levenshtein("ab")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for _ in range(6):
-            a = random_text(rng, "ab", rng.randint(1, 40))
-            b = random_text(rng, "ab", rng.randint(1, 40))
-            want = wagner_fischer(a, b, sf)
-            got, _ = block_edit_distance(from_plain(a), from_plain(b), sf, 3)
-            assert got == want
-
-
 def test_decimal_costs_end_to_end():
     from decimal import Decimal
 

@@ -531,6 +531,30 @@ def test_scoring_alphabet_coverage_checked(tmp_path, capsys):
     assert "does not cover" in err
 
 
+def test_scoring_characters_outside_the_alphabet_are_refused(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    a.write_text("ab\n")
+    b = tmp_path / "b.txt"
+    b.write_text("ba\n")
+    complete = (
+        "ALPHABET\tab\n"
+        "DEL\ta\t1\nDEL\tb\t1\nINS\ta\t1\nINS\tb\t1\n"
+        "SUB\ta\tb\t1\nSUB\tb\ta\t1\n"
+    )
+    for extra, flagged in (
+        ("DEL\tzz\t0.5\n", "DEL'zz'"),
+        ("SUB\ta\tq\t7\n", "SUB('a', 'q')"),
+    ):
+        scoring = tmp_path / "costs.tsv"
+        scoring.write_text(complete + extra)
+        for algorithm in ("block", "baseline"):
+            argv = ("distance", str(a), str(b), "--scoring", str(scoring))
+            code, out, err = run_cli(capsys, *argv, "--algorithm", algorithm)
+            assert code == 1
+            assert out == ""
+            assert f"invalid scoring: character outside the alphabet: {flagged}" in err
+
+
 def test_selftest_smoke(capsys):
     code, out, err = run_cli(capsys, "selftest", "--cases", "8")
     assert code == 0
@@ -569,25 +593,17 @@ def test_selftest_fails_on_equal_values_printed_differently(capsys, monkeypatch)
     assert "MISMATCH" in err and "4/4 cases failed" in err
 
 
-def test_bench_smoke(capsys):
-    code, out, err = run_cli(capsys, "bench", "--sizes", "128,256")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("total_n")
-
-
-def test_bench_refuses_sizes_below_two_before_printing(capsys):
-    for sizes, bad in (("3,1", 1), ("0", 0), ("4,-2", -2)):
-        code, out, err = run_cli(capsys, "bench", "--sizes", sizes)
-        assert code == 1
-        assert out == ""
-        assert f"--sizes must be at least 2, got {bad}" in err
-    code, out, err = run_cli(capsys, "bench", "--sizes", "2,3")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 3
-
-
 def test_usage_error_exits_one(capsys):
     code, out, err = run_cli(capsys, "distance")
     assert code == 1
+    code, out, err = run_cli(capsys, "bench")
+    assert code == 1
+    assert out == ""
+    assert "invalid choice: 'bench'" in err
+    assert "Traceback" not in err
+
+
+def test_subcommands_are_pinned():
+    actions = cli.build_parser()._actions
+    (commands,) = [a.choices for a in actions if a.dest == "command"]
+    assert set(commands) == {"compress", "expand", "distance", "selftest"}

@@ -1,7 +1,3 @@
-import warnings
-
-import pytest
-
 from conftest import grid_ceiling, random_monge_matrix, random_text
 from slpdist import (
     brute_column_minima,
@@ -117,9 +113,13 @@ def test_minplus_row_matches_brute(rng):
         nrows, ncols = rng.randint(1, 30), rng.randint(1, 30)
         m = random_monge_matrix(rng, nrows, ncols)
         u = [rng.randint(0, 9) for _ in range(nrows)]
-        got = minplus_row(u, m, 0, ncols)
-        want = [min(u[i] + m[i][j] for i in range(nrows)) for j in range(ncols)]
-        assert got == want
+        # the full width, and a sub-range [jlo, jhi) as the merges ask for
+        jlo = rng.randint(1, ncols - 1) if ncols > 1 else 0
+        jhi = rng.randint(jlo + 1, ncols)
+        for lo, hi in ((0, ncols), (jlo, jhi)):
+            got = minplus_row(u, m, lo, hi)
+            want = [min(u[i] + m[i][j] for i in range(nrows)) for j in range(lo, hi)]
+            assert got == want
 
 
 def test_substitute_identity_when_finite():
@@ -161,62 +161,3 @@ def test_substitute_random_tables_stay_monge_and_preserve_minima(rng):
                 assert smawk_values[j] == bvalues[j] and smawk_rows[j] == brows[j]
             else:
                 assert svalues[j] > ceiling
-
-
-def brute_minplus(m1, m2):
-    cols = range(len(m2[0]))
-    return [[min(x + m2[k][j] for k, x in enumerate(u)) for j in cols] for u in m1]
-
-
-def minplus_rows(m1, m2):
-    """The product m1 * m2, one ``minplus_row`` call per row of m1."""
-    return [minplus_row(u, m2, 0, len(m2[0])) for u in m1]
-
-
-def test_strict_mode_still_correct(rng, monkeypatch):
-    monkeypatch.setenv("SLPDIST_STRICT", "1")
-    for _ in range(20):
-        m1 = random_monge_matrix(rng, 5, 5)
-        m2 = random_monge_matrix(rng, 5, 5)
-        assert minplus_rows(m1, m2) == brute_minplus(m1, m2)
-
-
-def test_strict_mode_checks_and_falls_back_past_the_plain_scan(rng, monkeypatch):
-    # 8 x 8 operands: 64 entries per row product, so every row goes through
-    # the SMAWK recursion and then the strict cross-check
-    monkeypatch.setenv("SLPDIST_STRICT", "1")
-    for _ in range(20):
-        m1 = random_monge_matrix(rng, 8, 8)
-        m2 = random_monge_matrix(rng, 8, 8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert minplus_rows(m1, m2) == brute_minplus(m1, m2)
-    # not totally monotone: the interpolation walks past the last kept row
-    m1 = [
-        [1, 3, 1, 3, 7, 3, 5, 3],
-        [7, 9, 9, 0, 7, 5, 1, 1],
-        [6, 3, 7, 2, 6, 5, 1, 6],
-        [7, 6, 1, 2, 2, 2, 0, 2],
-        [9, 7, 2, 9, 9, 7, 5, 2],
-        [8, 8, 2, 0, 0, 1, 8, 2],
-        [6, 3, 3, 0, 4, 3, 4, 8],
-        [3, 9, 5, 4, 8, 6, 2, 0],
-    ]
-    m2 = [
-        [5, 7, 9, 8, 6, 8, 2, 8],
-        [2, 8, 8, 0, 7, 2, 9, 0],
-        [2, 2, 2, 7, 9, 1, 8, 0],
-        [5, 8, 8, 8, 7, 1, 8, 0],
-        [3, 3, 4, 0, 1, 8, 7, 8],
-        [0, 1, 7, 5, 9, 8, 9, 8],
-        [3, 4, 7, 8, 8, 7, 8, 3],
-        [8, 4, 8, 3, 7, 2, 6, 1],
-    ]
-    with pytest.warns(RuntimeWarning, match="not totally monotone"):
-        assert minplus_rows(m1, m2) == brute_minplus(m1, m2)
-    for _ in range(100):
-        m1 = [[rng.randint(0, 9) for _ in range(8)] for _ in range(8)]
-        m2 = [[rng.randint(0, 9) for _ in range(8)] for _ in range(8)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert minplus_rows(m1, m2) == brute_minplus(m1, m2)

@@ -56,6 +56,20 @@ def test_validate_flags_non_finite():
     assert any("non-finite" in p for p in validate(bad))
 
 
+def test_validate_flags_keys_outside_the_alphabet():
+    from decimal import Decimal
+
+    sf = levenshtein("ab")
+    for delete, insert, substitute, flagged in (
+        ({**sf.delete, "zz": Decimal("0.5")}, sf.insert, sf.substitute, "DEL'zz'"),
+        (sf.delete, {**sf.insert, "c": 1}, sf.substitute, "INS'c'"),
+        (sf.delete, sf.insert, {**sf.substitute, ("a", "q"): 7}, "SUB('a', 'q')"),
+        (sf.delete, sf.insert, {**sf.substitute, ("q", "a"): 7}, "SUB('q', 'a')"),
+    ):
+        problems = validate(ScoringFunction(sf.alphabet, delete, insert, substitute))
+        assert problems == [f"character outside the alphabet: {flagged}"]
+
+
 def test_unknown_character_is_hard_error():
     sf = levenshtein("ab")
     with pytest.raises(ScoringError):
