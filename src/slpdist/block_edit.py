@@ -8,7 +8,7 @@ from decimal import Decimal
 
 from .dist import apply_inputs, build_repository
 from .partition import InvariantViolation, partition_string
-from .scoring import ScoringError, ScoringFunction, scaled_to_ints
+from .scoring import ScoringError, ScoringFunction, scaled_to_ints, validate
 from .slp import Slp, expand
 
 
@@ -60,6 +60,19 @@ class RunStats:
         return lines
 
 
+def _int_costs(sf, a: str, b: str) -> tuple:
+    """``scaled_to_ints(sf)``, once ``sf`` has passed ``scoring.validate``
+    and covers every character of a and b; both algorithms start here, so
+    they refuse the same tables and texts, with ``ScoringError``."""
+    problems = validate(sf)
+    if problems:
+        raise ScoringError(problems[0])
+    missing = sf.missing_chars(a) | sf.missing_chars(b)
+    if missing:
+        raise ScoringError(f"characters outside the scoring alphabet: {sorted(missing)!r}")
+    return scaled_to_ints(sf)
+
+
 def _unscaled(cost: int, sf, scaled, e):
     """The int result of a run on ``scaled_to_ints(sf) == (scaled, e)`` in
     the number type of ``sf``: as it is for an int table, else the Decimal
@@ -71,10 +84,7 @@ def wagner_fischer(a: str, b: str, sf: ScoringFunction):
     """Textbook edit-distance dynamic program, O(|a| * |b|) time and
     O(min(|a|, |b|)) extra space.  The correctness oracle for everything
     else in this package."""
-    missing = sf.missing_chars(a) | sf.missing_chars(b)
-    if missing:
-        raise ScoringError(f"characters outside the scoring alphabet: {sorted(missing)!r}")
-    scaled, e = scaled_to_ints(sf)
+    scaled, e = _int_costs(sf, a, b)
     ins, dele, sub = scaled.insert, scaled.delete, scaled.substitute
     if len(b) > len(a):
         # transpose the problem so the rolling row is the short side
@@ -119,14 +129,11 @@ def block_edit_distance(
     cost is exactly what ``wagner_fischer`` returns on the expanded
     strings, for every valid block size, as the same printed string.
     """
-    scaled, e = scaled_to_ints(sf)
     stats = RunStats()
     t0 = time.perf_counter()
     text_a = expand(slp_a)
     text_b = expand(slp_b)
-    missing = sf.missing_chars(text_a) | sf.missing_chars(text_b)
-    if missing:
-        raise ScoringError(f"characters outside the scoring alphabet: {sorted(missing)!r}")
+    scaled, e = _int_costs(sf, text_a, text_b)
     stats.n_chars_a, stats.n_chars_b = len(text_a), len(text_b)
     stats.n_vars_a, stats.n_vars_b = slp_a.size, slp_b.size
     if block_size is None:

@@ -1,9 +1,12 @@
 """Column minima of totally monotone matrices, and min-plus products.
 
-Matrices are lists of row lists.  ``None`` marks an unreachable entry
-(infinite cost); every other entry is an exact non-negative number.  A
-matrix is Monge (concave form) when for all i < i', j < j' with all four
-entries finite::
+Matrices are lists of row lists of exact numbers.  The kernels
+(``minplus_row``, ``smawk_column_minima``) read finite matrices only, with
+unreachable entries held as stand-ins (``fill_stand_ins``).  ``None``, for
+an unreachable entry, appears only in the matrices of the oracles
+(``brute_column_minima``, ``is_monge``) and in what
+``substitute_infinities`` replaces by stand-ins.  A matrix is Monge
+(concave form) when for all i < i', j < j' with all four entries finite::
 
     m[i][j] + m[i'][j'] <= m[i][j'] + m[i'][j]
 

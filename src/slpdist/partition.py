@@ -110,55 +110,29 @@ def _events(slp: Slp, x: int):
     return out
 
 
-def _group_ascending(pieces, x):
-    """Runs over upward-path pieces, accumulating left to right (appending).
+def _group(pieces, x, grows):
+    """Composite parts from consecutive hanging pieces, which come in the
+    order they accumulate.
 
-    A run keeps consuming while shorter than x; only the side's last run
-    may fall short.  Each emitted part is associated with the last path
-    variable consumed.
+    A run keeps consuming while its total is shorter than x; only the last
+    run may fall short.  Each part is associated with the last path
+    variable it consumed and starts at the smallest offset among its
+    pieces.  Upward-path pieces accumulate left to right, by appending
+    (``grows == "suffix"``).  Downward-path pieces accumulate right to
+    left, by prepending (``"prefix"``): the grouping must depend only on
+    each path variable's own subtree, which grows bottom-up.
     """
     parts = []
-    i = 0
-    while i < len(pieces):
-        _, path_var, hang_var, off, length = pieces[i]
-        chain = [(path_var, hang_var, length)]
-        start, total = off, length
-        while total < x and i + 1 < len(pieces):
-            i += 1
-            _, path_var, hang_var, _, length = pieces[i]
-            chain.append((path_var, hang_var, length))
-            total += length
-        parts.append(
-            Part(path_var, COMPOSITE, start, total, tuple(chain), "suffix")
-        )
-        i += 1
-    return parts
-
-
-def _group_descending(pieces, x):
-    """Runs over downward-path pieces.
-
-    The grouping must depend only on each path variable's own subtree, so
-    runs accumulate bottom-up, i.e. right to left, prepending each next
-    piece.  Emitted parts are then reported left to right.
-    """
-    parts = []
-    j = len(pieces) - 1
-    while j >= 0:
-        _, path_var, hang_var, off, length = pieces[j]
-        chain = [(path_var, hang_var, length)]
-        start, total = off, length
-        while total < x and j > 0:
-            j -= 1
-            _, path_var, hang_var, off, length = pieces[j]
-            chain.append((path_var, hang_var, length))
-            start = off
-            total += length
-        parts.append(
-            Part(path_var, COMPOSITE, start, total, tuple(chain), "prefix")
-        )
-        j -= 1
-    parts.reverse()
+    run, total = [], 0
+    last = len(pieces) - 1
+    for i, piece in enumerate(pieces):
+        run.append(piece)
+        total += piece[4]
+        if total >= x or i == last:
+            chain = tuple((p[1], p[2], p[4]) for p in run)
+            start = min(p[3] for p in run)
+            parts.append(Part(piece[1], COMPOSITE, start, total, chain, grows))
+            run, total = [], 0
     return parts
 
 
@@ -193,8 +167,8 @@ def partition_string(slp: Slp, block_size: int, text: str | None = None) -> Stri
             p[0] != "left" for p in descending
         ):
             raise InvariantViolation("gap pieces out of path order")
-        parts.extend(_group_ascending(ascending, block_size))
-        parts.extend(_group_descending(descending, block_size))
+        parts.extend(_group(ascending, block_size, "suffix"))
+        parts.extend(_group(descending[::-1], block_size, "prefix")[::-1])
 
     for event in _events(slp, block_size):
         if event[0] == "key":

@@ -20,6 +20,7 @@ from slpdist import (
     levenshtein,
     lz78_parse,
     lz78_to_slp,
+    repair,
     wagner_fischer,
 )
 
@@ -64,6 +65,29 @@ def test_wagner_fischer_matches_recursion(rng):
 def test_wagner_fischer_unknown_character():
     with pytest.raises(ScoringError):
         wagner_fischer("ax", "a", levenshtein("a"))
+
+
+def _both_algorithms_refuse(sf, message):
+    a, b = "abab", "baba"
+    with pytest.raises(ScoringError, match=message):
+        wagner_fischer(a, b, sf)
+    for x in (2, 3, None):
+        with pytest.raises(ScoringError, match=message):
+            block_edit_distance(repair(a), repair(b), sf, x)
+
+
+def test_both_algorithms_refuse_negative_costs():
+    # SUB(a, b) = SUB(b, a) = -1: Wagner-Fischer would return -4, and the
+    # block algorithm either -4 or a refusal of negative boundary values
+    sf = levenshtein("ab")
+    sf = sf._replace(substitute={**sf.substitute, ("a", "b"): -1, ("b", "a"): -1})
+    _both_algorithms_refuse(sf, "negative cost")
+
+
+def test_both_algorithms_refuse_incomplete_tables():
+    # no DEL('b'): Wagner-Fischer would fail on a bare KeyError
+    sf = levenshtein("ab")
+    _both_algorithms_refuse(sf._replace(delete={"a": 1}), r"missing DEL\('b'\)")
 
 
 def test_default_block_size_clamps():

@@ -226,10 +226,12 @@ def test_merges_hand_the_kernel_only_reachable_vertices(rng, monkeypatch):
         d1 = build_direct(a, b1, sf, C)
         calls.clear()
         merge_horizontal(d1, build_direct(a, b2, sf, C))
-        # input i sits at row h - i of the left column: it reaches the
-        # lowest min(i, h) + 1 shared vertices and d2's outputs 1..w2 + i
+        # the vertical merge of the mirrored tables (b1, a) over (b2, a):
+        # their input k > w1 sits on the top row at column k - w1, and row 0
+        # is copied
+        cols = [max(k - w1, 0) for k in range(1, d1.s)]
         assert [(len(u), n) for u, n in calls] == [
-            (min(i, h) + 1, w2 + min(i, h)) for i in range(d1.s)
+            (h + 1 - c, w2 + h + 1 - c) for c in cols
         ]
         assert all(v <= C for u, _ in calls for v in u)
         h1, h2 = len(a), len(a2)
@@ -242,6 +244,26 @@ def test_merges_hand_the_kernel_only_reachable_vertices(rng, monkeypatch):
             (w1 + 1 - c, h2 + w1 + 1 - c) for c in cols
         ]
         assert all(v <= C for u, _ in calls for v in u)
+
+
+def test_mirrored_table_is_the_table_of_the_transposed_block(rng):
+    for _ in range(200):
+        sigma = rng.choice(("ab", "abc"))
+        sf = random_scoring(rng, sigma)
+        # DEL and INS swapped, SUB transposed
+        sf_t = ScoringFunction(
+            sf.alphabet,
+            sf.insert,
+            sf.delete,
+            {(y, x): cost for (x, y), cost in sf.substitute.items()},
+        )
+        a, b = (random_text(rng, sigma, rng.randint(0, 8)) for _ in range(2))
+        C = grid_ceiling(sf, a, b) + rng.randint(0, 3)
+        d = build_direct(a, b, sf, C)
+        mirrored = dist._mirrored(d)
+        assert (mirrored.a, mirrored.b) == (b, a)
+        assert mirrored.rows == build_direct(b, a, sf_t, C).rows
+        assert dist._mirrored(mirrored).rows == d.rows
 
 
 def test_merges_share_one_object_per_computed_value(rng):

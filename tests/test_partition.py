@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import random_slp
+from conftest import random_slp, random_text
 from slpdist import (
     COMPOSITE,
     EXACT,
@@ -10,7 +10,10 @@ from slpdist import (
     expand,
     from_plain,
     key_variables,
+    lz78_parse,
+    lz78_to_slp,
     partition_string,
+    repair,
     var_length,
 )
 from slpdist.slp import slp_from_productions
@@ -129,3 +132,38 @@ def test_power_grammar_partition():
     for x in range(2, 17):
         p = _check_partition(g, x)
         assert "".join(p.contents()) == "a" * 16
+
+
+def _composite_runs(parts):
+    """The maximal runs of consecutive composite parts."""
+    runs, run = [], []
+    for q in parts:
+        if q.kind == COMPOSITE:
+            run.append(q)
+        elif run:
+            runs.append(run)
+            run = []
+    return runs + [run] if run else runs
+
+
+def test_grouping_rule(rng):
+    # upward-path pieces accumulate left to right, downward-path pieces
+    # right to left; a run stops at x, and only the run that meets the
+    # other side, or the gap's end, may fall short
+    for _ in range(120):
+        style = rng.randrange(4)
+        if style == 0:
+            g = random_slp(rng, max_len=80)
+        else:
+            sigma = rng.choice(("ab", "abc"))
+            text = random_text(rng, sigma, rng.randint(1, 120))
+            g = (repair, lambda t: lz78_to_slp(lz78_parse(t)), from_plain)[style - 1](text)
+        for x in (2, 3, 4, 5, 7, 9, 11):
+            for run in _composite_runs(partition_string(g, x).parts):
+                grows = [q.grows for q in run]
+                suffixes = grows.count("suffix")
+                assert grows == ["suffix"] * suffixes + ["prefix"] * (len(run) - suffixes)
+                assert all(q.length >= x for q in run[: max(suffixes - 1, 0)])
+                assert all(q.length >= x for q in run[suffixes + 1 :])
+                for q in run:
+                    assert sum(length for _, _, length in q.chain[:-1]) < x
