@@ -66,10 +66,10 @@ def _int_costs(sf, a: str, b: str) -> tuple:
     they refuse the same tables and texts, with ``ScoringError``."""
     problems = validate(sf)
     if problems:
-        raise ScoringError(problems[0])
+        raise ScoringError(f"invalid scoring: {problems[0]}")
     missing = sf.missing_chars(a) | sf.missing_chars(b)
     if missing:
-        raise ScoringError(f"characters outside the scoring alphabet: {sorted(missing)!r}")
+        raise ScoringError(f"alphabet does not cover input characters {sorted(missing)!r}")
     return scaled_to_ints(sf)
 
 
@@ -162,42 +162,47 @@ def block_edit_distance(
     stats.elapsed["repository"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # base-case values along the grid's first column and row
-    del_prefix = [0] * (len(text_a) + 1)
-    for i, c in enumerate(text_a, start=1):
-        del_prefix[i] = del_prefix[i - 1] + scaled.delete[c]
-    frontier = [0] * (len(text_b) + 1)
-    for j, c in enumerate(text_b, start=1):
-        frontier[j] = frontier[j - 1] + scaled.insert[c]
-    # blocks with the same table and input shape share outputs up to a
-    # shift (see ``apply_inputs``)
+    # Boundaries travel in difference form (see ``apply_inputs``): each
+    # block column keeps the value at its top-left corner and the steps
+    # along its top edge, and the block row keeps the steps up its current
+    # left edge.  A block's outputs are its bottom-left value, the steps
+    # along its bottom edge and the steps up its right edge, so both edges
+    # pass on as slices.
+    corners, tops = [], []
+    c0 = 0
+    for pb in part_b.parts:
+        c1 = c0 + pb.length
+        corners.append(corners[-1] + sum(tops[-1]) if tops else 0)
+        tops.append(tuple([scaled.insert[c] for c in text_b[c0:c1]]))
+        c0 = c1
+    keys_b = [(pb.var, pb.kind) for pb in part_b.parts]
+    # blocks with the same table and input steps share outputs up to a
+    # shift of element 0
     memo = {}
     counter = [0, 0]  # kernel queries, memo hits
     cells = 0
     r0 = 0
+    bottom = 0  # the grid's value at (r0, 0)
     for pa in part_a.parts:
-        h = pa.length
-        r1 = r0 + h
-        # values on the block row's left edge, bottom to top (input order)
-        left = [del_prefix[r1 - t] for t in range(h + 1)]
-        new_frontier = [0] * (len(text_b) + 1)
-        new_frontier[0] = del_prefix[r1]
-        c0 = 0
-        for pb in part_b.parts:
-            w = pb.length
-            c1 = c0 + w
-            if frontier[c0] != left[-1]:
+        r1 = r0 + pa.length
+        # the first column's steps, bottom to top (input order)
+        left = tuple([-scaled.delete[c] for c in reversed(text_a[r0:r1])])
+        base = bottom = bottom - sum(left)
+        key_a = (pa.var, pa.kind)
+        tables = [repo.lookup(key_a, key_b) for key_b in keys_b]
+        for k, table in enumerate(tables):
+            if base + sum(left) != corners[k]:
                 raise InvariantViolation("frontier and left edge disagree at a corner")
-            table = repo.lookup((pa.var, pa.kind), (pb.var, pb.kind))
-            inputs = left + frontier[c0 + 1 : c1 + 1]
-            outputs = apply_inputs(table, inputs, counter, memo)
+            top = tops[k]
+            outputs = apply_inputs(table, (base,) + left + top, counter, memo)
             cells += len(outputs)
-            new_frontier[c0 : c1 + 1] = outputs[: w + 1]
-            left = outputs[w:]
-            c0 = c1
-        frontier = new_frontier
+            w = len(top)
+            corners[k] = base = outputs[0]
+            tops[k] = top = outputs[1 : w + 1]
+            left = outputs[w + 1 :]
+            base += sum(top)
         r0 = r1
     stats.boundary_cells_propagated = cells
     stats.sweep_queries, stats.sweep_memo_hits = counter
     stats.elapsed["sweep"] = time.perf_counter() - t0
-    return _unscaled(frontier[-1], sf, scaled, e), stats
+    return _unscaled(corners[-1] + sum(tops[-1]), sf, scaled, e), stats

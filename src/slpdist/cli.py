@@ -151,6 +151,8 @@ def _parse_cost(token: str, source: str, no: int):
 
 
 def parse_scoring(text: str, source: str = "<scoring>") -> scoring.ScoringFunction:
+    """The table a scoring file describes.  Its costs and keys are checked
+    (``scoring.validate``) by the algorithms, which both start there."""
     alphabet = None
     delete, insert, substitute = {}, {}, {}
     for no, raw in enumerate(_lines(text), start=1):
@@ -178,11 +180,7 @@ def parse_scoring(text: str, source: str = "<scoring>") -> scoring.ScoringFuncti
         raise CliError(f"{source}: missing ALPHABET line")
     for a in alphabet:
         substitute.setdefault((a, a), 0)
-    sf = scoring.ScoringFunction(alphabet, delete, insert, substitute)
-    problems = scoring.validate(sf)
-    if problems:
-        raise CliError(f"{source}: invalid scoring: {problems[0]}")
-    return sf
+    return scoring.ScoringFunction(alphabet, delete, insert, substitute)
 
 
 def _read(path: str) -> str:
@@ -238,14 +236,7 @@ def _resolve_scoring(choice: str, texts):
     if choice == "lev":
         chars = sorted(set().union(*map(set, texts)))
         return scoring.levenshtein(chars)
-    sf = parse_scoring(_read(choice), choice)
-    for text in texts:
-        missing = sf.missing_chars(text)
-        if missing:
-            raise CliError(
-                f"{choice}: alphabet does not cover input characters {sorted(missing)!r}"
-            )
-    return sf
+    return parse_scoring(_read(choice), choice)
 
 
 def _cmd_compress(args) -> int:
@@ -273,10 +264,15 @@ def _cmd_distance(args) -> int:
     slp_b = _read_input(args.b)
     text_a, text_b = slp.expand(slp_a), slp.expand(slp_b)
     sf = _resolve_scoring(args.scoring, (text_a, text_b))
-    if args.algorithm == "baseline":
-        cost = block_edit.wagner_fischer(text_a, text_b, sf)
-    else:
-        cost, stats = block_edit.block_edit_distance(slp_a, slp_b, sf, args.block_size)
+    try:
+        if args.algorithm == "baseline":
+            cost = block_edit.wagner_fischer(text_a, text_b, sf)
+        else:
+            cost, stats = block_edit.block_edit_distance(slp_a, slp_b, sf, args.block_size)
+    except scoring.ScoringError as exc:
+        # the algorithms check the table against the texts; only the file
+        # name is added here
+        raise CliError(f"{args.scoring}: {exc}") from None
     print(cost)
     if args.stats:
         _write(args.stats, "\n".join(stats.as_record()) + "\n")

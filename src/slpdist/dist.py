@@ -22,9 +22,18 @@ a bound on every path weight in the grid and on every boundary value the
 sweep carries.  ``build_direct`` is given it; the merges and
 ``apply_inputs`` read it off their tables.  Each refuses, with
 ``ValueError``, what that ceiling cannot hold.
+
+``apply_inputs`` pushes boundary values through one block, in difference
+form: the value at vertex 0, then each value minus the one before it.  A
+constant added to every input moves only element 0 of the outputs, so each
+other element depends only on the table and the input steps, and the sweep
+hands a block's bottom and right edges on as slices.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from operator import sub
 
 from .monge import fill_stand_ins, minplus_row
 from .monge import substitute_infinities  # noqa: F401 - bench/tracing.py patches it here
@@ -81,16 +90,18 @@ def output_position(h: int, w: int, k: int):
     return (h, k) if k <= w else (h - (k - w), w)
 
 
-def build_direct(a: str, b: str, sf, ceiling) -> DistTable:
+def build_direct(a: str, b: str, sf, ceiling, _max_cost=None) -> DistTable:
     """Table by direct dynamic programming: one sweep of the block per input
     vertex, O(s^3) overall.  Base-case builder for terminal blocks and the
     correctness oracle every merge is tested against.  The table is stored
     against the grid's ``ceiling`` (see ``DistTable``), which must be at
     least ``(h + w)`` times the largest cost, a bound on every path in the
-    block."""
+    block.  ``_max_cost``, when given, is that cost, as the repository
+    computes it once per grid: scanning all sigma^2 + 2 sigma costs on every
+    call made the builds O(sigma^4) over a large alphabet's terminal pairs."""
     h, w = len(a), len(b)
     s = h + w + 1
-    bound = (h + w) * max_cost(sf)
+    bound = (h + w) * (max_cost(sf) if _max_cost is None else _max_cost)
     if ceiling < bound:
         raise ValueError(f"ceiling {ceiling} is below {bound}, the path bound of a {h}x{w} block")
     del_costs = [None] + [sf.del_cost(c) for c in a]
@@ -216,52 +227,60 @@ _merge_vertical = merge_vertical
 SWEEP_MEMO_SIZE = 64
 
 
-def apply_inputs(d: DistTable, inputs, _counter=None, _memo=None):
-    """Output boundary values from input boundary values:
+def apply_inputs(d: DistTable, inputs, _counter=None, _memo=None) -> tuple:
+    """Output boundary values from input boundary values, both in
+    difference form: element 0 is the value at vertex 0, and element i is
+    value i minus value i - 1.  In absolute values,
     ``out[j] = min_i inputs[i] + m[i][j]``.
 
-    One min-plus row product over the table's stored rows (``minplus_row``:
-    a scan or a SMAWK pass, O(s) element queries).  Inputs must be
-    non-negative, as a stand-in plus a negative input could win a column:
-    the kernel is not run on them (``ValueError``).  The table's ceiling
-    bounds every boundary value of the grid, and every column of a distance
-    table has a reachable entry, so an output above it raises
-    ``InvariantViolation``.
+    Min-plus is shift-equivariant: adding c to every input adds c to every
+    output.  In difference form only element 0 carries the shift, so every
+    other element of the outputs depends only on the table and on
+    ``inputs[1:]``, and the caller moves whole edges from one block to the
+    next by slicing.
 
-    ``_memo``, a dict owned by the caller, reuses earlier answers.  Min-plus
-    is shift-equivariant, so the outputs minus ``inputs[0]`` depend only on
-    the table and the inputs minus ``inputs[0]`` (the input shape).  The
-    memo maps the ``SWEEP_MEMO_SIZE`` most recently used (table, shape)
-    pairs to their output shapes; a hit runs no kernel, adds no queries to
-    ``_counter[0]`` and adds one to ``_counter[1]``, and is exact for any
-    inputs.  ``block_edit_distance`` passes a memo for every table, since it
-    sweeps int costs only (see ``scoring.scaled_to_ints``).
+    A miss rebuilds the absolute inputs and runs one min-plus row product
+    over the table's stored rows (``minplus_row``: a scan or a SMAWK pass,
+    O(s) element queries).  Absolute inputs must be non-negative, as a
+    stand-in plus a negative input could win a column: the kernel is not
+    run on them (``ValueError``).  The table's ceiling bounds every boundary
+    value of the grid, and every column of a distance table has a reachable
+    entry, so an output above it raises ``InvariantViolation``.
+
+    ``_memo``, a dict owned by the caller, reuses earlier answers.  It maps
+    the ``SWEEP_MEMO_SIZE`` most recently used keys ``(table, inputs[1:])``
+    to the outputs relative to ``inputs[0]`` and the largest of them, so a
+    hit checks the ceiling in O(1), runs no kernel, adds no queries to
+    ``_counter[0]`` and adds one to ``_counter[1]``; it is exact for any
+    inputs.  ``block_edit_distance`` passes a memo for every table, since
+    it sweeps int costs only (see ``scoring.scaled_to_ints``).
     """
-    s = d.s
+    s = len(d.rows)
     if len(inputs) != s:
         raise ValueError(f"expected {s} input values, got {len(inputs)}")
+    base = inputs[0]
     shape = None
     if _memo is not None:
-        base = inputs[0]
-        key = (d, tuple([v - base for v in inputs]))
+        key = (d, tuple(inputs[1:]))
         shape = _memo.pop(key, None)
     if shape is None:
-        if min(inputs) < 0:
+        values = list(accumulate(inputs))
+        if min(values) < 0:
             raise ValueError("input values must be non-negative")
-        values = minplus_row(inputs, d.rows, 0, s, _counter)
-        if _memo is not None:
-            shape = tuple([v - base for v in values])
-            if len(_memo) >= SWEEP_MEMO_SIZE:
-                del _memo[next(iter(_memo))]
-    else:
-        values = [base + v for v in shape]
-        if _counter is not None:
-            _counter[1] += 1
+        values = minplus_row(values, d.rows, 0, s, _counter)
+        # output 0 and the largest output relative to base, and the steps
+        steps = tuple(map(sub, values[1:], values))
+        shape = (values[0] - base, steps, max(values) - base)
+        if _memo is not None and len(_memo) >= SWEEP_MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    elif _counter is not None:
+        _counter[1] += 1
     if _memo is not None:
         _memo[key] = shape  # most recently used last
-    if max(values) > d.ceiling:
+    first, steps, top = shape
+    if base + top > d.ceiling:
         raise InvariantViolation("unreachable output vertex in a grid block")
-    return values
+    return (base + first,) + steps
 
 
 _TERMINAL = "__terminal__"
@@ -303,7 +322,8 @@ class Repository:
         # One unreachable-detection bound that dominates every finite value
         # the grid can produce: every table is stored against it, so merges
         # and the sweep read the stored rows as they are.
-        self.ceiling = (len(part_a.text) + len(part_b.text)) * max_cost(sf)
+        self._max_cost = max_cost(sf)
+        self.ceiling = (len(part_a.text) + len(part_b.text)) * self._max_cost
 
     @property
     def memo_size(self) -> int:
@@ -376,7 +396,7 @@ class Repository:
             (va, _), (vb, _) = key
             a = expand(self._sides[0].slp, va)
             b = expand(self._sides[1].slp, vb)
-            return build_direct(a, b, self.sf, self.ceiling)
+            return build_direct(a, b, self.sf, self.ceiling, self._max_cost)
         if op == "alias":
             return tables[0]
         self.merges += 1

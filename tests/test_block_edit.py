@@ -8,6 +8,7 @@ from conftest import (
     random_text,
 )
 from slpdist import (
+    InvariantViolation,
     ScoringError,
     ScoringFunction,
     block_edit,
@@ -322,3 +323,32 @@ def test_sweep_memo_leaves_decimal_results_unchanged(rng, monkeypatch):
         monkeypatch.setattr(block_edit, "apply_inputs", real)
         assert str(got) == str(plain)
         assert got == wagner_fischer(text_a, text_b, sf)
+
+
+def test_sweep_counters_on_the_fibonacci_pair():
+    # the benchmark's fib-sweep pair (unit costs, default x), pinned so that
+    # a change to the sweep cannot move its counters unnoticed
+    ga = fibonacci_prefix_slp(4096)
+    gb = fibonacci_prefix_slp(4096, alphabet=("b", "a"))
+    _, stats = block_edit_distance(ga, gb, levenshtein("ab"))
+    assert stats.block_size == 31
+    assert stats.block_count == 19881
+    assert stats.sweep_memo_hits == 19812
+    assert stats.sweep_queries == 32220
+    assert stats.boundary_cells_propagated == 1174953
+
+
+@pytest.mark.parametrize("index", [1, -1])
+def test_sweep_refuses_edges_that_disagree_at_a_corner(fib7_slp, monkeypatch, index):
+    # one wrong step, on a block's bottom edge or at the top of its right
+    # edge, puts the next block's left edge off its top-left corner
+    real = block_edit.apply_inputs
+
+    def perturbed(d, inputs, counter, memo):
+        out = list(real(d, inputs, counter, memo))
+        out[index] += 1
+        return tuple(out)
+
+    monkeypatch.setattr(block_edit, "apply_inputs", perturbed)
+    with pytest.raises(InvariantViolation, match="disagree at a corner"):
+        block_edit_distance(fib7_slp, fib7_slp, levenshtein("ab"), 2)

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 
 from conftest import (
@@ -8,8 +10,10 @@ from conftest import (
     random_text,
 )
 from slpdist import (
+    InvariantViolation,
     ScoringFunction,
     apply_inputs,
+    brute_column_minima,
     build_direct,
     is_monge,
     levenshtein,
@@ -293,11 +297,23 @@ def test_merges_share_one_object_per_computed_value(rng):
             assert all(len(ids) == 1 for ids in objects.values())
 
 
+def _steps(values):
+    """An absolute boundary vector in the difference form of
+    ``apply_inputs``: the value at vertex 0, then each value minus the one
+    before it."""
+    return [values[0]] + [v - u for u, v in zip(values, values[1:])]
+
+
+def _absolute(steps):
+    return list(accumulate(steps))
+
+
 def test_apply_inputs_example():
     # ceiling 1: the corner entries 2 stand for "no path"
     d = DistTable("a", "b", [[0, 1, 2], [1, 1, 1], [2, 1, 0]], 1)
     assert d.m == [[0, 1, None], [1, 1, 1], [None, 1, 0]]
-    assert apply_inputs(d, [0, 0, 0]) == [0, 1, 0]
+    # absolute outputs [0, 1, 0]
+    assert apply_inputs(d, (0, 0, 0)) == (0, 1, -1)
 
 
 def test_apply_inputs_zero_vector_gives_column_minima(rng):
@@ -306,25 +322,42 @@ def test_apply_inputs_zero_vector_gives_column_minima(rng):
         a = random_text(rng, "ab", rng.randint(0, 5))
         b = random_text(rng, "ab", rng.randint(0, 5))
         d = build_direct(a, b, sf, grid_ceiling(sf, a, b))
-        from slpdist import brute_column_minima
-
-        assert apply_inputs(d, [0] * d.s) == brute_column_minima(d.m)[0]
+        # all zeros in either form
+        out = apply_inputs(d, (0,) * d.s)
+        assert _absolute(out) == brute_column_minima(d.m)[0]
 
 
 def test_apply_inputs_length_check():
     d = build_direct("a", "b", levenshtein("ab"), 2)
     with pytest.raises(ValueError):
-        apply_inputs(d, [0, 0])
-    # and the sign: brute force gives [-100, -99, 0] here, but a stand-in
-    # plus -100 would win the last column, so the kernel never sees it
+        apply_inputs(d, (0, 0))
+    # and the sign of the absolute inputs: brute force gives [-100, -99, 0]
+    # on [-100, 0, 0] here, but a stand-in plus -100 would win the last
+    # column, so the kernel never sees it; [0, -1, 0] starts non-negative
     d = DistTable("a", "b", [[0, 1, 2], [1, 1, 1], [2, 1, 0]], 1)
     for memo in (None, {}):
-        with pytest.raises(ValueError, match="non-negative"):
-            apply_inputs(d, [-100, 0, 0], [0, 0], memo)
+        for absolute in ([-100, 0, 0], [0, -1, 0]):
+            with pytest.raises(ValueError, match="non-negative"):
+                apply_inputs(d, tuple(_steps(absolute)), [0, 0], memo)
+        assert not memo  # a refusal stores nothing
     # a memo hit is exact for any inputs, by shift-equivariance
     memo, counter = {}, [0, 0]
-    assert apply_inputs(d, [0, 0, 0], counter, memo) == [0, 1, 0]
-    assert apply_inputs(d, [-1, -1, -1], counter, memo) == [-1, 0, -1]
+    assert apply_inputs(d, (0, 0, 0), counter, memo) == (0, 1, -1)
+    queries = counter[0]
+    assert apply_inputs(d, (-1, 0, 0), counter, memo) == (-1, 1, -1)
+    assert counter == [queries, 1]
+    assert list(memo) == [(d, (0, 0))]
+
+
+def test_apply_inputs_checks_the_ceiling_on_hits_too():
+    # the ceiling bounds every boundary value of the grid, so an output
+    # above it means a boundary the grid cannot hold, memo hit or not
+    d = DistTable("a", "b", [[0, 1, 2], [1, 1, 1], [2, 1, 0]], 1)
+    memo, counter = {}, [0, 0]
+    assert apply_inputs(d, (0, 0, 0), counter, memo) == (0, 1, -1)
+    for m in (memo, None):
+        with pytest.raises(InvariantViolation, match="unreachable"):
+            apply_inputs(d, (1, 0, 0), counter, m)
     assert counter[1] == 1
 
 
@@ -337,16 +370,43 @@ def test_apply_inputs_matches_grid_dp(rng):
         # a ceiling that bounds the boundary values too, as a grid's does
         d = build_direct(a, b, sf, 30 + grid_ceiling(sf, a, b))
         inputs = [rng.randint(0, 30) for _ in range(d.s)]
-        assert apply_inputs(d, inputs) == block_outputs_by_grid_dp(a, b, inputs, sf)
+        out = apply_inputs(d, tuple(_steps(inputs)))
+        assert _absolute(out) == block_outputs_by_grid_dp(a, b, inputs, sf)
 
 
 def test_apply_inputs_offset_equivariance(rng):
+    # adding 7 to every absolute input moves only element 0 of the outputs
     sf = levenshtein("ab")
     for _ in range(20):
         a = random_text(rng, "ab", rng.randint(1, 5))
         b = random_text(rng, "ab", rng.randint(1, 5))
         d = build_direct(a, b, sf, 9 + 7 + grid_ceiling(sf, a, b))
-        inputs = [rng.randint(0, 9) for _ in range(d.s)]
-        base = apply_inputs(d, inputs)
-        shifted = apply_inputs(d, [v + 7 for v in inputs])
-        assert shifted == [v + 7 for v in base]
+        steps = tuple(_steps([rng.randint(0, 9) for _ in range(d.s)]))
+        base = apply_inputs(d, steps)
+        shifted = apply_inputs(d, (steps[0] + 7,) + steps[1:])
+        assert shifted == (base[0] + 7,) + base[1:]
+
+
+def test_apply_inputs_matches_brute_column_minima(rng):
+    # the outputs are the steps of the column minima of the absolute
+    # product, with a memo and without; a hit at another base shifts only
+    # element 0
+    for _ in range(60):
+        sigma = rng.choice(("ab", "abc"))
+        sf = random_scoring(rng, sigma)
+        a = random_text(rng, sigma, rng.randint(0, 6))
+        b = random_text(rng, sigma, rng.randint(0, 6))
+        d = build_direct(a, b, sf, 40 + grid_ceiling(sf, a, b))
+        inputs = [rng.randint(0, 30) for _ in range(d.s)]
+        product = [
+            [None if v is None else u + v for v in row] for u, row in zip(inputs, d.m)
+        ]
+        want = tuple(_steps(brute_column_minima(product)[0]))
+        steps = tuple(_steps(inputs))
+        assert apply_inputs(d, steps) == want
+        memo, counter = {}, [0, 0]
+        assert apply_inputs(d, steps, counter, memo) == want
+        shift = rng.randint(-inputs[0], 10)
+        hit = apply_inputs(d, (steps[0] + shift,) + steps[1:], counter, memo)
+        assert hit == (want[0] + shift,) + want[1:]
+        assert counter[1] == 1 and len(memo) == 1
