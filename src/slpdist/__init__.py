@@ -23,19 +23,12 @@ from .dist import (
     merge_horizontal,
     merge_vertical,
 )
-from .monge import (
-    brute_column_minima,
-    is_monge,
-    smawk_column_minima,
-    substitute_infinities,
-)
 from .partition import (
     COMPOSITE,
     EXACT,
     InvariantViolation,
     Part,
     StringPartition,
-    association_map,
     key_variables,
     partition_string,
 )
@@ -69,16 +62,13 @@ __all__ = [
     "SlpError",
     "StringPartition",
     "apply_inputs",
-    "association_map",
     "block_edit_distance",
-    "brute_column_minima",
     "build_direct",
     "build_repository",
     "default_block_size",
     "expand",
     "fibonacci_prefix_slp",
     "from_plain",
-    "is_monge",
     "key_variables",
     "levenshtein",
     "lz78_parse",
@@ -88,8 +78,6 @@ __all__ = [
     "partition_string",
     "repair",
     "slp_from_productions",
-    "smawk_column_minima",
-    "substitute_infinities",
     "var_length",
     "wagner_fischer",
 ]

@@ -8,14 +8,14 @@ vertices (last row left-to-right, then last column bottom-to-top); both
 orders start at the bottom-left corner and end at the top-right corner, so
 input 0 coincides with output 0 and input s-1 with output s-1.
 
-``table.m[i][j]`` holds the cheapest monotone (down/right) path weight from
-input i to output j, or ``None`` when no such path exists (a view of the
-finite ``rows`` a table is stored as).  These matrices are Monge on their
-finite entries, which is what lets two tables sharing a boundary be merged
-with SMAWK in O(s^2) instead of rebuilt in O(s^3).  A monotone path only
-goes down or right, so each merge row hands the kernel just the shared
-vertices and outputs its input can reach: a contiguous block of a totally
-monotone matrix, which leaves out only rows that cannot win.
+``table.rows[i][j]`` holds the cheapest monotone (down/right) path weight
+from input i to output j, at most the table's ``ceiling``, or a stand-in
+above it when no such path exists.  These matrices are Monge on their
+reachable entries, which is what lets two tables sharing a boundary be
+merged with SMAWK in O(s^2) instead of rebuilt in O(s^3).  A monotone path
+only goes down or right, so each merge row hands the kernel just the
+shared vertices and outputs its input can reach: a contiguous block of a
+totally monotone matrix, which leaves out only rows that cannot win.
 
 All tables of one grid share one ceiling, picked once by the grid's owner:
 a bound on every path weight in the grid and on every boundary value the
@@ -60,13 +60,6 @@ class DistTable:
         self.b = b  # substring of B spanned by the block's columns
         self.ceiling = ceiling
         self.rows = fill_stand_ins(rows, ceiling)
-
-    @property
-    def m(self) -> list:
-        """s x s rows with ``None`` for no monotone path; derived from
-        ``rows`` on every access."""
-        ceiling = self.ceiling
-        return [[None if v > ceiling else v for v in row] for row in self.rows]
 
     @property
     def h(self) -> int:
@@ -231,7 +224,7 @@ def apply_inputs(d: DistTable, inputs, _counter=None, _memo=None) -> tuple:
     """Output boundary values from input boundary values, both in
     difference form: element 0 is the value at vertex 0, and element i is
     value i minus value i - 1.  In absolute values,
-    ``out[j] = min_i inputs[i] + m[i][j]``.
+    ``out[j] = min_i inputs[i] + d.rows[i][j]``.
 
     Min-plus is shift-equivariant: adding c to every input adds c to every
     output.  In difference form only element 0 carries the shift, so every

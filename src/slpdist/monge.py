@@ -1,12 +1,11 @@
 """Column minima of totally monotone matrices, and min-plus products.
 
-Matrices are lists of row lists of exact numbers.  The kernels
-(``minplus_row``, ``smawk_column_minima``) read finite matrices only, with
-unreachable entries held as stand-ins (``fill_stand_ins``).  ``None``, for
-an unreachable entry, appears only in the matrices of the oracles
-(``brute_column_minima``, ``is_monge``) and in what
-``substitute_infinities`` replaces by stand-ins.  A matrix is Monge
-(concave form) when for all i < i', j < j' with all four entries finite::
+Matrices are lists of row lists of exact numbers.  The one kernel,
+``minplus_row``, reads finite matrices only, with unreachable entries held
+as stand-ins (``fill_stand_ins``); ``None``, for an unreachable entry,
+appears only in what ``substitute_infinities`` replaces by stand-ins.  A
+matrix is Monge (concave form) when for all i < i', j < j' with all four
+entries finite::
 
     m[i][j] + m[i'][j'] <= m[i][j'] + m[i'][j]
 
@@ -21,8 +20,8 @@ from __future__ import annotations
 
 
 def _smawk(rows, cols, best, best_row, base):
-    """The SMAWK recursion both public kernels share: REDUCE, recurse on
-    the odd columns, then interpolate between their argmins.
+    """The SMAWK recursion behind ``minplus_row``: REDUCE, recurse on the
+    odd columns, then interpolate between their argmins.
 
     ``rows`` are ``(u, row, t)`` triples in increasing t; the element in
     column c is ``u + row[c]``, read once per query.  Writes column c's
@@ -97,50 +96,17 @@ def _smawk(rows, cols, best, best_row, base):
     return queries
 
 
-class _EntryRow:
-    """Row i of an implicit matrix: ``row[j]`` calls ``entry(i, j)``."""
-
-    __slots__ = ("entry", "i")
-
-    def __init__(self, entry, i):
-        self.entry = entry
-        self.i = i
-
-    def __getitem__(self, j):
-        return self.entry(self.i, j)
-
-
-def smawk_column_minima(nrows: int, ncols: int, entry):
-    """All column minima of an implicit totally monotone matrix.
-
-    ``entry(i, j)`` returns the element at 0-based row i, column j; it must
-    be finite (run ``substitute_infinities`` first if the source matrix has
-    unreachable entries).  Returns ``(values, rows)`` where ``rows[j]`` is
-    the smallest row index attaining ``values[j]``.  Ties always break to
-    the smallest row so results are reproducible.  Each element query is
-    one ``entry`` call, at most ``4 * nrows + 7 * ncols`` of them.
-    """
-    if ncols <= 0:
-        return [], []
-    if nrows <= 0:
-        raise ValueError("matrix must have at least one row")
-    best = [None] * ncols
-    best_row = [0] * ncols
-    rows = [(0, _EntryRow(entry, i), i) for i in range(nrows)]
-    _smawk(rows, range(ncols), best, best_row, 0)
-    return best, best_row
-
-
 def minplus_row(u, rows, jlo, jhi, counter=None):
     """Column minima of the implicit matrix ``u[t] + rows[t][j]`` for j in
     [jlo, jhi), as a list of jhi - jlo values.
 
     The inner loop of every table merge and of the block sweep: single rows
-    and tiny matrices are scanned, everything else goes through the shared
-    SMAWK recursion.  ``u`` and ``rows`` must be fully finite, and the
-    matrix totally monotone over [jlo, jhi); nothing checks that at run
+    and tiny matrices are scanned, everything else goes through the SMAWK
+    recursion (``_smawk``).  ``u`` and ``rows`` must be fully finite, and
+    the matrix totally monotone over [jlo, jhi); nothing checks that at run
     time, only the tests' oracles do.  ``counter[0]``, when given,
-    accumulates the element evaluation count.
+    accumulates the element evaluation count: one per read of a
+    ``rows[t][j]``.
     """
     ncols = jhi - jlo
     if ncols <= 0:
@@ -174,29 +140,6 @@ def minplus_row(u, rows, jlo, jhi, counter=None):
     if counter is not None:
         counter[0] += queries
     return best
-
-
-def brute_column_minima(matrix):
-    """Full-scan column minima; the oracle SMAWK is checked against.
-
-    Unreachable (``None``) entries never win; a column with no reachable
-    entry reports ``(None, None)``.  Ties break to the smallest row, the
-    same rule SMAWK uses.
-    """
-    if not matrix:
-        return [], []
-    ncols = len(matrix[0])
-    values = [None] * ncols
-    rows = [None] * ncols
-    for j in range(ncols):
-        for i, row in enumerate(matrix):
-            v = row[j]
-            if v is None:
-                continue
-            if values[j] is None or v < values[j]:
-                values[j] = v
-                rows[j] = i
-    return values, rows
 
 
 def fill_stand_ins(rows, ceiling):
@@ -239,59 +182,3 @@ def substitute_infinities(matrix, ceiling):
     above = ceiling + 1
     rows = [[above if v is None else v for v in row] for row in matrix]
     return fill_stand_ins(rows, ceiling)
-
-
-def is_monge(matrix, finite_only: bool = True) -> bool:
-    """Monge check.  With ``finite_only`` the inequality is only required
-    when all four corners are reachable.
-
-    A fully finite matrix is Monge exactly when every adjacent 2x2 cell is,
-    because the cross-difference of any row/column quadruple is the sum of
-    the adjacent cells' cross-differences it spans; that check is
-    O(rows * cols).  Matrices with ``None`` entries get the exhaustive scan.
-    """
-    for row in matrix:
-        if None in row:
-            return _is_monge_exhaustive(matrix, finite_only)
-    for upper, lower in zip(matrix, matrix[1:]):
-        for j in range(len(upper) - 1):
-            if upper[j] + lower[j + 1] > upper[j + 1] + lower[j]:
-                return False
-    return True
-
-
-def _is_monge_exhaustive(matrix, finite_only: bool = True) -> bool:
-    """Monge check over all row/column quadruples; quadratic in the entry
-    count, for matrices with unreachable entries."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if matrix else 0
-    for i in range(nrows - 1):
-        for i2 in range(i + 1, nrows):
-            row_a, row_c = matrix[i], matrix[i2]
-            for j in range(ncols - 1):
-                a, c = row_a[j], row_c[j]
-                for j2 in range(j + 1, ncols):
-                    b, d = row_a[j2], row_c[j2]
-                    if a is None or b is None or c is None or d is None:
-                        if finite_only:
-                            continue
-                        return False
-                    if a + d > b + c:
-                        return False
-    return True
-
-
-def is_totally_monotone(matrix) -> bool:
-    """2x2 total monotonicity on a fully finite matrix (what SMAWK needs)."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if matrix else 0
-    for i in range(nrows - 1):
-        for i2 in range(i + 1, nrows):
-            for j in range(ncols - 1):
-                if matrix[i][j] <= matrix[i2][j]:
-                    continue
-                for j2 in range(j + 1, ncols):
-                    if matrix[i][j2] <= matrix[i2][j2]:
-                        return False
-    return True
-

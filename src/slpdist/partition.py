@@ -45,9 +45,6 @@ class Part(namedtuple("Part", "var kind start length chain grows", defaults=((),
 class StringPartition(namedtuple("StringPartition", "block_size text parts")):
     __slots__ = ()
 
-    def contents(self):
-        return [self.text[p.start : p.start + p.length] for p in self.parts]
-
 
 def key_variables(slp: Slp, block_size: int) -> set:
     """Variables deriving a string of length >= block_size whose children
@@ -187,24 +184,3 @@ def partition_string(slp: Slp, block_size: int, text: str | None = None) -> Stri
     if pos != len(text):
         raise InvariantViolation("partition does not cover the string")
     return StringPartition(block_size, text, tuple(parts))
-
-
-def association_map(partition: StringPartition) -> dict:
-    """Deduplicated (variable, kind) -> (start, length) association.
-
-    Raises when two occurrences of the same association disagree on their
-    substring content, which would mean the partition is broken.
-    """
-    text = partition.text
-    mapping = {}
-    for p in partition.parts:
-        key = (p.var, p.kind)
-        content = text[p.start : p.start + p.length]
-        seen = mapping.get(key)
-        if seen is None:
-            mapping[key] = (p.start, p.length)
-        elif text[seen[0] : seen[0] + seen[1]] != content:
-            raise InvariantViolation(
-                f"association ({p.var}, {p.kind}) carries two different substrings"
-            )
-    return mapping

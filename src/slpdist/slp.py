@@ -82,33 +82,6 @@ def slp_from_productions(productions) -> Slp:
     return Slp(prods, _compute_lengths(prods))
 
 
-def validate(slp: Slp) -> list:
-    """Check the grammar invariants; return a list of violations (empty = ok)."""
-    problems = []
-    prods = slp.productions
-    if len(prods) < 2 or prods[0] is not None:
-        return ["production list must start with the unused 0 sentinel"]
-    for i in range(1, len(prods)):
-        prod = prods[i]
-        if isinstance(prod, str):
-            if len(prod) != 1:
-                problems.append(f"variable {i}: terminal is not a single character")
-        elif isinstance(prod, tuple) and len(prod) == 2:
-            p, q = prod
-            if not (isinstance(p, int) and isinstance(q, int)):
-                problems.append(f"variable {i}: non-integer pair {prod!r}")
-            elif not (1 <= p < i and 1 <= q < i):
-                problems.append(f"variable {i}: forward or out-of-range reference {prod!r}")
-        else:
-            problems.append(f"variable {i}: production must be a character or an index pair")
-    if problems:
-        return problems
-    expected = _compute_lengths(prods)
-    if tuple(slp.lengths) != expected:
-        problems.append("length mismatch: cached lengths disagree with the productions")
-    return problems
-
-
 def var_length(slp: Slp, var: int) -> int:
     """Length of the string ``var`` derives, from the O(1) cache."""
     if not (1 <= var <= slp.root):

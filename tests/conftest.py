@@ -8,6 +8,7 @@ import random
 import pytest
 
 from slpdist import ScoringFunction, from_plain, lz78_parse, lz78_to_slp, repair
+from slpdist.monge import _smawk
 from slpdist.scoring import max_cost
 from slpdist.slp import slp_from_productions
 
@@ -199,6 +200,37 @@ def random_monge_matrix(rng, nrows, ncols, hi=9):
         [row_off[i] + col_off[j] + top - acc[i][j] for j in range(ncols)]
         for i in range(nrows)
     ]
+
+
+class CountingRow:
+    """A matrix row that adds one to ``counter[0]`` per element read."""
+
+    __slots__ = ("row", "counter")
+
+    def __init__(self, row, counter):
+        self.row = row
+        self.counter = counter
+
+    def __getitem__(self, j):
+        self.counter[0] += 1
+        return self.row[j]
+
+
+def smawk(matrix):
+    """Column minima of a finite totally monotone matrix by the kernel's
+    SMAWK recursion, driven directly with ``(0, row, i)`` triples.
+
+    Returns ``(values, rows, queries, reads)``: ``rows[j]`` is the smallest
+    row attaining ``values[j]``, ``queries`` the count the kernel returns,
+    and ``reads`` the element reads it made.
+    """
+    ncols = len(matrix[0])
+    reads = [0]
+    values = [None] * ncols
+    rows = [0] * ncols
+    triples = [(0, CountingRow(row, reads), i) for i, row in enumerate(matrix)]
+    queries = _smawk(triples, range(ncols), values, rows, 0)
+    return values, rows, queries, reads[0]
 
 
 def mutated_periodic(rng, sigma, length, period, flips):

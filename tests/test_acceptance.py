@@ -14,13 +14,13 @@ from conftest import (
     random_monge_matrix,
     random_scoring,
     random_slp,
+    smawk,
 )
+from oracles import association_map, brute_column_minima, contents
 from slpdist import (
     COMPOSITE,
     EXACT,
-    association_map,
     block_edit_distance,
-    brute_column_minima,
     build_direct,
     build_repository,
     expand,
@@ -33,7 +33,6 @@ from slpdist import (
     merge_horizontal,
     merge_vertical,
     partition_string,
-    smawk_column_minima,
     wagner_fischer,
 )
 from slpdist.cli import dump_slp, parse_slp
@@ -124,14 +123,14 @@ def test_criterion_2_merge_soundness():
     count = 0
     for a in strings:
         for b in strings:
-            target = direct(a, b).m
+            target = direct(a, b).rows
             for cut in range(len(b) + 1):
                 got = merge_horizontal(direct(a, b[:cut]), direct(a, b[cut:]))
-                assert got.m == target, ("h", a, b, cut)
+                assert got.rows == target, ("h", a, b, cut)
                 count += 1
             for cut in range(len(a) + 1):
                 got = merge_vertical(direct(a[:cut], b), direct(a[cut:], b))
-                assert got.m == target, ("v", a, b, cut)
+                assert got.rows == target, ("v", a, b, cut)
                 count += 1
             for acut in range(len(a) + 1):
                 for bcut in range(len(b) + 1):
@@ -139,7 +138,7 @@ def test_criterion_2_merge_soundness():
                         merge_horizontal(direct(a[:acut], b[:bcut]), direct(a[:acut], b[bcut:])),
                         merge_horizontal(direct(a[acut:], b[:bcut]), direct(a[acut:], b[bcut:])),
                     )
-                    assert got.m == target, ("q", a, b, acut, bcut)
+                    assert got.rows == target, ("q", a, b, acut, bcut)
                     count += 1
     rng = random.Random(202)
     for _ in range(300):
@@ -150,17 +149,17 @@ def test_criterion_2_merge_soundness():
         acut = rng.randint(0, len(a))
         bcut = rng.randint(0, len(b))
         C = grid_ceiling(sfr, a, b)
-        target = build_direct(a, b, sfr, C).m
+        target = build_direct(a, b, sfr, C).rows
         assert (
             merge_horizontal(
                 build_direct(a, b[:bcut], sfr, C), build_direct(a, b[bcut:], sfr, C)
-            ).m
+            ).rows
             == target
         )
         assert (
             merge_vertical(
                 build_direct(a[:acut], b, sfr, C), build_direct(a[acut:], b, sfr, C)
-            ).m
+            ).rows
             == target
         )
         count += 2
@@ -173,17 +172,11 @@ def test_criterion_3_smawk_kernel():
     for _ in range(1000):
         nrows, ncols = rng.randint(1, 64), rng.randint(1, 64)
         m = random_monge_matrix(rng, nrows, ncols)
-        counter = [0]
-
-        def entry(i, j):
-            counter[0] += 1
-            return m[i][j]
-
-        values, rows = smawk_column_minima(nrows, ncols, entry)
+        values, rows, _, reads = smawk(m)
         bvalues, brows = brute_column_minima(m)
         assert values == bvalues and rows == brows, (nrows, ncols)
-        assert counter[0] <= 4 * (nrows + ncols), (counter[0], nrows, ncols)
-        worst = max(worst, counter[0] / (nrows + ncols))
+        assert reads <= 4 * (nrows + ncols), (reads, nrows, ncols)
+        worst = max(worst, reads / (nrows + ncols))
     _report(
         3,
         True,
@@ -200,7 +193,7 @@ def test_criterion_4_partition_invariants():
         n = len(text)
         for x in range(2, n + 1):
             p = partition_string(g, x)
-            assert "".join(p.contents()) == text, (g.productions, x)
+            assert "".join(contents(p)) == text, (g.productions, x)
             assert all(q.length <= 2 * x for q in p.parts)
             assert len(p.parts) <= 3 * math.ceil(n / x) + 2
             assert partition_string(g, x).parts == p.parts
@@ -225,9 +218,9 @@ def test_criterion_5_repository_counting():
             assert work <= 2 * ga.size * gb.size, (work, ga.size, gb.size)
             worst = max(worst, work / (ga.size * gb.size))
             if i == 0 and x == 2:
-                snapshot = {k: t.m for k, t in repo.memo.items()}
+                snapshot = {k: t.rows for k, t in repo.memo.items()}
                 again = build_repository(ga, gb, pa, pb, sf)
-                assert {k: t.m for k, t in again.memo.items()} == snapshot
+                assert {k: t.rows for k, t in again.memo.items()} == snapshot
     _report(
         5,
         True,
@@ -278,5 +271,5 @@ def test_criterion_7_worked_example():
         (6, COMPOSITE, 5, 3),
         (5, EXACT, 8, 5),
     ]
-    assert p.contents() == ["abaab", "aba", "abaab"]
+    assert contents(p) == ["abaab", "aba", "abaab"]
     _report(7, True, "worked grammar round-trips, keys and 3-part partition reproduced")

@@ -18,16 +18,13 @@ def test_public_names_are_pinned():
         "SlpError",
         "StringPartition",
         "apply_inputs",
-        "association_map",
         "block_edit_distance",
-        "brute_column_minima",
         "build_direct",
         "build_repository",
         "default_block_size",
         "expand",
         "fibonacci_prefix_slp",
         "from_plain",
-        "is_monge",
         "key_variables",
         "levenshtein",
         "lz78_parse",
@@ -37,8 +34,6 @@ def test_public_names_are_pinned():
         "partition_string",
         "repair",
         "slp_from_productions",
-        "smawk_column_minima",
-        "substitute_infinities",
         "var_length",
         "wagner_fischer",
     }

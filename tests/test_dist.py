@@ -9,13 +9,12 @@ from conftest import (
     random_scoring,
     random_text,
 )
+from oracles import brute_column_minima, is_monge, with_none
 from slpdist import (
     InvariantViolation,
     ScoringFunction,
     apply_inputs,
-    brute_column_minima,
     build_direct,
-    is_monge,
     levenshtein,
     merge_horizontal,
     merge_vertical,
@@ -32,18 +31,18 @@ def test_boundary_orderings():
 
 def test_build_direct_single_mismatch():
     d = build_direct("a", "b", levenshtein("ab"), 2)
-    assert d.m == [[0, 1, None], [1, 1, 1], [None, 1, 0]]
+    assert with_none(d) == [[0, 1, None], [1, 1, 1], [None, 1, 0]]
 
 
 def test_build_direct_single_match_diagonal():
     d = build_direct("a", "a", levenshtein("ab"), 2)
-    assert d.m[1][1] == 0
+    assert d.rows[1][1] == 0
 
 
 def test_build_direct_refuses_a_ceiling_below_its_longest_path():
     # with ceiling 2, the paths of weight 3 and 4 would read as unreachable
     sf = levenshtein("ab")
-    assert build_direct("a", "bbb", sf, 4).m[1] == [1, 1, 2, 3, 3]
+    assert build_direct("a", "bbb", sf, 4).rows[1] == [1, 1, 2, 3, 3]
     with pytest.raises(ValueError, match="ceiling"):
         build_direct("a", "bbb", sf, 2)
     with pytest.raises(ValueError, match="ceiling"):
@@ -56,8 +55,8 @@ def test_corner_entries_are_zero(rng):
         a = random_text(rng, "ab", rng.randint(0, 5))
         b = random_text(rng, "ab", rng.randint(0, 5))
         d = build_direct(a, b, sf, grid_ceiling(sf, a, b))
-        assert d.m[0][0] == 0
-        assert d.m[d.s - 1][d.s - 1] == 0
+        assert d.rows[0][0] == 0
+        assert d.rows[d.s - 1][d.s - 1] == 0
 
 
 def test_build_direct_matches_path_enumeration(rng):
@@ -66,7 +65,7 @@ def test_build_direct_matches_path_enumeration(rng):
         sf = random_scoring(rng, sigma)
         a = random_text(rng, sigma, rng.randint(0, 3))
         b = random_text(rng, sigma, rng.randint(0, 3))
-        got = build_direct(a, b, sf, grid_ceiling(sf, a, b)).m
+        got = with_none(build_direct(a, b, sf, grid_ceiling(sf, a, b)))
         assert got == dist_by_path_enumeration(a, b, sf)
 
 
@@ -77,8 +76,8 @@ def test_staircase_reachability(rng):
         b = random_text(rng, "ab", rng.randint(0, 6))
         d = build_direct(a, b, sf, grid_ceiling(sf, a, b))
         h, w = d.h, d.w
-        for i in range(d.s):
-            finite = [j for j in range(d.s) if d.m[i][j] is not None]
+        for i, row in enumerate(with_none(d)):
+            finite = [j for j in range(d.s) if row[j] is not None]
             lo, hi = max(0, i - h), min(d.s - 1, i + w)
             assert finite == list(range(lo, hi + 1))
 
@@ -89,14 +88,14 @@ def test_tables_are_monge_on_finite(rng):
         sf = random_scoring(rng, sigma)
         a = random_text(rng, sigma, rng.randint(0, 6))
         b = random_text(rng, sigma, rng.randint(0, 6))
-        assert is_monge(build_direct(a, b, sf, grid_ceiling(sf, a, b)).m)
+        assert is_monge(with_none(build_direct(a, b, sf, grid_ceiling(sf, a, b))))
 
 
 def test_merge_horizontal_example():
     sf = levenshtein("abc")
     C = grid_ceiling(sf, "a", "bc")
     merged = merge_horizontal(build_direct("a", "b", sf, C), build_direct("a", "c", sf, C))
-    assert merged.m == build_direct("a", "bc", sf, C).m
+    assert merged.rows == build_direct("a", "bc", sf, C).rows
     assert merged.a == "a" and merged.b == "bc"
 
 
@@ -104,7 +103,7 @@ def test_merge_vertical_example():
     sf = levenshtein("abc")
     C = grid_ceiling(sf, "ac", "b")
     merged = merge_vertical(build_direct("a", "b", sf, C), build_direct("c", "b", sf, C))
-    assert merged.m == build_direct("ac", "b", sf, C).m
+    assert merged.rows == build_direct("ac", "b", sf, C).rows
 
 
 def test_merge_with_empty_side_is_identity():
@@ -112,13 +111,13 @@ def test_merge_with_empty_side_is_identity():
     C = grid_ceiling(sf, "ab", "ba")
     d = build_direct("ab", "ba", sf, C)
     right = merge_horizontal(d, build_direct("ab", "", sf, C))
-    assert right.m == d.m
+    assert right.rows == d.rows
     left = merge_horizontal(build_direct("ab", "", sf, C), d)
-    assert left.m == d.m
+    assert left.rows == d.rows
     below = merge_vertical(d, build_direct("", "ba", sf, C))
-    assert below.m == d.m
+    assert below.rows == d.rows
     above = merge_vertical(build_direct("", "ba", sf, C), d)
-    assert above.m == d.m
+    assert above.rows == d.rows
 
 
 def test_merge_requires_shared_substring():
@@ -141,10 +140,10 @@ def test_merge_refuses_path_weights_above_the_ceiling():
     d, d3 = build_direct("a", "b", sf, 2), build_direct("a", "b", sf, 3)
     for merge, text in ((merge_horizontal, ("a", "bbb")), (merge_vertical, ("aaa", "b"))):
         twice = merge(d, d)
-        assert twice.m == merge(d3, d3).m
+        assert with_none(twice) == with_none(merge(d3, d3))
         with pytest.raises(ValueError, match="exceeds the ceiling 2"):
             merge(twice, d)
-        assert merge(merge(d3, d3), d3).m == build_direct(*text, sf, 4).m
+        assert with_none(merge(merge(d3, d3), d3)) == with_none(build_direct(*text, sf, 4))
 
 
 def _quad(d11, d12, d21, d22):
@@ -161,7 +160,7 @@ def test_merge_quad_single_characters():
         build_direct("b", "b", sf, C),
         build_direct("b", "a", sf, C),
     )
-    assert quad.m == build_direct("ab", "ba", sf, C).m
+    assert quad.rows == build_direct("ab", "ba", sf, C).rows
 
 
 def test_merge_quad_equal_characters():
@@ -169,8 +168,8 @@ def test_merge_quad_equal_characters():
     C = grid_ceiling(sf, "aa", "aa")
     d = build_direct("a", "a", sf, C)
     quad = _quad(d, d, d, d)
-    assert quad.m == build_direct("aa", "aa", sf, C).m
-    assert quad.m[quad.s - 1][quad.s - 1] == 0
+    assert quad.rows == build_direct("aa", "aa", sf, C).rows
+    assert quad.rows[quad.s - 1][quad.s - 1] == 0
 
 
 def test_merge_quad_random(rng):
@@ -187,7 +186,7 @@ def test_merge_quad_random(rng):
             build_direct(a2, b1, sf, C),
             build_direct(a2, b2, sf, C),
         )
-        assert quad.m == build_direct(a1 + a2, b1 + b2, sf, C).m
+        assert quad.rows == build_direct(a1 + a2, b1 + b2, sf, C).rows
 
 
 def _merge_operands(rng):
@@ -311,7 +310,7 @@ def _absolute(steps):
 def test_apply_inputs_example():
     # ceiling 1: the corner entries 2 stand for "no path"
     d = DistTable("a", "b", [[0, 1, 2], [1, 1, 1], [2, 1, 0]], 1)
-    assert d.m == [[0, 1, None], [1, 1, 1], [None, 1, 0]]
+    assert with_none(d) == [[0, 1, None], [1, 1, 1], [None, 1, 0]]
     # absolute outputs [0, 1, 0]
     assert apply_inputs(d, (0, 0, 0)) == (0, 1, -1)
 
@@ -324,7 +323,7 @@ def test_apply_inputs_zero_vector_gives_column_minima(rng):
         d = build_direct(a, b, sf, grid_ceiling(sf, a, b))
         # all zeros in either form
         out = apply_inputs(d, (0,) * d.s)
-        assert _absolute(out) == brute_column_minima(d.m)[0]
+        assert _absolute(out) == brute_column_minima(with_none(d))[0]
 
 
 def test_apply_inputs_length_check():
@@ -399,7 +398,7 @@ def test_apply_inputs_matches_brute_column_minima(rng):
         d = build_direct(a, b, sf, 40 + grid_ceiling(sf, a, b))
         inputs = [rng.randint(0, 30) for _ in range(d.s)]
         product = [
-            [None if v is None else u + v for v in row] for u, row in zip(inputs, d.m)
+            [None if v is None else u + v for v in row] for u, row in zip(inputs, with_none(d))
         ]
         want = tuple(_steps(brute_column_minima(product)[0]))
         steps = tuple(_steps(inputs))

@@ -1,38 +1,35 @@
-from conftest import grid_ceiling, random_monge_matrix, random_text
-from slpdist import (
-    brute_column_minima,
-    build_direct,
-    is_monge,
-    levenshtein,
-    smawk_column_minima,
-    substitute_infinities,
+from conftest import (
+    CountingRow,
+    grid_ceiling,
+    random_monge_matrix,
+    random_text,
+    smawk,
 )
-from slpdist.monge import _is_monge_exhaustive, is_totally_monotone, minplus_row
-
-
-def counting(matrix, counter):
-    def entry(i, j):
-        counter[0] += 1
-        return matrix[i][j]
-
-    return entry
+from oracles import (
+    _is_monge_exhaustive,
+    brute_column_minima,
+    is_monge,
+    is_totally_monotone,
+    with_none,
+)
+from slpdist import build_direct, levenshtein
+from slpdist.monge import minplus_row, substitute_infinities
 
 
 def test_smawk_two_by_two():
-    values, rows = smawk_column_minima(2, 2, lambda i, j: [[1, 2], [2, 1]][i][j])
+    values, rows, _, _ = smawk([[1, 2], [2, 1]])
     assert values == [1, 1]
     assert rows == [0, 1]
 
 
 def test_smawk_single_cell():
-    values, rows = smawk_column_minima(1, 1, lambda i, j: 5)
+    values, rows, _, _ = smawk([[5]])
     assert values == [5]
     assert rows == [0]
 
 
 def test_smawk_tie_breaks_to_smallest_row():
-    m = [[3, 3], [3, 3], [3, 3]]
-    values, rows = smawk_column_minima(3, 2, lambda i, j: m[i][j])
+    values, rows, _, _ = smawk([[3, 3], [3, 3], [3, 3]])
     assert values == [3, 3]
     assert rows == [0, 0]
 
@@ -54,8 +51,7 @@ def test_smawk_matches_brute_on_random_monge(rng):
         nrows, ncols = rng.randint(1, 40), rng.randint(1, 40)
         m = random_monge_matrix(rng, nrows, ncols)
         assert is_monge(m)
-        counter = [0]
-        values, rows = smawk_column_minima(nrows, ncols, counting(m, counter))
+        values, rows, _, _ = smawk(m)
         bvalues, brows = brute_column_minima(m)
         assert values == bvalues
         assert rows == brows
@@ -84,9 +80,8 @@ def test_smawk_query_count_linear(rng):
     for _ in range(200):
         nrows, ncols = rng.randint(1, 64), rng.randint(1, 64)
         m = random_monge_matrix(rng, nrows, ncols)
-        counter = [0]
-        smawk_column_minima(nrows, ncols, counting(m, counter))
-        assert counter[0] <= 4 * (nrows + ncols)
+        _, _, _, reads = smawk(m)
+        assert reads <= 4 * (nrows + ncols)
 
 
 def test_smawk_query_bound_on_ties(rng):
@@ -102,10 +97,9 @@ def test_smawk_query_bound_on_ties(rng):
             matrices.append(random_monge_matrix(rng, nrows, ncols, hi=hi))
     for m in matrices:
         nrows, ncols = len(m), len(m[0])
-        counter = [0]
-        values, rows = smawk_column_minima(nrows, ncols, counting(m, counter))
+        values, rows, _, reads = smawk(m)
         assert (values, rows) == brute_column_minima(m)
-        assert counter[0] <= 4 * nrows + 7 * ncols, (counter[0], nrows, ncols)
+        assert reads <= 4 * nrows + 7 * ncols, (reads, nrows, ncols)
 
 
 def test_minplus_row_matches_brute(rng):
@@ -120,6 +114,37 @@ def test_minplus_row_matches_brute(rng):
             got = minplus_row(u, m, lo, hi)
             want = [min(u[i] + m[i][j] for i in range(nrows)) for j in range(lo, hi)]
             assert got == want
+
+
+def test_kernel_query_count_equals_element_reads(rng):
+    # merge_queries, sweep_queries and the traced kernel queries all add up
+    # the count the kernel reports, so it must be the number of elements it
+    # read: in the SMAWK recursion, and on each of minplus_row's paths (one
+    # row, the small scan, SMAWK) over full widths and [jlo, jhi) sub-ranges
+    shapes = [(n, n - 1) for n in (4, 8, 16, 32, 64)]
+    shapes += [(r, c) for r in range(1, 40, 3) for c in range(1, 40, 3)]
+    cases = [([[0] * c for _ in range(r)], [0] * r) for r, c in shapes]
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 64), rng.randint(1, 64)
+        m = random_monge_matrix(rng, nrows, ncols, hi=rng.choice((0, 1, 9)))
+        cases.append((m, [rng.randint(0, 9) for _ in range(nrows)]))
+    paths = {"row": 0, "scan": 0, "smawk": 0}
+    for m, u in cases:
+        nrows, ncols = len(m), len(m[0])
+        _, _, queries, reads = smawk(m)
+        assert queries == reads, (nrows, ncols)
+        jlo = rng.randint(1, ncols - 1) if ncols > 1 else 0
+        jhi = rng.randint(jlo + 1, ncols)
+        for lo, hi in ((0, ncols), (jlo, jhi)):
+            reads, counter = [0], [0]
+            rows = [CountingRow(row, reads) for row in m]
+            minplus_row(u, rows, lo, hi, counter)
+            assert counter == reads, (nrows, lo, hi)
+            if nrows == 1:
+                paths["row"] += 1
+            else:
+                paths["scan" if nrows * (hi - lo) <= 32 else "smawk"] += 1
+    assert min(paths.values()) > 20, paths
 
 
 def test_substitute_identity_when_finite():
@@ -146,16 +171,13 @@ def test_substitute_random_tables_stay_monge_and_preserve_minima(rng):
         b = random_text(rng, "ab", rng.randint(0, 6))
         ceiling = grid_ceiling(sf, a, b)
         d = build_direct(a, b, sf, ceiling)
-        out = substitute_infinities(d.m, ceiling)
+        out = substitute_infinities(with_none(d), ceiling)
         assert is_monge(out, finite_only=False)
         assert is_totally_monotone(out)
-        bvalues, brows = brute_column_minima(d.m)
+        bvalues, brows = brute_column_minima(with_none(d))
         svalues, srows = brute_column_minima(out)
-        s = d.s
-        smawk_values, smawk_rows = smawk_column_minima(
-            s, s, lambda i, j, _m=out: _m[i][j]
-        )
-        for j in range(s):
+        smawk_values, smawk_rows, _, _ = smawk(out)
+        for j in range(d.s):
             if bvalues[j] is not None:
                 assert svalues[j] == bvalues[j] and srows[j] == brows[j]
                 assert smawk_values[j] == bvalues[j] and smawk_rows[j] == brows[j]

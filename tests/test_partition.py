@@ -3,10 +3,11 @@ import math
 import pytest
 
 from conftest import random_slp, random_text
+from oracles import association_map, contents
 from slpdist import (
     COMPOSITE,
     EXACT,
-    association_map,
+    InvariantViolation,
     expand,
     from_plain,
     key_variables,
@@ -41,7 +42,7 @@ def test_partition_worked_example(fib7_slp):
     p = partition_string(fib7_slp, 4)
     shape = [(q.var, q.kind, q.start, q.length) for q in p.parts]
     assert shape == [(5, EXACT, 0, 5), (6, COMPOSITE, 5, 3), (5, EXACT, 8, 5)]
-    assert p.contents() == ["abaab", "aba", "abaab"]
+    assert contents(p) == ["abaab", "aba", "abaab"]
     # the composite part hangs variable 4 off path variable 6
     assert p.parts[1].chain == ((6, 4, 3),)
 
@@ -66,10 +67,20 @@ def test_association_map_fib7(fib7_slp):
     assert set(association_map(p1)) == {(7, EXACT)}
 
 
+def test_association_map_refuses_two_substrings_for_one_association(fib7_slp):
+    # the oracle the partition tests lean on must catch a broken partition:
+    # here one (var, kind) names both "abaab" and "abaabaab"
+    p = partition_string(fib7_slp, 4)
+    first = p.parts[0]
+    broken = p._replace(parts=(first, first._replace(start=5, length=8)))
+    with pytest.raises(InvariantViolation, match="two different substrings"):
+        association_map(broken)
+
+
 def _check_partition(g, x):
     text = expand(g)
     p = partition_string(g, x)
-    assert "".join(p.contents()) == text
+    assert "".join(contents(p)) == text
     assert all(1 <= q.length <= 2 * x for q in p.parts)
     assert len(p.parts) <= 3 * math.ceil(len(text) / x) + 2
     for q in p.parts:
@@ -131,7 +142,7 @@ def test_power_grammar_partition():
     g = from_plain("a" * 16)
     for x in range(2, 17):
         p = _check_partition(g, x)
-        assert "".join(p.contents()) == "a" * 16
+        assert "".join(contents(p)) == "a" * 16
 
 
 def _composite_runs(parts):

@@ -35,7 +35,6 @@ def test_every_memo_table_matches_direct(fib7_slp, rng):
     repo, _, _ = _repo_for(fib7_slp, fib7_slp, sf, 4)
     for (ka, kb), table in repo.memo.items():
         direct = build_direct(table.a, table.b, sf, repo.ceiling)
-        assert table.m == direct.m
         assert table.rows == direct.rows
     for _ in range(10):
         ga = random_slp(rng, max_len=30)
@@ -55,7 +54,7 @@ def test_two_terminal_grammars():
     repo, _, _ = _repo_for(ga, gb, sf, 2)
     assert repo.memo_size == 1
     table = repo.memo[(1, EXACT), (1, EXACT)]
-    assert table.m == build_direct("a", "b", sf, 2).m
+    assert table.rows == build_direct("a", "b", sf, 2).rows
     assert repo.direct_builds == 1 and repo.merges == 0
 
 
@@ -69,7 +68,7 @@ def test_memo_size_bound_and_oracle_random(rng):
             repo, pa, pb = _repo_for(ga, gb, sf, x)
             assert repo.memo_size <= 4 * ga.size * gb.size
             for table in repo.memo.values():
-                assert table.m == build_direct(table.a, table.b, sf, repo.ceiling).m
+                assert table.rows == build_direct(table.a, table.b, sf, repo.ceiling).rows
 
 
 def test_work_counter_bound(rng):
@@ -90,7 +89,7 @@ def test_repeated_builds_identical_and_lookup_counts_hits(fib7_slp):
     repo2, _, _ = _repo_for(fib7_slp, fib7_slp, sf, 4)
     assert repo1.memo.keys() == repo2.memo.keys()
     for key in repo1.memo:
-        assert repo1.memo[key].m == repo2.memo[key].m
+        assert repo1.memo[key].rows == repo2.memo[key].rows
     first = repo1.lookup((5, EXACT), (5, EXACT))
     second = repo1.lookup((5, EXACT), (5, EXACT))
     assert first is second
@@ -103,7 +102,7 @@ def test_composite_chain_tables(fib7_slp):
     composites = [p for p in pa.parts if p.kind == COMPOSITE]
     assert composites, "expected composite parts at block size 2"
     for (ka, kb), table in repo.memo.items():
-        assert table.m == build_direct(table.a, table.b, sf, repo.ceiling).m
+        assert table.rows == build_direct(table.a, table.b, sf, repo.ceiling).rows
 
 
 def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch):

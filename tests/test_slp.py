@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import mutated_periodic, random_text
+from oracles import validate
 from slpdist import (
     SlpError,
     expand,
@@ -18,7 +19,7 @@ from slpdist import (
     var_length,
 )
 from slpdist.cli import dump_slp
-from slpdist.slp import Slp, _Builder, _join_balanced, slp_from_productions, validate
+from slpdist.slp import Slp, _Builder, _join_balanced, slp_from_productions
 
 
 def test_worked_grammar_is_valid(fib7_slp):
