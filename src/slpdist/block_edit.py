@@ -140,14 +140,13 @@ def block_edit_distance(
         block_size = default_block_size(
             len(text_a) + len(text_b), slp_a.size + slp_b.size
         )
-    elif block_size < 2:
-        raise ValueError("block size must be >= 2")
     stats.block_size = block_size
     stats.elapsed["expand"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    part_a = partition_string(slp_a, block_size, text_a)
-    part_b = partition_string(slp_b, block_size, text_b)
+    # refuses a block size below 2
+    part_a = partition_string(slp_a, block_size)
+    part_b = partition_string(slp_b, block_size)
     stats.parts_a, stats.parts_b = len(part_a.parts), len(part_b.parts)
     stats.block_count = stats.parts_a * stats.parts_b
     stats.elapsed["partition"] = time.perf_counter() - t0

@@ -232,10 +232,12 @@ def _read_input(path: str) -> slp.Slp:
     return _compress(text, path)
 
 
-def _resolve_scoring(choice: str, texts):
+def _resolve_scoring(choice: str, grammars):
+    """``lev`` over the grammars' terminals, or the table of a scoring file.
+    A terminal no derivation reaches only adds a letter neither text reads."""
     if choice == "lev":
-        chars = sorted(set().union(*map(set, texts)))
-        return scoring.levenshtein(chars)
+        chars = {p for g in grammars for p in g.productions[1:] if isinstance(p, str)}
+        return scoring.levenshtein(sorted(chars))
     return parse_scoring(_read(choice), choice)
 
 
@@ -262,11 +264,10 @@ def _cmd_distance(args) -> int:
         _write(args.stats, "")  # an unwritable path fails before any work
     slp_a = _read_input(args.a)
     slp_b = _read_input(args.b)
-    text_a, text_b = slp.expand(slp_a), slp.expand(slp_b)
-    sf = _resolve_scoring(args.scoring, (text_a, text_b))
+    sf = _resolve_scoring(args.scoring, (slp_a, slp_b))
     try:
         if args.algorithm == "baseline":
-            cost = block_edit.wagner_fischer(text_a, text_b, sf)
+            cost = block_edit.wagner_fischer(slp.expand(slp_a), slp.expand(slp_b), sf)
         else:
             cost, stats = block_edit.block_edit_distance(slp_a, slp_b, sf, args.block_size)
     except scoring.ScoringError as exc:

@@ -32,12 +32,12 @@ hands a block's bottom and right edges on as slices.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import sub
 
 from .monge import fill_stand_ins, minplus_row
 from .monge import substitute_infinities  # noqa: F401 - bench/tracing.py patches it here
-from .partition import COMPOSITE, EXACT, InvariantViolation, StringPartition
+from .partition import COMPOSITE, EXACT, InvariantViolation
 from .scoring import max_cost
 from .slp import Slp, expand
 
@@ -83,23 +83,25 @@ def output_position(h: int, w: int, k: int):
     return (h, k) if k <= w else (h - (k - w), w)
 
 
-def build_direct(a: str, b: str, sf, ceiling, _max_cost=None) -> DistTable:
+def build_direct(a: str, b: str, sf, ceiling) -> DistTable:
     """Table by direct dynamic programming: one sweep of the block per input
     vertex, O(s^3) overall.  Base-case builder for terminal blocks and the
     correctness oracle every merge is tested against.  The table is stored
     against the grid's ``ceiling`` (see ``DistTable``), which must be at
-    least ``(h + w)`` times the largest cost, a bound on every path in the
-    block.  ``_max_cost``, when given, is that cost, as the repository
-    computes it once per grid: scanning all sigma^2 + 2 sigma costs on every
-    call made the builds O(sigma^4) over a large alphabet's terminal pairs."""
+    least ``(h + w)`` times the largest cost the block reads, a bound on
+    every path in the block: a monotone path takes at most h + w steps, and
+    each step costs a deletion of a character of a, an insertion of one of
+    b or a substitution between the two.  Costs of other characters are
+    never read, so no build scans the whole table."""
     h, w = len(a), len(b)
     s = h + w + 1
-    bound = (h + w) * (max_cost(sf) if _max_cost is None else _max_cost)
-    if ceiling < bound:
-        raise ValueError(f"ceiling {ceiling} is below {bound}, the path bound of a {h}x{w} block")
     del_costs = [None] + [sf.del_cost(c) for c in a]
     ins_costs = [None] + [sf.ins_cost(c) for c in b]
     sub_rows = [None] + [[None] + [sf.sub_cost(ca, cb) for cb in b] for ca in a]
+    read = chain(del_costs[1:], ins_costs[1:], *(row[1:] for row in sub_rows[1:]))
+    bound = (h + w) * max(read, default=0)
+    if ceiling < bound:
+        raise ValueError(f"ceiling {ceiling} is below {bound}, the path bound of a {h}x{w} block")
     outputs = [output_position(h, w, j) for j in range(s)]
     rows = []
     for k in range(s):
@@ -276,9 +278,6 @@ def apply_inputs(d: DistTable, inputs, _counter=None, _memo=None) -> tuple:
     return (base + first,) + steps
 
 
-_TERMINAL = "__terminal__"
-
-
 class Repository:
     """Memoized distance tables, one per distinct (variable, kind) pair.
 
@@ -311,12 +310,13 @@ class Repository:
         self.direct_builds = 0
         self.merges = 0
         self._queries = [0]  # kernel element queries spent in merges
-        self._sides = (_SideInfo(slp_a, part_a), _SideInfo(slp_b, part_b))
+        self._slps = (slp_a, slp_b)
+        self._chains = (_chain_links(part_a), _chain_links(part_b))
         # One unreachable-detection bound that dominates every finite value
         # the grid can produce: every table is stored against it, so merges
         # and the sweep read the stored rows as they are.
-        self._max_cost = max_cost(sf)
-        self.ceiling = (len(part_a.text) + len(part_b.text)) * self._max_cost
+        n = slp_a.lengths[slp_a.root] + slp_b.lengths[slp_b.root]
+        self.ceiling = n * max_cost(sf)
 
     @property
     def memo_size(self) -> int:
@@ -358,28 +358,29 @@ class Repository:
         va, kind_a = key_a
         vb, kind_b = key_b
         if kind_b == COMPOSITE:
-            prev, hang, grows = self._sides[1].chain_link(vb)
+            prev, hang, grows = self._chains[1][vb]
             if prev is None:
                 return [(key_a, (hang, EXACT))], "alias"
             deps = [(key_a, (prev, COMPOSITE)), (key_a, (hang, EXACT))]
             return (deps if grows == "suffix" else deps[::-1]), "hmerge"
         if kind_a == COMPOSITE:
-            prev, hang, grows = self._sides[0].chain_link(va)
+            prev, hang, grows = self._chains[0][va]
             if prev is None:
                 return [((hang, EXACT), key_b)], "alias"
             deps = [((prev, COMPOSITE), key_b), ((hang, EXACT), key_b)]
             return (deps if grows == "suffix" else deps[::-1]), "vmerge"
-        prod_a = self._sides[0].production(va)
-        prod_b = self._sides[1].production(vb)
-        if prod_a is _TERMINAL and prod_b is _TERMINAL:
+        slp_a, slp_b = self._slps
+        len_a, len_b = slp_a.lengths[va], slp_b.lengths[vb]
+        # a variable derives one character exactly when it is a terminal
+        if len_a == len_b == 1:
             return [], "direct"
         # split the side that derives the longer string (A on a tie), so the
         # shared boundary, and with it each kernel call, is the shorter side;
         # a terminal is never the longer side of a pair with a non-terminal
-        if self._sides[0].slp.lengths[va] >= self._sides[1].slp.lengths[vb]:
-            p, q = prod_a
+        if len_a >= len_b:
+            p, q = slp_a.productions[va]
             return [((p, EXACT), key_b), ((q, EXACT), key_b)], "vmerge"
-        r, t = prod_b
+        r, t = slp_b.productions[vb]
         return [(key_a, (r, EXACT)), (key_a, (t, EXACT))], "hmerge"
 
     def _combine(self, key, op, tables):
@@ -387,9 +388,9 @@ class Repository:
             # direct is only issued for terminal x terminal exact keys
             self.direct_builds += 1
             (va, _), (vb, _) = key
-            a = expand(self._sides[0].slp, va)
-            b = expand(self._sides[1].slp, vb)
-            return build_direct(a, b, self.sf, self.ceiling, self._max_cost)
+            a = expand(self._slps[0], va)
+            b = expand(self._slps[1], vb)
+            return build_direct(a, b, self.sf, self.ceiling)
         if op == "alias":
             return tables[0]
         self.merges += 1
@@ -397,32 +398,22 @@ class Repository:
         return merge(*tables, self._queries)
 
 
-class _SideInfo:
-    """Per-string lookup structures the repository recursion needs."""
-
-    def __init__(self, slp: Slp, part: StringPartition):
-        self.slp = slp
-        self._chains = {}
-        for p in part.parts:
-            if p.kind != COMPOSITE:
-                continue
-            prev = None
-            for path_var, hang_var, _ in p.chain:
-                link = (prev, hang_var, p.grows)
-                seen = self._chains.get(path_var)
-                if seen is not None and seen != link:
-                    raise InvariantViolation(
-                        f"variable {path_var} accumulates two different substrings"
-                    )
-                self._chains[path_var] = link
-                prev = path_var
-
-    def production(self, var: int):
-        prod = self.slp.productions[var]
-        return _TERMINAL if isinstance(prod, str) else prod
-
-    def chain_link(self, var: int):
-        return self._chains[var]
+def _chain_links(part) -> dict:
+    """Each composite path variable of a partition mapped to its chain link
+    ``(previous path variable or None, hanging child, grows)``."""
+    links = {}
+    for p in part.parts:
+        if p.kind != COMPOSITE:
+            continue
+        prev = None
+        for path_var, hang_var, _ in p.chain:
+            link = (prev, hang_var, p.grows)
+            if links.setdefault(path_var, link) != link:
+                raise InvariantViolation(
+                    f"variable {path_var} accumulates two different substrings"
+                )
+            prev = path_var
+    return links
 
 
 def build_repository(slp_a, slp_b, part_a, part_b, sf) -> Repository:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .slp import Slp, expand, var_length
+from .slp import Slp, expandable_length
 
 EXACT = "exact"
 COMPOSITE = "composite"
@@ -42,7 +42,7 @@ class Part(namedtuple("Part", "var kind start length chain grows", defaults=((),
     __slots__ = ()
 
 
-class StringPartition(namedtuple("StringPartition", "block_size text parts")):
+class StringPartition(namedtuple("StringPartition", "block_size parts")):
     __slots__ = ()
 
 
@@ -133,20 +133,17 @@ def _group(pieces, x, grows):
     return parts
 
 
-def partition_string(slp: Slp, block_size: int, text: str | None = None) -> StringPartition:
+def partition_string(slp: Slp, block_size: int) -> StringPartition:
     """Split the derived string into grammar-associated parts of length at
-    most 2 * block_size.  Runs in time linear in the string length.
-
-    ``text`` lets a caller that already expanded the grammar skip the
-    second expansion; it must equal the root's derivation.
+    most 2 * block_size.  Runs in time linear in the string length, on the
+    grammar's productions and cached lengths alone.  A string longer than
+    ``MAX_EXPAND_LENGTH`` is refused as ``expand`` refuses it.
     """
     if block_size < 2:
         raise ValueError("block size must be >= 2")
-    if text is None:
-        text = expand(slp)
-    if len(text) < block_size:
-        part = Part(slp.root, EXACT, 0, len(text))
-        return StringPartition(block_size, text, (part,))
+    n = expandable_length(slp, slp.root)
+    if n < block_size:
+        return StringPartition(block_size, (Part(slp.root, EXACT, 0, n),))
     parts = []
     gap = []  # hanging pieces since the previous key occurrence
 
@@ -172,7 +169,7 @@ def partition_string(slp: Slp, block_size: int, text: str | None = None) -> Stri
             flush(gap)
             gap = []
             _, var, off = event
-            parts.append(Part(var, EXACT, off, var_length(slp, var)))
+            parts.append(Part(var, EXACT, off, slp.lengths[var]))
         else:
             gap.append(event)
     flush(gap)
@@ -181,6 +178,6 @@ def partition_string(slp: Slp, block_size: int, text: str | None = None) -> Stri
         if p.start != pos or p.length < 1:
             raise InvariantViolation("partition does not tile the string")
         pos += p.length
-    if pos != len(text):
+    if pos != n:
         raise InvariantViolation("partition does not cover the string")
-    return StringPartition(block_size, text, tuple(parts))
+    return StringPartition(block_size, tuple(parts))

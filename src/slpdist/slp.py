@@ -89,6 +89,19 @@ def var_length(slp: Slp, var: int) -> int:
     return slp.lengths[var]
 
 
+def expandable_length(slp: Slp, var: int) -> int:
+    """Length of the string ``var`` derives, refused with ``SlpError`` when
+    it is longer than ``MAX_EXPAND_LENGTH``: the one check of the limit,
+    made from the cached lengths before anything is allocated."""
+    n = var_length(slp, var)
+    if n > MAX_EXPAND_LENGTH:
+        raise SlpError(
+            f"variable {var} derives {n} characters, more than "
+            f"the expansion limit of {MAX_EXPAND_LENGTH}"
+        )
+    return n
+
+
 def expand(slp: Slp, var: int | None = None) -> str:
     """Derive the string of ``var`` (default: the whole string).
 
@@ -98,13 +111,7 @@ def expand(slp: Slp, var: int | None = None) -> str:
     """
     if var is None:
         var = slp.root
-    if not (1 <= var <= slp.root):
-        raise SlpError(f"variable {var} out of range 1..{slp.root}")
-    if slp.lengths[var] > MAX_EXPAND_LENGTH:
-        raise SlpError(
-            f"variable {var} derives {slp.lengths[var]} characters, more than "
-            f"the expansion limit of {MAX_EXPAND_LENGTH}"
-        )
+    expandable_length(slp, var)
     prods = slp.productions
     chunks = []
     out = []

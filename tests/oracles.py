@@ -121,18 +121,18 @@ def validate(slp: Slp) -> list:
     return problems
 
 
-def contents(partition) -> list:
-    """The substrings of a partition's parts, in order."""
-    return [partition.text[p.start : p.start + p.length] for p in partition.parts]
+def contents(partition, text: str) -> list:
+    """The substrings of ``text`` that a partition of it names, in order."""
+    return [text[p.start : p.start + p.length] for p in partition.parts]
 
 
-def association_map(partition) -> dict:
-    """Deduplicated (variable, kind) -> (start, length) association.
+def association_map(partition, text: str) -> dict:
+    """Deduplicated (variable, kind) -> (start, length) association of a
+    partition of ``text``.
 
     Raises when two occurrences of the same association disagree on their
     substring content, which would mean the partition is broken.
     """
-    text = partition.text
     mapping = {}
     for p in partition.parts:
         key = (p.var, p.kind)

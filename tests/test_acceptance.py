@@ -193,11 +193,11 @@ def test_criterion_4_partition_invariants():
         n = len(text)
         for x in range(2, n + 1):
             p = partition_string(g, x)
-            assert "".join(contents(p)) == text, (g.productions, x)
+            assert "".join(contents(p, text)) == text, (g.productions, x)
             assert all(q.length <= 2 * x for q in p.parts)
             assert len(p.parts) <= 3 * math.ceil(n / x) + 2
             assert partition_string(g, x).parts == p.parts
-            association_map(p)
+            association_map(p, text)
             checked += 1
     _report(4, True, f"{checked} partitions tiled exactly within every bound")
 
@@ -271,5 +271,5 @@ def test_criterion_7_worked_example():
         (6, COMPOSITE, 5, 3),
         (5, EXACT, 8, 5),
     ]
-    assert contents(p) == ["abaab", "aba", "abaab"]
+    assert contents(p, text) == ["abaab", "aba", "abaab"]
     _report(7, True, "worked grammar round-trips, keys and 3-part partition reproduced")

@@ -359,6 +359,42 @@ def test_over_long_expansion_is_input_error(tmp_path, capsys):
     assert f"derives {MAX_EXPAND_LENGTH + 1} characters" in err
 
 
+@pytest.mark.parametrize("algorithm", ["block", "baseline"])
+def test_distance_expands_each_grammar_once(tmp_path, capsys, monkeypatch, algorithm):
+    from slpdist import block_edit, slp
+
+    calls = []
+    for owner in (slp, block_edit):
+        def counted(*args, _expand=owner.expand, **kwargs):
+            calls.append(args)
+            return _expand(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "expand", counted)
+    grammar = tmp_path / "fib7.slp"
+    grammar.write_text(FIB7_SLP_TEXT)
+    code, out, err = run_cli(
+        capsys, "distance", str(grammar), str(grammar), "--algorithm", algorithm
+    )
+    assert (code, out) == (0, "0\n")
+    assert len(calls) == 2
+
+
+def test_unreachable_terminal_leaves_the_lev_distance_unchanged(tmp_path, capsys):
+    # variable 2 ('z') is in no derivation: the grammar derives "ab"
+    grammar = tmp_path / "ab.slp"
+    grammar.write_text("SLP 4\n1 -> 'a'\n2 -> 'z'\n3 -> 'b'\n4 -> 1 3\n")
+    plain = tmp_path / "ab.txt"
+    plain.write_text("ab\n")
+    other = tmp_path / "other.txt"
+    other.write_text("bba\n")
+    for algorithm in ("block", "baseline"):
+        outs = [
+            run_cli(capsys, "distance", str(a), str(other), "--algorithm", algorithm)
+            for a in (grammar, plain)
+        ]
+        assert outs[0] == outs[1] == (0, "2\n", "")
+
+
 def test_distance_stats_with_baseline_rejected_before_work(tmp_path, capsys):
     a = tmp_path / "a.txt"
     a.write_text("abab\n")

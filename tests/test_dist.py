@@ -49,6 +49,19 @@ def test_build_direct_refuses_a_ceiling_below_its_longest_path():
         build_direct("a", "bbb", sf, 3)
 
 
+def test_build_direct_bounds_paths_by_the_costs_its_block_reads():
+    # DEL c = 9 is the table's largest cost, but block ("a", "bb") never
+    # deletes a c: its paths take at most 3 steps of at most 3 each
+    chars = ("a", "b", "c")
+    sub = {(x, y): (0 if x == y else 3) for x in chars for y in chars}
+    sf = ScoringFunction(chars, {"a": 2, "b": 1, "c": 9}, {"a": 1, "b": 1, "c": 1}, sub)
+    at_grid = build_direct("a", "bb", sf, grid_ceiling(sf, "a", "bb"))
+    assert grid_ceiling(sf, "a", "bb") == 27
+    assert with_none(build_direct("a", "bb", sf, 9)) == with_none(at_grid)
+    with pytest.raises(ValueError, match="ceiling 8 is below 9"):
+        build_direct("a", "bb", sf, 8)
+
+
 def test_corner_entries_are_zero(rng):
     sf = levenshtein("ab")
     for _ in range(30):

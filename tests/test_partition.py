@@ -8,6 +8,7 @@ from slpdist import (
     COMPOSITE,
     EXACT,
     InvariantViolation,
+    SlpError,
     expand,
     from_plain,
     key_variables,
@@ -17,7 +18,7 @@ from slpdist import (
     repair,
     var_length,
 )
-from slpdist.slp import slp_from_productions
+from slpdist.slp import MAX_EXPAND_LENGTH, slp_from_productions
 
 
 def test_key_variables_fib7_x4(fib7_slp):
@@ -42,7 +43,7 @@ def test_partition_worked_example(fib7_slp):
     p = partition_string(fib7_slp, 4)
     shape = [(q.var, q.kind, q.start, q.length) for q in p.parts]
     assert shape == [(5, EXACT, 0, 5), (6, COMPOSITE, 5, 3), (5, EXACT, 8, 5)]
-    assert contents(p) == ["abaab", "aba", "abaab"]
+    assert contents(p, expand(fib7_slp)) == ["abaab", "aba", "abaab"]
     # the composite part hangs variable 4 off path variable 6
     assert p.parts[1].chain == ((6, 4, 3),)
 
@@ -59,12 +60,25 @@ def test_partition_rejects_small_x(fib7_slp):
         partition_string(fib7_slp, 1)
 
 
+def test_partition_refuses_what_expand_refuses():
+    # a doubling grammar of 2**25 characters: at x = 2**20 it has only 32
+    # parts, so the refusal must come from the length check, not from memory
+    g = slp_from_productions(["a"] + [(i, i) for i in range(1, 26)])
+    assert var_length(g, g.root) == 2**25 > MAX_EXPAND_LENGTH
+    with pytest.raises(SlpError) as refused:
+        expand(g)
+    with pytest.raises(SlpError, match="expansion limit") as partition_refused:
+        partition_string(g, 2**20)
+    assert str(partition_refused.value) == str(refused.value)
+
+
 def test_association_map_fib7(fib7_slp):
+    text = expand(fib7_slp)
     p = partition_string(fib7_slp, 4)
-    m = association_map(p)
+    m = association_map(p, text)
     assert set(m) == {(5, EXACT), (6, COMPOSITE)}
     p1 = partition_string(fib7_slp, 13)
-    assert set(association_map(p1)) == {(7, EXACT)}
+    assert set(association_map(p1, text)) == {(7, EXACT)}
 
 
 def test_association_map_refuses_two_substrings_for_one_association(fib7_slp):
@@ -74,13 +88,13 @@ def test_association_map_refuses_two_substrings_for_one_association(fib7_slp):
     first = p.parts[0]
     broken = p._replace(parts=(first, first._replace(start=5, length=8)))
     with pytest.raises(InvariantViolation, match="two different substrings"):
-        association_map(broken)
+        association_map(broken, expand(fib7_slp))
 
 
 def _check_partition(g, x):
     text = expand(g)
     p = partition_string(g, x)
-    assert "".join(contents(p)) == text
+    assert "".join(contents(p, text)) == text
     assert all(1 <= q.length <= 2 * x for q in p.parts)
     assert len(p.parts) <= 3 * math.ceil(len(text) / x) + 2
     for q in p.parts:
@@ -90,7 +104,7 @@ def _check_partition(g, x):
     # determinism across runs and across occurrences
     again = partition_string(g, x)
     assert again.parts == p.parts
-    association_map(p)
+    association_map(p, text)
     return p
 
 
@@ -112,7 +126,7 @@ def test_association_count_bounds(rng):
         g = random_slp(rng, max_len=40)
         for x in (2, 3, 5, 8):
             p = partition_string(g, x)
-            m = association_map(p)
+            m = association_map(p, expand(g))
             assert len(m) <= len(p.parts)
             assert len(m) <= 2 * g.size
 
@@ -142,7 +156,7 @@ def test_power_grammar_partition():
     g = from_plain("a" * 16)
     for x in range(2, 17):
         p = _check_partition(g, x)
-        assert "".join(contents(p)) == "a" * 16
+        assert "".join(contents(p, expand(g))) == "a" * 16
 
 
 def _composite_runs(parts):
