@@ -152,7 +152,7 @@ def _parse_cost(token: str, source: str, no: int):
 
 def parse_scoring(text: str, source: str = "<scoring>") -> scoring.ScoringFunction:
     """The table a scoring file describes.  Its costs and keys are checked
-    (``scoring.validate``) by the algorithms, which both start there."""
+    by the algorithms, which both start with ``scoring.scaled_to_ints``."""
     alphabet = None
     delete, insert, substitute = {}, {}, {}
     for no, raw in enumerate(_lines(text), start=1):
@@ -191,9 +191,9 @@ def _read(path: str) -> str:
         raise CliError(str(exc)) from None
 
 
-def _write(path: str, payload: str) -> None:
+def _write(path: str, payload: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
         raise CliError(str(exc)) from None
@@ -260,11 +260,13 @@ def _cmd_expand(args) -> int:
 def _cmd_distance(args) -> int:
     if args.stats and args.algorithm == "baseline":
         raise CliError("--stats requires the block algorithm")
-    if args.stats:
-        _write(args.stats, "")  # an unwritable path fails before any work
     slp_a = _read_input(args.a)
     slp_b = _read_input(args.b)
     sf = _resolve_scoring(args.scoring, (slp_a, slp_b))
+    if args.stats:
+        # an unwritable path fails before the run; appending nothing leaves
+        # a path that names an input, or a run that fails, as it was
+        _write(args.stats, "", "a")
     try:
         if args.algorithm == "baseline":
             cost = block_edit.wagner_fischer(slp.expand(slp_a), slp.expand(slp_b), sf)
@@ -370,10 +372,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except CliError as exc:
-        print(f"slpdist: {exc}", file=sys.stderr)
-        return 1
-    except (scoring.ScoringError, slp.SlpError, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"slpdist: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

@@ -86,19 +86,21 @@ def output_position(h: int, w: int, k: int):
 def build_direct(a: str, b: str, sf, ceiling) -> DistTable:
     """Table by direct dynamic programming: one sweep of the block per input
     vertex, O(s^3) overall.  Base-case builder for terminal blocks and the
-    correctness oracle every merge is tested against.  The table is stored
-    against the grid's ``ceiling`` (see ``DistTable``), which must be at
-    least ``(h + w)`` times the largest cost the block reads, a bound on
-    every path in the block: a monotone path takes at most h + w steps, and
-    each step costs a deletion of a character of a, an insertion of one of
-    b or a substitution between the two.  Costs of other characters are
+    correctness oracle every merge is tested against.  ``sf`` is a table
+    the scoring prologue (``scoring.scaled_to_ints``) accepted for a and b,
+    so every cost the block reads is there.  The table is stored against
+    the grid's ``ceiling`` (see ``DistTable``), which must be at least
+    ``(h + w)`` times the largest cost the block reads, a bound on every
+    path in the block: a monotone path takes at most h + w steps, and each
+    step costs a deletion of a character of a, an insertion of one of b or
+    a substitution between the two.  Costs of other characters are
     never read, so no build scans the whole table."""
     h, w = len(a), len(b)
     s = h + w + 1
-    del_costs = [None] + [sf.del_cost(c) for c in a]
-    ins_costs = [None] + [sf.ins_cost(c) for c in b]
-    sub_rows = [None] + [[None] + [sf.sub_cost(ca, cb) for cb in b] for ca in a]
-    read = chain(del_costs[1:], ins_costs[1:], *(row[1:] for row in sub_rows[1:]))
+    delete_costs = [None] + [sf.delete[c] for c in a]
+    insert_costs = [None] + [sf.insert[c] for c in b]
+    sub_rows = [None] + [[None] + [sf.substitute[ca, cb] for cb in b] for ca in a]
+    read = chain(delete_costs[1:], insert_costs[1:], *(row[1:] for row in sub_rows[1:]))
     bound = (h + w) * max(read, default=0)
     if ceiling < bound:
         raise ValueError(f"ceiling {ceiling} is below {bound}, the path bound of a {h}x{w} block")
@@ -112,16 +114,16 @@ def build_direct(a: str, b: str, sf, ceiling) -> DistTable:
         row = dist[r0]
         row[c0] = 0
         for c in range(c0 + 1, w + 1):
-            row[c] = row[c - 1] + ins_costs[c]
+            row[c] = row[c - 1] + insert_costs[c]
         for r in range(r0 + 1, h + 1):
             above = row
             row = dist[r]
-            dcost = del_costs[r]
+            dcost = delete_costs[r]
             subs = sub_rows[r]
             left = row[c0] = above[c0] + dcost
             for c in range(c0 + 1, w + 1):
                 best = above[c] + dcost
-                v = left + ins_costs[c]
+                v = left + insert_costs[c]
                 if v < best:
                     best = v
                 v = above[c - 1] + subs[c]

@@ -25,10 +25,10 @@ class ScoringFunction(namedtuple("ScoringFunction", "alphabet delete insert subs
     """Per-character deletion/insertion costs and pairwise replacement costs.
 
     Costs are ints, or finite ``decimal.Decimal`` values; floats are
-    refused.  The algorithms compute on ints only: they scale a table once
-    (``scaled_to_ints``) and give the result back with the table's smallest
-    exponent.  Instances are immutable after construction and safe to share
-    between concurrent readers.
+    refused.  The algorithms compute on ints only: they check and scale a
+    table once (``scaled_to_ints``) and give the result back with the
+    table's smallest exponent.  Instances are immutable after construction
+    and safe to share between concurrent readers.
 
     Replacing a character with itself usually costs 0, but that is a
     convention of the common tables, not an enforced invariant.
@@ -37,30 +37,6 @@ class ScoringFunction(namedtuple("ScoringFunction", "alphabet delete insert subs
     """
 
     __slots__ = ()
-
-    def del_cost(self, a):
-        try:
-            return self.delete[a]
-        except KeyError:
-            raise ScoringError(f"character {a!r} not in scoring alphabet") from None
-
-    def ins_cost(self, b):
-        try:
-            return self.insert[b]
-        except KeyError:
-            raise ScoringError(f"character {b!r} not in scoring alphabet") from None
-
-    def sub_cost(self, a, b):
-        try:
-            return self.substitute[a, b]
-        except KeyError:
-            raise ScoringError(
-                f"no replacement cost for pair ({a!r}, {b!r})"
-            ) from None
-
-    def missing_chars(self, text: str) -> set:
-        """Characters of ``text`` that the alphabet does not cover."""
-        return set(text) - set(self.alphabet)
 
 
 def levenshtein(alphabet) -> ScoringFunction:
@@ -117,27 +93,31 @@ def max_cost(sf: ScoringFunction):
     return max([cost for _, _, cost in _costs(sf)])
 
 
-def scaled_to_ints(sf: ScoringFunction) -> tuple:
-    """``(table, e)``: the table with every cost an int, and the exponent e
-    such that each cost of ``sf`` equals its int times 10**e.
+def scaled_to_ints(sf: ScoringFunction, *texts) -> tuple:
+    """The scoring prologue both algorithms start with: ``(table, e)``, the
+    table with every cost an int, and the exponent e such that each cost of
+    ``sf`` equals its int times 10**e.
 
-    An all-int table comes back as it is (the same object) with e = 0.
-    Otherwise e is the smallest exponent among the costs, and never above 0.
-    The scaling is exact: it works on each cost's digits and exponent, never
-    under a rounding context.  Raises ``ScoringError`` for a cost that is
-    not an int or a finite Decimal, and for a scaled cost of more than
-    ``MAX_COST_DIGITS`` digits.
+    Raises ``ScoringError`` for the first fault ``validate`` lists, then for
+    characters of ``texts`` outside the alphabet, then for a scaled cost of
+    more than ``MAX_COST_DIGITS`` digits; so both algorithms refuse the same
+    tables and texts, with the same message.  An all-int table comes back
+    as it is (the same object) with e = 0.  Otherwise e is the smallest
+    exponent among the costs, and never above 0.  The scaling is exact: it
+    works on each cost's digits and exponent, never under a rounding
+    context.
     """
+    problems = validate(sf)
+    if problems:
+        raise ScoringError(f"invalid scoring: {problems[0]}")
+    missing = set().union(*texts) - set(sf.alphabet)
+    if missing:
+        raise ScoringError(f"alphabet does not cover input characters {sorted(missing)!r}")
     costs = list(_costs(sf))
-    for label, key, cost in costs:
-        if not _exact(cost):
-            raise ScoringError(
-                f"cost {label}{key!r} = {cost!r} is not an int or a finite Decimal"
-            )
     parts = [Decimal(cost).as_tuple() for _, _, cost in costs]
     e = min([0] + [exp for _, _, exp in parts])
     scaled = {}
-    for (label, key, cost), (sign, digits, exp) in zip(costs, parts):
+    for (label, key, cost), (_, digits, exp) in zip(costs, parts):
         value = 0
         if any(digits):
             if len(digits) + exp - e > MAX_COST_DIGITS:
@@ -147,7 +127,7 @@ def scaled_to_ints(sf: ScoringFunction) -> tuple:
                     f"{MAX_COST_DIGITS}"
                 )
             value = int("".join(map(str, digits))) * 10 ** (exp - e)
-        scaled[label, key] = -value if sign else value
+        scaled[label, key] = value
     if all(type(cost) is int for _, _, cost in costs):
         return sf, 0
     return (

@@ -104,11 +104,11 @@ def edit_distance_by_recursion(a, b, sf):
             return 0
         options = []
         if i > 0:
-            options.append(go(i - 1, j) + sf.del_cost(a[i - 1]))
+            options.append(go(i - 1, j) + sf.delete[a[i - 1]])
         if j > 0:
-            options.append(go(i, j - 1) + sf.ins_cost(b[j - 1]))
+            options.append(go(i, j - 1) + sf.insert[b[j - 1]])
         if i > 0 and j > 0:
-            options.append(go(i - 1, j - 1) + sf.sub_cost(a[i - 1], b[j - 1]))
+            options.append(go(i - 1, j - 1) + sf.substitute[a[i - 1], b[j - 1]])
         return min(options)
 
     return go(len(a), len(b))
@@ -130,11 +130,11 @@ def dist_by_path_enumeration(a, b, sf):
             (cr, cc), cost = frontier.pop()
             steps = []
             if cr < h:
-                steps.append(((cr + 1, cc), cost + sf.del_cost(a[cr])))
+                steps.append(((cr + 1, cc), cost + sf.delete[a[cr]]))
             if cc < w:
-                steps.append(((cr, cc + 1), cost + sf.ins_cost(b[cc])))
+                steps.append(((cr, cc + 1), cost + sf.insert[b[cc]]))
             if cr < h and cc < w:
-                steps.append(((cr + 1, cc + 1), cost + sf.sub_cost(a[cr], b[cc])))
+                steps.append(((cr + 1, cc + 1), cost + sf.substitute[a[cr], b[cc]]))
             for vertex, ncost in steps:
                 if vertex not in best or ncost < best[vertex]:
                     best[vertex] = ncost
@@ -163,15 +163,15 @@ def block_outputs_by_grid_dp(a, b, inputs, sf):
         for c in range(w + 1):
             best = seeds.get((r, c))
             if r > 0 and grid[r - 1][c] is not None:
-                v = grid[r - 1][c] + sf.del_cost(a[r - 1])
+                v = grid[r - 1][c] + sf.delete[a[r - 1]]
                 if best is None or v < best:
                     best = v
             if c > 0 and grid[r][c - 1] is not None:
-                v = grid[r][c - 1] + sf.ins_cost(b[c - 1])
+                v = grid[r][c - 1] + sf.insert[b[c - 1]]
                 if best is None or v < best:
                     best = v
             if r > 0 and c > 0 and grid[r - 1][c - 1] is not None:
-                v = grid[r - 1][c - 1] + sf.sub_cost(a[r - 1], b[c - 1])
+                v = grid[r - 1][c - 1] + sf.substitute[a[r - 1], b[c - 1]]
                 if best is None or v < best:
                     best = v
             grid[r][c] = best

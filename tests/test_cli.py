@@ -300,6 +300,31 @@ def test_unwritable_stats_path_fails_before_the_run(tmp_path, capsys, monkeypatc
         assert err.startswith("slpdist: ") and str(target) in err
 
 
+@pytest.mark.parametrize("target", ["a", "scoring"])
+def test_stats_path_naming_an_input_is_read_first(tmp_path, capsys, target):
+    paths = {"a": tmp_path / "a.txt", "b": tmp_path / "b.txt", "scoring": tmp_path / "c.tsv"}
+    paths["a"].write_text("abaababaabaab\n")
+    paths["b"].write_text("abaabbbaab\n")
+    paths["scoring"].write_text(_ab_table(2, 1, 1, 3, 2, 1))
+    argv = ["distance", str(paths["a"]), str(paths["b"]), "--scoring", str(paths["scoring"])]
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--stats", str(paths[target])) == plain
+    assert "block_count=" in paths[target].read_text()
+
+
+def test_failed_run_leaves_the_stats_path_as_it_was(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    a.write_text("abab\n")
+    costs = tmp_path / "c.tsv"
+    costs.write_text(_ab_table(-1, 1, 1, 1, 1, 1))
+    code, out, err = run_cli(
+        capsys, "distance", str(a), str(a), "--scoring", str(costs), "--stats", str(a)
+    )
+    assert code == 1 and out == "" and "negative cost" in err
+    assert a.read_text() == "abab\n"
+
+
 def test_unwritable_compress_output_is_input_error(tmp_path, capsys):
     text = tmp_path / "t.txt"
     text.write_text("abab\n")
@@ -498,9 +523,9 @@ def test_cost_must_be_a_plain_decimal_numeral(tmp_path, capsys, token):
 
 def test_plain_decimal_numerals_are_costs():
     sf = parse_scoring(_ab_table("10", "+2", ".5", "5.", "1E+1", "2.50"))
-    assert (sf.del_cost("a"), sf.del_cost("b")) == (10, 2)
-    assert [str(c) for c in (sf.ins_cost("a"), sf.ins_cost("b"))] == ["0.5", "5"]
-    assert [str(sf.sub_cost(*p)) for p in ("ab", "ba")] == ["1E+1", "2.50"]
+    assert (sf.delete["a"], sf.delete["b"]) == (10, 2)
+    assert [str(c) for c in (sf.insert["a"], sf.insert["b"])] == ["0.5", "5"]
+    assert [str(sf.substitute[tuple(p)]) for p in ("ab", "ba")] == ["1E+1", "2.50"]
 
 
 def test_scaled_costs_are_exact_up_to_the_digit_bound(tmp_path, capsys):
@@ -533,7 +558,7 @@ def test_scoring_file_decimal_mode(tmp_path):
     )
     from decimal import Decimal
 
-    assert sf.del_cost("a") == Decimal("0.5")
+    assert sf.delete["a"] == Decimal("0.5")
     from slpdist import wagner_fischer
 
     assert wagner_fischer("aa", "ab", sf) == Decimal("0.25")

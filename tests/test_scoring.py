@@ -6,15 +6,15 @@ from slpdist.scoring import validate
 
 def test_levenshtein_costs():
     sf = levenshtein("ab")
-    assert sf.sub_cost("a", "a") == 0
-    assert sf.sub_cost("a", "b") == 1
-    assert sf.del_cost("a") == 1
-    assert sf.ins_cost("b") == 1
+    assert sf.substitute["a", "a"] == 0
+    assert sf.substitute["a", "b"] == 1
+    assert sf.delete["a"] == 1
+    assert sf.insert["b"] == 1
 
 
 def test_levenshtein_extra_char():
     sf = levenshtein("xyz")
-    assert sf.del_cost("x") == 1
+    assert sf.delete["x"] == 1
 
 
 def test_levenshtein_rejects_empty_alphabet():
@@ -26,7 +26,7 @@ def test_levenshtein_is_symmetric():
     sf = levenshtein("abcd")
     for a in sf.alphabet:
         for b in sf.alphabet:
-            assert sf.sub_cost(a, b) == sf.sub_cost(b, a)
+            assert sf.substitute[a, b] == sf.substitute[b, a]
 
 
 def test_validate_accepts_levenshtein():
@@ -70,14 +70,6 @@ def test_validate_flags_keys_outside_the_alphabet():
         assert problems == [f"character outside the alphabet: {flagged}"]
 
 
-def test_unknown_character_is_hard_error():
-    sf = levenshtein("ab")
-    with pytest.raises(ScoringError):
-        sf.del_cost("z")
-    with pytest.raises(ScoringError):
-        sf.sub_cost("a", "z")
-
-
 def test_lookups_finite_and_nonnegative_after_validation(rng):
     from conftest import random_scoring
 
@@ -85,10 +77,10 @@ def test_lookups_finite_and_nonnegative_after_validation(rng):
         sf = random_scoring(rng, "abc")
         assert validate(sf) == []
         for a in sf.alphabet:
-            assert sf.del_cost(a) >= 0
-            assert sf.ins_cost(a) >= 0
+            assert sf.delete[a] >= 0
+            assert sf.insert[a] >= 0
             for b in sf.alphabet:
-                assert sf.sub_cost(a, b) >= 0
+                assert sf.substitute[a, b] >= 0
 
 
 def _table(*costs):
@@ -116,7 +108,7 @@ def test_scaled_to_ints_is_exact():
     from slpdist.scoring import scaled_to_ints
 
     D = Decimal
-    sf = _table(D("1.5"), D("2.25"), 3, D("1E+2"), D("0.000"), D("-0.5"))
+    sf = _table(D("1.5"), D("2.25"), 3, D("1E+2"), D("0.000"), D("0.5"))
     with localcontext() as ctx:
         ctx.prec = 2  # a rounding context must not touch the scaling
         scaled, e = scaled_to_ints(sf)
@@ -124,7 +116,7 @@ def test_scaled_to_ints_is_exact():
     assert scaled.delete == {"a": 1500, "b": 2250}
     assert scaled.insert == {"a": 3000, "b": 100000}
     assert scaled.substitute[("a", "b")] == 0
-    assert scaled.substitute[("b", "a")] == -500
+    assert scaled.substitute[("b", "a")] == 500
     assert scaled.substitute[("a", "a")] == 0
     # exponents above 0 never make e positive
     scaled, e = scaled_to_ints(_table(D("1E+3"), 1, 1, 1, 1, 1))
@@ -149,6 +141,22 @@ def test_scaled_to_ints_refuses_floats_non_finite_and_long_costs():
         Decimal("1e999999"),
         10 ** MAX_COST_DIGITS,
         Decimal("9" * (MAX_COST_DIGITS - 1) + ".01"),  # one digit too many
+        Decimal("-0.5"),
     ):
         with pytest.raises(ScoringError):
             scaled_to_ints(_table(Decimal("0.01"), bad, 1, 1, 1, 1))
+
+
+def test_scaled_to_ints_refuses_characters_outside_the_alphabet():
+    from slpdist import block_edit_distance, from_plain, wagner_fischer
+    from slpdist.scoring import scaled_to_ints
+
+    sf = levenshtein("ab")
+    message = "alphabet does not cover input characters ['z']"
+    with pytest.raises(ScoringError) as prologue:
+        scaled_to_ints(sf, "ab", "az")
+    with pytest.raises(ScoringError) as baseline:
+        wagner_fischer("ab", "az", sf)
+    with pytest.raises(ScoringError) as block:
+        block_edit_distance(from_plain("ab"), from_plain("az"), sf)
+    assert str(prologue.value) == str(baseline.value) == str(block.value) == message
