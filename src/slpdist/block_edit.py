@@ -20,11 +20,13 @@ class RunStats:
     the matrix element lookups the sweep's SMAWK passes performed.  Both
     scale as N^2/x while the table-building counters scale as n^2, which is
     the trade the block parameter x tunes; ``merge_queries`` counts the
-    element lookups the repository's merges performed.  ``table_entries``
-    is the sum of s^2 over the distinct tables the repository holds, the
-    driver of peak memory: an 8-byte list slot each, since equal values
-    within one merge share one int object.  ``elapsed`` maps each phase to
-    its seconds.
+    element lookups the repository's merges performed.  A table holds s^2
+    entries, an 8-byte list slot each, since equal values within one merge
+    share one int object.  ``table_entries`` sums them over the distinct
+    tables the repository holds for the sweep, its part pairs' tables;
+    ``peak_table_entries`` is the most that distinct tables held at once
+    while the repository was built, intermediate operands included, the
+    driver of peak memory.  ``elapsed`` maps each phase to its seconds.
     """
 
     COUNTERS = (
@@ -38,6 +40,7 @@ class RunStats:
         "block_count",
         "memo_size",
         "table_entries",
+        "peak_table_entries",
         "direct_builds",
         "merges",
         "boundary_cells_propagated",
@@ -142,6 +145,7 @@ def block_edit_distance(
     repo = build_repository(slp_a, slp_b, part_a, part_b, scaled)
     stats.memo_size = repo.memo_size
     stats.table_entries = repo.table_entries
+    stats.peak_table_entries = repo.peak_table_entries
     stats.direct_builds = repo.direct_builds
     stats.merges = repo.merges
     stats.merge_queries = repo.merge_queries

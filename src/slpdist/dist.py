@@ -32,6 +32,7 @@ hands a block's bottom and right edges on as slices.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate, chain
 from operator import sub
 
@@ -281,13 +282,13 @@ def apply_inputs(d: DistTable, inputs, _counter=None, _memo=None) -> tuple:
 
 
 class Repository:
-    """Memoized distance tables, one per distinct (variable, kind) pair.
+    """Distance tables for the grid's block pairs, keyed by (variable, kind)
+    pairs and filled by ``build_repository``.
 
     Keys pair a row-side descriptor with a column-side descriptor, each
     ``(var, kind)`` with kind ``exact`` (the variable's full derivation) or
     ``composite`` (the accumulated gap substring attached to a partition
-    path variable).  Construction works bottom-up over an explicit
-    worklist, so grammar depth never hits the Python recursion limit:
+    path variable).  A key's table is built from its operands' tables:
 
     * exact x exact   -- direct construction for terminal x terminal;
       otherwise split the side whose variable derives the longer string
@@ -302,8 +303,11 @@ class Repository:
     lower), so each merge takes its operands as listed.
 
     Every repeated occurrence of a pair reuses its table, which is where
-    the grammar's repetitiveness pays off.  Each entry that is not an alias
-    costs exactly one direct build or one merge.
+    the grammar's repetitiveness pays off.  Each key is built once, by one
+    direct build, one merge or an alias (a one-link chain shares its
+    child's table).  Once built, ``memo`` holds only the part pairs, the
+    tables the sweep reads; ``peak_table_entries`` is the most entries the
+    distinct tables held at once while they were built.
     """
 
     def __init__(self, slp_a: Slp, slp_b: Slp, part_a, part_b, sf):
@@ -311,6 +315,7 @@ class Repository:
         self.memo = {}
         self.direct_builds = 0
         self.merges = 0
+        self.peak_table_entries = 0
         self._queries = [0]  # kernel element queries spent in merges
         self._slps = (slp_a, slp_b)
         self._chains = (_chain_links(part_a), _chain_links(part_b))
@@ -330,31 +335,14 @@ class Repository:
 
     @property
     def table_entries(self) -> int:
-        """Entries held by the distinct tables (aliased keys share one)."""
+        """Entries held by the distinct tables in ``memo`` (aliased keys
+        share one)."""
         tables = {id(t): t for t in self.memo.values()}
         return sum(t.s * t.s for t in tables.values())
 
     def lookup(self, key_a, key_b) -> DistTable:
         """Table for an already-built pair."""
         return self.memo[key_a, key_b]
-
-    def ensure(self, key_a, key_b) -> DistTable:
-        """Build (and memoize) the table for a pair and its dependencies."""
-        memo = self.memo
-        stack = [(key_a, key_b)]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            deps, op = self._dependencies(*key)
-            missing = [d for d in deps if d not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            memo[key] = self._combine(key, op, [memo[d] for d in deps])
-            stack.pop()
-        return memo[key_a, key_b]
 
     def _dependencies(self, key_a, key_b):
         va, kind_a = key_a
@@ -421,18 +409,58 @@ def _chain_links(part) -> dict:
 def build_repository(slp_a, slp_b, part_a, part_b, sf) -> Repository:
     """Tables for every (row part, column part) pair the grid can contain.
 
-    The partitions must have been built with the same block parameter.  The
-    number of memo entries is bounded by 4 * n_A * n_B (two kinds per
-    variable per side), and each distinct table costs one direct build or
-    one merge, which is where the overall O(n^2 x^2) table-building bound
-    comes from.
+    The partitions must have been built with the same block parameter.  One
+    walk of the dependency DAG from the part pairs, over an explicit stack
+    so that grammar depth never hits the Python recursion limit, plans the
+    build: every key after its operands, and how many times each key is an
+    operand.  The keys are then built in that order, and a key that is not
+    a part pair leaves the memo once its last consumer is built, so its
+    table is freed unless an alias still holds it.
+
+    At most 4 * n_A * n_B keys are built (two kinds per variable per side),
+    each by one direct build, one merge or an alias, which is where the
+    overall O(n^2 x^2) table-building bound comes from.
     """
     if part_a.block_size != part_b.block_size:
         raise ValueError("partitions built with different block parameters")
     repo = Repository(slp_a, slp_b, part_a, part_b, sf)
-    keys_a = {(p.var, p.kind) for p in part_a.parts}
-    keys_b = {(p.var, p.kind) for p in part_b.parts}
-    for ka in sorted(keys_a):
-        for kb in sorted(keys_b):
-            repo.ensure(ka, kb)
+    keys_a = sorted({(p.var, p.kind) for p in part_a.parts})
+    keys_b = sorted({(p.var, p.kind) for p in part_b.parts})
+    pairs = [(ka, kb) for ka in keys_a for kb in keys_b]
+    plan = {}  # key -> (operands, op), operands first
+    consumers = Counter()  # key -> times it is an operand of a planned key
+    stack = pairs[::-1]
+    while stack:
+        key = stack[-1]
+        if key in plan:
+            stack.pop()
+            continue
+        deps, op = repo._dependencies(*key)
+        missing = [d for d in deps if d not in plan]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        plan[key] = deps, op
+        consumers.update(deps)
+    keep = set(pairs)
+    memo = repo.memo
+    holders = Counter()  # live table -> memo keys holding it
+    live = 0
+    for key, (deps, op) in plan.items():
+        table = memo[key] = repo._combine(key, op, [memo[d] for d in deps])
+        if not holders[table]:
+            live += table.s * table.s
+            repo.peak_table_entries = max(repo.peak_table_entries, live)
+        holders[table] += 1
+        for d in deps:
+            consumers[d] -= 1
+            if consumers[d] or d in keep:
+                continue
+            dropped = memo.pop(d)
+            holders[dropped] -= 1
+            if not holders[dropped]:
+                del holders[dropped]
+                live -= dropped.s * dropped.s
+            del dropped  # free it now, not at the next drop
     return repo

@@ -280,6 +280,7 @@ def test_distance_stats_output(tmp_path, capsys):
     assert "block_count=" in record
     assert "boundary_cells_propagated=" in record
     assert "table_entries=" in record
+    assert "peak_table_entries=" in record
     assert "sweep_memo_hits=" in record
     assert "merge_queries=" in record
 

@@ -1,3 +1,7 @@
+import gc
+
+import pytest
+
 from conftest import random_slp, random_scoring
 from slpdist import (
     COMPOSITE,
@@ -8,10 +12,12 @@ from slpdist import (
     build_repository,
     dist,
     expand,
+    from_plain,
     levenshtein,
     partition_string,
     wagner_fischer,
 )
+from slpdist.dist import DistTable
 from slpdist.slp import slp_from_productions
 
 
@@ -19,6 +25,46 @@ def _repo_for(slp_a, slp_b, sf, x):
     pa = partition_string(slp_a, x)
     pb = partition_string(slp_b, x)
     return build_repository(slp_a, slp_b, pa, pb, sf), pa, pb
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every table the repository builds, in build order, the intermediate
+    operands it frees included: the direct builds and merges, recorded as
+    they return.  The list keeps each table alive."""
+    tables = []
+
+    def recording(build):
+        def wrapped(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        return wrapped
+
+    for name in ("build_direct", "merge_vertical", "merge_horizontal"):
+        monkeypatch.setattr(dist, name, recording(getattr(dist, name)))
+    return tables
+
+
+@pytest.fixture
+def combined(monkeypatch):
+    """``(key, table)`` for every key the repository combines, in order."""
+    calls = []
+    real = dist.Repository._combine
+
+    def wrapped(self, key, op, tables):
+        table = real(self, key, op, tables)
+        calls.append((key, table))
+        return table
+
+    monkeypatch.setattr(dist.Repository, "_combine", wrapped)
+    return calls
+
+
+def _part_pairs(pa, pb):
+    keys_a = {(p.var, p.kind) for p in pa.parts}
+    keys_b = {(p.var, p.kind) for p in pb.parts}
+    return {(ka, kb) for ka in keys_a for kb in keys_b}
 
 
 def test_worked_grammar_repository_keys(fib7_slp):
@@ -29,11 +75,13 @@ def test_worked_grammar_repository_keys(fib7_slp):
             assert (part_key, other) in repo.memo
 
 
-def test_every_memo_table_matches_direct(fib7_slp, rng):
-    # the stored rows too, stand-ins included, against the repository ceiling
+def test_every_memo_table_matches_direct(fib7_slp, rng, built):
+    # the stored rows too, stand-ins included, against the repository
+    # ceiling, for the freed operands as well as the tables the memo holds
     sf = levenshtein("ab")
     repo, _, _ = _repo_for(fib7_slp, fib7_slp, sf, 4)
-    for (ka, kb), table in repo.memo.items():
+    assert {id(t) for t in repo.memo.values()} <= {id(t) for t in built}
+    for table in built:
         direct = build_direct(table.a, table.b, sf, repo.ceiling)
         assert table.rows == direct.rows
     for _ in range(10):
@@ -41,8 +89,10 @@ def test_every_memo_table_matches_direct(fib7_slp, rng):
         gb = random_slp(rng, max_len=30)
         sf = random_scoring(rng, sorted(set(expand(ga)) | set(expand(gb))))
         for x in (2, 3, 5):
+            built.clear()
             repo, _, _ = _repo_for(ga, gb, sf, x)
-            for table in repo.memo.values():
+            assert {id(t) for t in repo.memo.values()} <= {id(t) for t in built}
+            for table in built:
                 direct = build_direct(table.a, table.b, sf, repo.ceiling)
                 assert table.rows == direct.rows
 
@@ -58,16 +108,18 @@ def test_two_terminal_grammars():
     assert repo.direct_builds == 1 and repo.merges == 0
 
 
-def test_memo_size_bound_and_oracle_random(rng):
+def test_memo_size_bound_and_oracle_random(rng, built, combined):
     for _ in range(25):
         ga = random_slp(rng, max_len=30)
         gb = random_slp(rng, max_len=30)
         sigma = sorted(set(expand(ga)) | set(expand(gb)))
         sf = random_scoring(rng, sigma)
         for x in (2, 4, 7):
+            built.clear()
+            combined.clear()
             repo, pa, pb = _repo_for(ga, gb, sf, x)
-            assert repo.memo_size <= 4 * ga.size * gb.size
-            for table in repo.memo.values():
+            assert repo.memo_size <= len(combined) <= 4 * ga.size * gb.size
+            for table in built:
                 assert table.rows == build_direct(table.a, table.b, sf, repo.ceiling).rows
 
 
@@ -95,13 +147,13 @@ def test_repeated_builds_identical_and_lookup_counts_hits(fib7_slp):
     assert first is second
 
 
-def test_composite_chain_tables(fib7_slp):
+def test_composite_chain_tables(fib7_slp, built):
     # block size 2 exercises multi-link accumulation chains
     sf = levenshtein("ab")
     repo, pa, pb = _repo_for(fib7_slp, fib7_slp, sf, 2)
     composites = [p for p in pa.parts if p.kind == COMPOSITE]
     assert composites, "expected composite parts at block size 2"
-    for (ka, kb), table in repo.memo.items():
+    for table in built:
         assert table.rows == build_direct(table.a, table.b, sf, repo.ceiling).rows
 
 
@@ -153,16 +205,18 @@ def _random_pairs(rng, count, max_len=40):
         yield ga, gb, random_scoring(rng, sorted(set(expand(ga)) | set(expand(gb))))
 
 
-def test_each_distinct_table_costs_one_build(rng):
-    # every memo entry that is not an alias is one direct build or one merge
+def test_each_distinct_table_costs_one_build(rng, built):
+    # every table built, freed or held, is one direct build or one merge,
+    # and no table object comes out of two builds
     for ga, gb, sf in _random_pairs(rng, 15):
         for x in (2, 3, 5, 8):
+            built.clear()
             repo, _, _ = _repo_for(ga, gb, sf, x)
-            distinct = len({id(t) for t in repo.memo.values()})
-            assert repo.direct_builds + repo.merges == distinct
+            assert repo.direct_builds + repo.merges == len(built)
+            assert len({id(t) for t in built}) == len(built)
 
 
-def test_exact_pairs_split_the_longer_side(fib7_slp, rng, monkeypatch):
+def test_exact_pairs_split_the_longer_side(fib7_slp, rng, monkeypatch, combined):
     # an exact x exact table of two non-terminals merges the tables of the
     # longer side's children (A on a tie) with the whole shorter side
     made = {}
@@ -182,8 +236,9 @@ def test_exact_pairs_split_the_longer_side(fib7_slp, rng, monkeypatch):
     for ga, gb, sf in grammars:
         for x in (2, 3, 5):
             made.clear()
-            repo, _, _ = _repo_for(ga, gb, sf, x)
-            for (ka, kb), table in repo.memo.items():
+            combined.clear()
+            _repo_for(ga, gb, sf, x)
+            for (ka, kb), table in combined:
                 (va, kind_a), (vb, kind_b) = ka, kb
                 prod_a, prod_b = ga.productions[va], gb.productions[vb]
                 if kind_a != EXACT or kind_b != EXACT:
@@ -194,13 +249,85 @@ def test_exact_pairs_split_the_longer_side(fib7_slp, rng, monkeypatch):
                 if ga.lengths[va] >= gb.lengths[vb]:
                     p, q = prod_a
                     assert kind == "v"
-                    assert d1 is repo.memo[(p, EXACT), kb]
-                    assert d2 is repo.memo[(q, EXACT), kb]
+                    assert (d1.a, d1.b) == (expand(ga, p), table.b)
+                    assert (d2.a, d2.b) == (expand(ga, q), table.b)
                     splits["tie"] += ga.lengths[va] == gb.lengths[vb]
                 else:
                     r, t = prod_b
                     assert kind == "h"
-                    assert d1 is repo.memo[ka, (r, EXACT)]
-                    assert d2 is repo.memo[ka, (t, EXACT)]
+                    assert (d1.a, d1.b) == (table.a, expand(gb, r))
+                    assert (d2.a, d2.b) == (table.a, expand(gb, t))
                 splits[kind] += 1
     assert all(splits.values()), splits
+
+
+def test_memo_holds_exactly_the_part_pairs(fib7_slp, rng):
+    # every intermediate operand leaves the memo once its last consumer is
+    # built; the sweep reads only the part pairs
+    sf = levenshtein("ab")
+    for x in (2, 4):
+        repo, pa, pb = _repo_for(fib7_slp, fib7_slp, sf, x)
+        assert repo.memo.keys() == _part_pairs(pa, pb)
+    for ga, gb, sf in _random_pairs(rng, 10):
+        for x in (2, 3, 5):
+            repo, pa, pb = _repo_for(ga, gb, sf, x)
+            assert repo.memo.keys() == _part_pairs(pa, pb)
+
+
+def test_no_key_is_combined_twice(fib7_slp, rng, combined):
+    # a key is dropped only after its last consumer is built, so dropping
+    # never forces a rebuild
+    grammars = [(fib7_slp, fib7_slp, levenshtein("ab"))] + list(_random_pairs(rng, 10))
+    for ga, gb, sf in grammars:
+        for x in (2, 3, 5):
+            combined.clear()
+            repo, _, _ = _repo_for(ga, gb, sf, x)
+            keys = [key for key, _ in combined]
+            assert len(set(keys)) == len(keys)
+            assert repo.memo.keys() <= set(keys)
+
+
+def _balanced_pair():
+    text = "".join("abcd"[(i * i + i // 3) % 4] for i in range(96))
+    return from_plain(text), from_plain(text[::-1])
+
+
+def test_balanced_grammars_hold_fewer_entries_than_they_build(built):
+    # balanced grammars reuse few of the operands the exact pairs split
+    # into, so most of what the repository builds is freed before the sweep
+    ga, gb = _balanced_pair()
+    sf = levenshtein("abcd")
+    for x in (4, 8):
+        built.clear()
+        cost, stats = block_edit_distance(ga, gb, sf, x)
+        assert cost == wagner_fischer(expand(ga), expand(gb), sf)
+        made = sum(t.s * t.s for t in built)
+        assert stats.table_entries <= stats.peak_table_entries < made
+        assert stats.table_entries < made / 2
+
+
+def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch):
+    # replay the build: as each table is stored, add up the entries of
+    # every DistTable still alive, so a freed operand that lingers counts;
+    # the largest sum is the counter
+    real = dist.Repository._combine
+    before = []
+    seen = []
+
+    def wrapped(self, key, op, tables):
+        table = real(self, key, op, tables)
+        old = {id(t) for t in before}
+        alive = [o for o in gc.get_objects() if type(o) is DistTable and id(o) not in old]
+        seen.append(sum(t.s * t.s for t in alive))
+        return table
+
+    monkeypatch.setattr(dist.Repository, "_combine", wrapped)
+    grammars = [(fib7_slp, fib7_slp, levenshtein("ab"))]
+    grammars += list(_random_pairs(rng, 3, max_len=24))
+    grammars.append((*_balanced_pair(), levenshtein("abcd")))
+    for ga, gb, sf in grammars:
+        for x in (2, 4):
+            before[:] = [o for o in gc.get_objects() if type(o) is DistTable]
+            seen.clear()
+            repo, _, _ = _repo_for(ga, gb, sf, x)
+            assert max(seen) == repo.peak_table_entries
