@@ -6,7 +6,7 @@ from __future__ import annotations
 import time
 from decimal import Decimal
 
-from .dist import apply_inputs, build_repository
+from .dist import Edges, apply_inputs, build_repository
 from .partition import InvariantViolation, partition_string
 from .scoring import ScoringFunction, scaled_to_ints
 from .slp import Slp, expand
@@ -26,7 +26,12 @@ class RunStats:
     tables the repository holds for the sweep, its part pairs' tables;
     ``peak_table_entries`` is the most that distinct tables held at once
     while the repository was built, intermediate operands included, the
-    driver of peak memory.  ``elapsed`` maps each phase to its seconds.
+    driver of peak memory.  ``sweep_memo_hits`` counts the blocks the
+    sweep memo answered without a kernel pass, ``sweep_edges`` the distinct
+    edges the sweep interned (see ``dist.Edges``), and
+    ``sweep_memo_resets`` how often those edges reached ``table_entries``
+    steps and the memo was cleared with them.  ``elapsed`` maps each phase
+    to its seconds.
     """
 
     COUNTERS = (
@@ -46,6 +51,8 @@ class RunStats:
         "boundary_cells_propagated",
         "sweep_queries",
         "sweep_memo_hits",
+        "sweep_edges",
+        "sweep_memo_resets",
         "merge_queries",
     )
     __slots__ = COUNTERS + ("elapsed",)
@@ -152,47 +159,48 @@ def block_edit_distance(
     stats.elapsed["repository"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # Boundaries travel in difference form (see ``apply_inputs``): each
-    # block column keeps the value at its top-left corner and the steps
-    # along its top edge, and the block row keeps the steps up its current
-    # left edge.  A block's outputs are its bottom-left value, the steps
-    # along its bottom edge and the steps up its right edge, so both edges
-    # pass on as slices.
+    # Boundaries travel in difference form (see ``apply_inputs``), as
+    # interned edges: each block column keeps the value at its top-left
+    # corner and the edge along its top, and the block row keeps the edge up
+    # its current left side.  A block's outputs hold its bottom-left value
+    # relative to its base and its bottom and right edges, which pass on as
+    # they are.  Blocks with the same table and input edges share outputs.
+    # The interned edges may hold as many steps as the tables hold entries,
+    # which keeps the sweep's memory within that of the tables it reads.
+    memo = {}
+    edges = Edges(stats.table_entries)
     corners, tops = [], []
     c0 = 0
     for pb in part_b.parts:
         c1 = c0 + pb.length
-        corners.append(corners[-1] + sum(tops[-1]) if tops else 0)
-        tops.append(tuple([scaled.insert[c] for c in text_b[c0:c1]]))
+        corners.append(corners[-1] + tops[-1].total if tops else 0)
+        tops.append(edges.intern(tuple([scaled.insert[c] for c in text_b[c0:c1]]), memo))
         c0 = c1
     keys_b = [(pb.var, pb.kind) for pb in part_b.parts]
-    # blocks with the same table and input steps share outputs up to a
-    # shift of element 0
-    memo = {}
     counter = [0, 0]  # kernel queries, memo hits
-    cells = 0
     r0 = 0
     bottom = 0  # the grid's value at (r0, 0)
     for pa in part_a.parts:
         r1 = r0 + pa.length
         # the first column's steps, bottom to top (input order)
-        left = tuple([-scaled.delete[c] for c in reversed(text_a[r0:r1])])
-        base = bottom = bottom - sum(left)
+        left = edges.intern(tuple([-scaled.delete[c] for c in reversed(text_a[r0:r1])]), memo)
+        base = bottom = bottom - left.total
         key_a = (pa.var, pa.kind)
         tables = [repo.lookup(key_a, key_b) for key_b in keys_b]
         for k, table in enumerate(tables):
-            if base + sum(left) != corners[k]:
+            if base + left.total != corners[k]:
                 raise InvariantViolation("frontier and left edge disagree at a corner")
-            top = tops[k]
-            outputs = apply_inputs(table, (base,) + left + top, counter, memo)
-            cells += len(outputs)
-            w = len(top)
-            corners[k] = base = outputs[0]
-            tops[k] = top = outputs[1 : w + 1]
-            left = outputs[w + 1 :]
-            base += sum(top)
+            out = apply_inputs(table, base, left, tops[k], counter, memo, edges)
+            corners[k] = base = base + out.first
+            tops[k] = top = out.bottom
+            left = out.right
+            base += top.total
         r0 = r1
-    stats.boundary_cells_propagated = cells
+    # every block outputs h + w + 1 boundary values
+    stats.boundary_cells_propagated = (
+        stats.parts_b * (len(text_a) + stats.parts_a) + stats.parts_a * len(text_b)
+    )
     stats.sweep_queries, stats.sweep_memo_hits = counter
+    stats.sweep_edges, stats.sweep_memo_resets = edges.interned, edges.resets
     stats.elapsed["sweep"] = time.perf_counter() - t0
-    return _unscaled(corners[-1] + sum(tops[-1]), sf, scaled, e), stats
+    return _unscaled(corners[-1] + tops[-1].total, sf, scaled, e), stats

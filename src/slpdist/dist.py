@@ -26,8 +26,10 @@ sweep carries.  ``build_direct`` is given it; the merges and
 ``apply_inputs`` pushes boundary values through one block, in difference
 form: the value at vertex 0, then each value minus the one before it.  A
 constant added to every input moves only element 0 of the outputs, so each
-other element depends only on the table and the input steps, and the sweep
-hands a block's bottom and right edges on as slices.
+other element depends only on the table and the input steps.  The steps
+travel as interned ``Edge`` objects, so a block the sweep has seen before
+costs one dict lookup by identity, and its bottom and right edges pass on
+as they are.
 """
 
 from __future__ import annotations
@@ -222,63 +224,121 @@ def merge_vertical(d1: DistTable, d2: DistTable, counter=None) -> DistTable:
 _merge_vertical = merge_vertical
 
 
-SWEEP_MEMO_SIZE = 64
+class Edge:
+    """The steps along one block edge and their sum.  The sweep interns its
+    edges (``Edges``), so equal steps share one Edge, and an Edge hashes
+    and compares by identity, in O(1)."""
+
+    __slots__ = ("steps", "total")
+
+    def __init__(self, steps: tuple):
+        self.steps = steps
+        self.total = sum(steps)
 
 
-def apply_inputs(d: DistTable, inputs, _counter=None, _memo=None) -> tuple:
+class Edges:
+    """The sweep's intern table: one ``Edge`` per distinct step tuple.
+
+    The edges it holds have at most ``budget`` steps in total.  An edge
+    that would take them past it first clears the table, together with
+    the memo whose keys hold its edges, and counts one reset; edges the
+    caller still holds stay exact, only no longer shared.  ``interned``
+    counts the edges made, over all resets.
+    """
+
+    __slots__ = ("table", "budget", "held", "interned", "resets")
+
+    def __init__(self, budget: int):
+        self.table = {}
+        self.budget = budget
+        self.held = self.interned = self.resets = 0
+
+    def intern(self, steps: tuple, memo: dict) -> Edge:
+        edge = self.table.get(steps)
+        if edge is None:
+            if self.held + len(steps) > self.budget:
+                memo.clear()
+                self.table.clear()
+                self.held = 0
+                self.resets += 1
+            edge = self.table[steps] = Edge(steps)
+            self.held += len(steps)
+            self.interned += 1
+        return edge
+
+
+class Outputs:
+    """A block's outputs relative to the value at its input vertex 0:
+    ``first`` at output 0, the edges ``bottom`` (along the last row) and
+    ``right`` (up the last column), and ``peak``, the largest output.  Its
+    length is the table's s, and it iterates over the s outputs in
+    difference form: ``first``, then the steps of both edges."""
+
+    __slots__ = ("first", "bottom", "right", "peak")
+
+    def __init__(self, first, bottom: Edge, right: Edge, peak):
+        self.first = first
+        self.bottom = bottom
+        self.right = right
+        self.peak = peak
+
+    def __len__(self) -> int:
+        return 1 + len(self.bottom.steps) + len(self.right.steps)
+
+    def __iter__(self):
+        return chain((self.first,), self.bottom.steps, self.right.steps)
+
+
+def apply_inputs(d: DistTable, base, left: Edge, top: Edge, counter, memo, edges) -> Outputs:
     """Output boundary values from input boundary values, both in
-    difference form: element 0 is the value at vertex 0, and element i is
-    value i minus value i - 1.  In absolute values,
-    ``out[j] = min_i inputs[i] + d.rows[i][j]``.
+    difference form: the value at vertex 0, then each value minus the one
+    before it.  The inputs are ``base``, the steps of ``left`` (up the
+    first column, h of them) and those of ``top`` (along the first row, w
+    of them).  In absolute values, ``out[j] = min_i in[i] + d.rows[i][j]``.
 
     Min-plus is shift-equivariant: adding c to every input adds c to every
-    output.  In difference form only element 0 carries the shift, so every
-    other element of the outputs depends only on the table and on
-    ``inputs[1:]``, and the caller moves whole edges from one block to the
-    next by slicing.
+    output.  In difference form only element 0 carries the shift, so the
+    outputs relative to ``base`` depend only on the table and the two
+    edges, and the caller hands the bottom and right edges on as they are.
 
-    A miss rebuilds the absolute inputs and runs one min-plus row product
-    over the table's stored rows (``minplus_row``: a scan or a SMAWK pass,
-    O(s) element queries).  Absolute inputs must be non-negative, as a
-    stand-in plus a negative input could win a column: the kernel is not
-    run on them (``ValueError``).  The table's ceiling bounds every boundary
-    value of the grid, and every column of a distance table has a reachable
-    entry, so an output above it raises ``InvariantViolation``.
-
-    ``_memo``, a dict owned by the caller, reuses earlier answers.  It maps
-    the ``SWEEP_MEMO_SIZE`` most recently used keys ``(table, inputs[1:])``
-    to the outputs relative to ``inputs[0]`` and the largest of them, so a
-    hit checks the ceiling in O(1), runs no kernel, adds no queries to
-    ``_counter[0]`` and adds one to ``_counter[1]``; it is exact for any
-    inputs.  ``block_edit_distance`` passes a memo for every table, since
-    it sweeps int costs only (see ``scoring.scaled_to_ints``).
+    ``memo``, a dict owned by the caller, maps ``(d, left, top)`` to those
+    outputs; as edges are interned, a hit is one lookup by identity and an
+    O(1) ceiling check, runs no kernel and adds one to ``counter[1]``.  It
+    is exact for any base.  A miss rebuilds the absolute inputs and runs
+    one min-plus row product over the table's stored rows (``minplus_row``:
+    a scan or a SMAWK pass, O(s) element queries, added to ``counter[0]``),
+    then interns the output edges in ``edges``.  Absolute inputs must be
+    non-negative, as a stand-in plus a negative input could win a column:
+    the kernel is not run on them (``ValueError``).  The table's ceiling
+    bounds every boundary value of the grid, and every column of a
+    distance table has a reachable entry, so an output above it raises
+    ``InvariantViolation``.  ``block_edit_distance`` sweeps int costs only
+    (see ``scoring.scaled_to_ints``), so every shift is exact.
     """
-    s = len(d.rows)
-    if len(inputs) != s:
-        raise ValueError(f"expected {s} input values, got {len(inputs)}")
-    base = inputs[0]
-    shape = None
-    if _memo is not None:
-        key = (d, tuple(inputs[1:]))
-        shape = _memo.pop(key, None)
-    if shape is None:
-        values = list(accumulate(inputs))
+    out = memo.get((d, left, top))
+    if out is None:
+        h, w = d.h, d.w
+        if len(left.steps) != h or len(top.steps) != w:
+            raise ValueError(
+                f"expected {h} left and {w} top steps, "
+                f"got {len(left.steps)} and {len(top.steps)}"
+            )
+        values = list(accumulate(chain((base,), left.steps, top.steps)))
         if min(values) < 0:
             raise ValueError("input values must be non-negative")
-        values = minplus_row(values, d.rows, 0, s, _counter)
-        # output 0 and the largest output relative to base, and the steps
+        values = minplus_row(values, d.rows, 0, len(values), counter)
         steps = tuple(map(sub, values[1:], values))
-        shape = (values[0] - base, steps, max(values) - base)
-        if _memo is not None and len(_memo) >= SWEEP_MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-    elif _counter is not None:
-        _counter[1] += 1
-    if _memo is not None:
-        _memo[key] = shape  # most recently used last
-    first, steps, top = shape
-    if base + top > d.ceiling:
+        out = memo[d, left, top] = Outputs(
+            values[0] - base,
+            edges.intern(steps[:w], memo),
+            edges.intern(steps[w:], memo),
+            max(values) - base,
+        )
+    else:
+        counter[1] += 1
+    if base + out.peak > d.ceiling:
         raise InvariantViolation("unreachable output vertex in a grid block")
-    return (base + first,) + steps
+    return out
 
 
 class Repository:

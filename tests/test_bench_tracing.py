@@ -17,30 +17,48 @@ def test_every_traced_binding_exists(monkeypatch):
         assert callable(owner.__dict__[attr]), (owner, attr)
 
 
-def test_traced_call_meets_the_bench_gates(tmp_path, monkeypatch, capsys):
-    """One traced ``distance`` call on ``fib-repo``'s shape, scaled down to
-    a Fibonacci 1024 pair at x = 48: its counts must agree with ``--stats``
-    and its SMAWK queries stay within the traced bench's bound."""
-    from random import Random
-
+def _traced_distance(tmp_path, monkeypatch, capsys, n, flags):
+    """One traced ``distance`` call on a Fibonacci n pair, the second with
+    its alphabet swapped: the traced metrics and the ``--stats`` fields."""
     from slpdist import cli
     from slpdist.slp import fibonacci_prefix_slp
 
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     traced = importlib.import_module("traced")
-    workloads = importlib.import_module("workloads")
-    a, b, costs, stats = (tmp_path / name for name in ("a.slp", "b.slp", "costs.tsv", "stats.txt"))
-    a.write_text(cli.dump_slp(fibonacci_prefix_slp(1024)), encoding="utf-8")
-    b.write_text(cli.dump_slp(fibonacci_prefix_slp(1024, alphabet=("b", "a"))), encoding="utf-8")
-    workloads.write_scoring(costs, "ab", Random(1))
-    argv = ["distance", str(a), str(b), "--scoring", str(costs), "--block-size", "48"]
+    a, b, stats = (tmp_path / name for name in ("a.slp", "b.slp", "stats.txt"))
+    a.write_text(cli.dump_slp(fibonacci_prefix_slp(n)), encoding="utf-8")
+    b.write_text(cli.dump_slp(fibonacci_prefix_slp(n, alphabet=("b", "a"))), encoding="utf-8")
     recorder = tracing.Recorder()
     with recorder.patched():
-        assert cli.main(argv + ["--stats", str(stats)]) == 0
+        assert cli.main(["distance", str(a), str(b), *flags, "--stats", str(stats)]) == 0
     capsys.readouterr()
     metrics = tracing.layer_metrics(recorder.spans)
     fields = traced.read_stats(stats)
     assert tracing.check_against_stats(metrics, fields) == []
-    assert metrics["monge.queries.merge"] == int(fields["merge_queries"]) > 0
     assert metrics["monge.queries_per_entry"] <= traced.QUERIES_PER_ENTRY_BOUND
+    return metrics, fields
+
+
+def test_traced_call_meets_the_bench_gates(tmp_path, monkeypatch, capsys):
+    """One traced ``distance`` call on ``fib-repo``'s shape, scaled down to
+    a Fibonacci 1024 pair at x = 48: its counts must agree with ``--stats``
+    and its SMAWK queries stay within the traced bench's bound."""
+    from random import Random
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    costs = tmp_path / "costs.tsv"
+    workloads.write_scoring(costs, "ab", Random(1))
+    flags = ["--scoring", str(costs), "--block-size", "48"]
+    metrics, fields = _traced_distance(tmp_path, monkeypatch, capsys, 1024, flags)
+    assert metrics["monge.queries.merge"] == int(fields["merge_queries"]) > 0
+
+
+def test_traced_sweep_meets_the_bench_gates(tmp_path, monkeypatch, capsys):
+    """The same on ``fib-sweep``'s shape (unit costs, default x), scaled
+    down to a Fibonacci 1024 pair, where the sweep memo answers most
+    blocks: one traced ``apply_inputs`` call per block, and ``len`` of its
+    result counts that block's boundary cells."""
+    _, fields = _traced_distance(tmp_path, monkeypatch, capsys, 1024, ["--scoring", "lev"])
+    assert int(fields["sweep_memo_hits"]) > int(fields["block_count"]) // 2

@@ -245,52 +245,74 @@ def test_memo_counters_consistent(rng):
     assert stats.sweep_queries > 0
 
 
-def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
-    # integer and unit cost tables run the sweep through the memo; it never
-    # holds more than its cap, also when a small cap makes it evict
+def _decimal_ab():
     from decimal import Decimal
 
-    real = block_edit.apply_inputs
-    sizes = []
-
-    def apply(d, inputs, counter, memo):
-        out = real(d, inputs, counter, memo)
-        sizes.append(len(memo))
-        return out
-
-    monkeypatch.setattr(block_edit, "apply_inputs", apply)
-    evicting = 0
-    for cap in (dist.SWEEP_MEMO_SIZE, 2):
-        monkeypatch.setattr(dist, "SWEEP_MEMO_SIZE", cap)
-        for _ in range(40):
-            ga, gb = random_slp(rng), random_slp(rng)
-            text_a, text_b = expand(ga), expand(gb)
-            chars = "".join(sorted(set(text_a) | set(text_b)))
-            sf = random_scoring(rng, chars) if rng.random() < 0.5 else levenshtein(chars)
-            sizes.clear()
-            got, stats = block_edit_distance(ga, gb, sf, rng.randint(2, 5))
-            assert got == wagner_fischer(text_a, text_b, sf)
-            assert max(sizes) <= cap
-            assert 0 <= stats.sweep_memo_hits < stats.block_count
-            # more kernel calls than the cap: the memo had to evict
-            evicting += max(sizes) == cap < stats.block_count - stats.sweep_memo_hits
-    assert evicting > 0
-    # a repetitive pair: nearly every block repeats an earlier shape, with
-    # unit costs and Decimal costs alike
-    monkeypatch.setattr(dist, "SWEEP_MEMO_SIZE", 64)
-    ga = fibonacci_prefix_slp(300)
-    gb = fibonacci_prefix_slp(300, alphabet=("b", "a"))
     d1, d2 = Decimal("1.5"), Decimal("2.125")
-    decimal = ScoringFunction(
+    return ScoringFunction(
         ("a", "b"),
         {"a": d1, "b": d2},
         {"a": 1, "b": d1},
         {("a", "a"): 0, ("a", "b"): d2, ("b", "a"): d1, ("b", "b"): 0},
     )
-    for sf in (levenshtein("ab"), decimal):
+
+
+def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
+    # integer and unit cost tables run the sweep through the memo; its
+    # interned edges never hold more steps than the tables hold entries,
+    # and each block's outputs have the table's length, hit or miss
+    real = block_edit.apply_inputs
+    held = []
+
+    def apply(d, base, left, top, counter, memo, edges):
+        out = real(d, base, left, top, counter, memo, edges)
+        assert len(out) == len(tuple(out)) == d.s
+        held.append((edges.held, edges.budget))
+        return out
+
+    monkeypatch.setattr(block_edit, "apply_inputs", apply)
+    for _ in range(40):
+        ga, gb = random_slp(rng), random_slp(rng)
+        text_a, text_b = expand(ga), expand(gb)
+        chars = "".join(sorted(set(text_a) | set(text_b)))
+        sf = random_scoring(rng, chars) if rng.random() < 0.5 else levenshtein(chars)
+        held.clear()
+        got, stats = block_edit_distance(ga, gb, sf, rng.randint(2, 5))
+        assert got == wagner_fischer(text_a, text_b, sf)
+        assert all(steps <= budget == stats.table_entries for steps, budget in held)
+        assert 0 <= stats.sweep_memo_hits < stats.block_count
+    # a repetitive pair: nearly every block repeats an earlier shape, with
+    # unit costs and Decimal costs alike
+    ga = fibonacci_prefix_slp(300)
+    gb = fibonacci_prefix_slp(300, alphabet=("b", "a"))
+    for sf in (levenshtein("ab"), _decimal_ab()):
         got, stats = block_edit_distance(ga, gb, sf, 5)
         assert str(got) == str(wagner_fischer(expand(ga), expand(gb), sf))
         assert stats.sweep_memo_hits > stats.block_count // 2
+
+
+def test_sweep_memo_resets_keep_results_exact(rng, monkeypatch):
+    # a budget far below the tables' entries makes the interned edges
+    # overflow it: each reset clears the memo with them, and the results
+    # stay exactly those of WF
+    monkeypatch.setattr(block_edit, "Edges", lambda budget: dist.Edges(budget // 16))
+    resets = 0
+    for _ in range(30):
+        ga, gb = random_slp(rng), random_slp(rng)
+        text_a, text_b = expand(ga), expand(gb)
+        chars = "".join(sorted(set(text_a) | set(text_b)))
+        sf = random_scoring(rng, chars) if rng.random() < 0.5 else levenshtein(chars)
+        got, stats = block_edit_distance(ga, gb, sf, rng.randint(2, 5))
+        assert got == wagner_fischer(text_a, text_b, sf)
+        resets += stats.sweep_memo_resets
+    assert resets > 0
+    ga = fibonacci_prefix_slp(300)
+    gb = fibonacci_prefix_slp(300, alphabet=("b", "a"))
+    for sf in (levenshtein("ab"), _decimal_ab()):
+        got, stats = block_edit_distance(ga, gb, sf, 5)
+        assert str(got) == str(wagner_fischer(expand(ga), expand(gb), sf))
+        assert stats.sweep_memo_resets > 0
+        assert stats.sweep_memo_hits > 0
 
 
 def test_sweep_memo_leaves_decimal_results_unchanged(rng, monkeypatch):
@@ -302,8 +324,9 @@ def test_sweep_memo_leaves_decimal_results_unchanged(rng, monkeypatch):
     costs = [Decimal(t) for t in ("1.5", "2.25", "3", "0.75", "1.0", "2.50")]
     real = block_edit.apply_inputs
 
-    def without_memo(d, inputs, counter, memo):
-        return real(d, inputs, counter)
+    def without_memo(d, base, left, top, counter, memo, edges):
+        # a fresh memo per block: every block runs the kernel
+        return real(d, base, left, top, counter, {}, edges)
 
     for _ in range(300):
         text_a = mutated_periodic(rng, "ab", rng.randint(10, 40), rng.randint(2, 5), 2)
@@ -319,8 +342,9 @@ def test_sweep_memo_leaves_decimal_results_unchanged(rng, monkeypatch):
         ga, gb = from_plain(text_a), from_plain(text_b)
         got, _ = block_edit_distance(ga, gb, sf, x)
         monkeypatch.setattr(block_edit, "apply_inputs", without_memo)
-        plain, _ = block_edit_distance(ga, gb, sf, x)
+        plain, stats = block_edit_distance(ga, gb, sf, x)
         monkeypatch.setattr(block_edit, "apply_inputs", real)
+        assert stats.sweep_memo_hits == 0
         assert str(got) == str(plain)
         assert got == wagner_fischer(text_a, text_b, sf)
 
@@ -336,6 +360,8 @@ def test_sweep_counters_on_the_fibonacci_pair():
     assert stats.sweep_memo_hits == 19812
     assert stats.sweep_queries == 32220
     assert stats.boundary_cells_propagated == 1174953
+    assert stats.sweep_edges == 54
+    assert stats.sweep_memo_resets == 0
 
 
 @pytest.mark.parametrize("index", [1, -1])
@@ -344,10 +370,13 @@ def test_sweep_refuses_edges_that_disagree_at_a_corner(fib7_slp, monkeypatch, in
     # edge, puts the next block's left edge off its top-left corner
     real = block_edit.apply_inputs
 
-    def perturbed(d, inputs, counter, memo):
-        out = list(real(d, inputs, counter, memo))
-        out[index] += 1
-        return tuple(out)
+    def perturbed(d, base, left, top, counter, memo, edges):
+        out = real(d, base, left, top, counter, memo, edges)
+        values = list(out)
+        values[index] += 1
+        w = len(out.bottom.steps)
+        bottom, right = (dist.Edge(tuple(steps)) for steps in (values[1 : w + 1], values[w + 1 :]))
+        return dist.Outputs(out.first, bottom, right, out.peak)
 
     monkeypatch.setattr(block_edit, "apply_inputs", perturbed)
     with pytest.raises(InvariantViolation, match="disagree at a corner"):

@@ -282,6 +282,9 @@ def test_distance_stats_output(tmp_path, capsys):
     assert "table_entries=" in record
     assert "peak_table_entries=" in record
     assert "sweep_memo_hits=" in record
+    fields = dict(line.split("=", 1) for line in record.splitlines())
+    assert int(fields["sweep_edges"]) > 0
+    assert fields["sweep_memo_resets"] == "0"
     assert "merge_queries=" in record
 
 

@@ -20,7 +20,7 @@ from slpdist import (
     merge_vertical,
 )
 from slpdist import dist
-from slpdist.dist import DistTable, input_position, output_position
+from slpdist.dist import DistTable, Edges, input_position, output_position
 
 
 def test_boundary_orderings():
@@ -320,12 +320,40 @@ def _absolute(steps):
     return list(accumulate(steps))
 
 
+class _Sweep:
+    """What the sweep hands ``apply_inputs``: a kernel query and memo hit
+    counter, the memo and the interned edges, kept across calls."""
+
+    def __init__(self):
+        self.counter = [0, 0]
+        self.memo = {}
+        self.edges = Edges(10**6)
+
+    def apply(self, d, steps, h=None):
+        """``apply_inputs`` on a difference-form vector, its first h steps
+        (the table's h by default) up the left edge and the rest along the
+        top, read back as a tuple with element 0 absolute."""
+        h = d.h if h is None else h
+        left, top = (
+            self.edges.intern(tuple(e), self.memo) for e in (steps[1 : h + 1], steps[h + 1 :])
+        )
+        out = apply_inputs(d, steps[0], left, top, self.counter, self.memo, self.edges)
+        # the traced bench counts boundary cells as len(out)
+        assert len(out) == d.s
+        first, *rest = out
+        return (steps[0] + first, *rest)
+
+
+def _apply(d, steps):
+    return _Sweep().apply(d, steps)
+
+
 def test_apply_inputs_example():
     # ceiling 1: the corner entries 2 stand for "no path"
     d = DistTable("a", "b", [[0, 1, 2], [1, 1, 1], [2, 1, 0]], 1)
     assert with_none(d) == [[0, 1, None], [1, 1, 1], [None, 1, 0]]
     # absolute outputs [0, 1, 0]
-    assert apply_inputs(d, (0, 0, 0)) == (0, 1, -1)
+    assert _apply(d, (0, 0, 0)) == (0, 1, -1)
 
 
 def test_apply_inputs_zero_vector_gives_column_minima(rng):
@@ -335,42 +363,64 @@ def test_apply_inputs_zero_vector_gives_column_minima(rng):
         b = random_text(rng, "ab", rng.randint(0, 5))
         d = build_direct(a, b, sf, grid_ceiling(sf, a, b))
         # all zeros in either form
-        out = apply_inputs(d, (0,) * d.s)
+        out = _apply(d, (0,) * d.s)
         assert _absolute(out) == brute_column_minima(with_none(d))[0]
 
 
 def test_apply_inputs_length_check():
     d = build_direct("a", "b", levenshtein("ab"), 2)
-    with pytest.raises(ValueError):
-        apply_inputs(d, (0, 0))
+    for steps, h in (((0, 0), 1), ((0, 0, 0, 0), 1), ((0, 0, 0), 2), ((0, 0, 0), 0)):
+        with pytest.raises(ValueError, match="expected 1 left and 1 top steps"):
+            _Sweep().apply(d, steps, h)
     # and the sign of the absolute inputs: brute force gives [-100, -99, 0]
     # on [-100, 0, 0] here, but a stand-in plus -100 would win the last
     # column, so the kernel never sees it; [0, -1, 0] starts non-negative
     d = DistTable("a", "b", [[0, 1, 2], [1, 1, 1], [2, 1, 0]], 1)
-    for memo in (None, {}):
-        for absolute in ([-100, 0, 0], [0, -1, 0]):
-            with pytest.raises(ValueError, match="non-negative"):
-                apply_inputs(d, tuple(_steps(absolute)), [0, 0], memo)
-        assert not memo  # a refusal stores nothing
-    # a memo hit is exact for any inputs, by shift-equivariance
-    memo, counter = {}, [0, 0]
-    assert apply_inputs(d, (0, 0, 0), counter, memo) == (0, 1, -1)
-    queries = counter[0]
-    assert apply_inputs(d, (-1, 0, 0), counter, memo) == (-1, 1, -1)
-    assert counter == [queries, 1]
-    assert list(memo) == [(d, (0, 0))]
+    sweep = _Sweep()
+    for absolute in ([-100, 0, 0], [0, -1, 0]):
+        with pytest.raises(ValueError, match="non-negative"):
+            sweep.apply(d, _steps(absolute))
+    # a refusal stores nothing and interns only its four input edges
+    assert not sweep.memo and sweep.edges.interned == 4
+    # a memo hit is exact for any base, by shift-equivariance, and returns
+    # the stored outputs as they are
+    assert sweep.apply(d, (0, 0, 0)) == (0, 1, -1)
+    queries = sweep.counter[0]
+    assert sweep.apply(d, (-1, 0, 0)) == (-1, 1, -1)
+    assert sweep.counter == [queries, 1]
+    table = sweep.edges.table
+    ((key, out),) = sweep.memo.items()
+    assert key == (d, table[(0,)], table[(0,)])
+    assert out.bottom is table[(1,)] and out.right is table[(-1,)]
+    assert apply_inputs(d, -1, *key[1:], sweep.counter, sweep.memo, sweep.edges) is out
 
 
 def test_apply_inputs_checks_the_ceiling_on_hits_too():
     # the ceiling bounds every boundary value of the grid, so an output
     # above it means a boundary the grid cannot hold, memo hit or not
     d = DistTable("a", "b", [[0, 1, 2], [1, 1, 1], [2, 1, 0]], 1)
-    memo, counter = {}, [0, 0]
-    assert apply_inputs(d, (0, 0, 0), counter, memo) == (0, 1, -1)
-    for m in (memo, None):
+    hit, miss = _Sweep(), _Sweep()
+    assert hit.apply(d, (0, 0, 0)) == (0, 1, -1)
+    for sweep in (hit, miss):
         with pytest.raises(InvariantViolation, match="unreachable"):
-            apply_inputs(d, (1, 0, 0), counter, m)
-    assert counter[1] == 1
+            sweep.apply(d, (1, 0, 0))
+    assert hit.counter[1] == 1 and miss.counter[1] == 0
+
+
+def test_edges_are_interned_within_their_budget():
+    # equal steps give one Edge; an edge that would take the table past its
+    # budget clears the table and the memo first, and edges made before
+    # stay exact
+    memo = {"key": "value"}
+    edges = Edges(4)
+    a = edges.intern((1, 2), memo)
+    assert edges.intern((1, 2), memo) is a and (a.steps, a.total) == ((1, 2), 3)
+    b = edges.intern((0, -1), memo)
+    assert (edges.held, edges.interned, edges.resets, len(memo)) == (4, 2, 0, 1)
+    c = edges.intern((5,), memo)
+    assert (edges.held, edges.interned, edges.resets, memo) == (1, 3, 1, {})
+    assert edges.table == {(5,): c}
+    assert edges.intern((1, 2), memo) is not a and a.total == 3 and b.total == -1
 
 
 def test_apply_inputs_matches_grid_dp(rng):
@@ -382,7 +432,7 @@ def test_apply_inputs_matches_grid_dp(rng):
         # a ceiling that bounds the boundary values too, as a grid's does
         d = build_direct(a, b, sf, 30 + grid_ceiling(sf, a, b))
         inputs = [rng.randint(0, 30) for _ in range(d.s)]
-        out = apply_inputs(d, tuple(_steps(inputs)))
+        out = _apply(d, tuple(_steps(inputs)))
         assert _absolute(out) == block_outputs_by_grid_dp(a, b, inputs, sf)
 
 
@@ -394,8 +444,8 @@ def test_apply_inputs_offset_equivariance(rng):
         b = random_text(rng, "ab", rng.randint(1, 5))
         d = build_direct(a, b, sf, 9 + 7 + grid_ceiling(sf, a, b))
         steps = tuple(_steps([rng.randint(0, 9) for _ in range(d.s)]))
-        base = apply_inputs(d, steps)
-        shifted = apply_inputs(d, (steps[0] + 7,) + steps[1:])
+        base = _apply(d, steps)
+        shifted = _apply(d, (steps[0] + 7,) + steps[1:])
         assert shifted == (base[0] + 7,) + base[1:]
 
 
@@ -415,10 +465,9 @@ def test_apply_inputs_matches_brute_column_minima(rng):
         ]
         want = tuple(_steps(brute_column_minima(product)[0]))
         steps = tuple(_steps(inputs))
-        assert apply_inputs(d, steps) == want
-        memo, counter = {}, [0, 0]
-        assert apply_inputs(d, steps, counter, memo) == want
+        sweep = _Sweep()
+        assert sweep.apply(d, steps) == want
         shift = rng.randint(-inputs[0], 10)
-        hit = apply_inputs(d, (steps[0] + shift,) + steps[1:], counter, memo)
+        hit = sweep.apply(d, (steps[0] + shift,) + steps[1:])
         assert hit == (want[0] + shift,) + want[1:]
-        assert counter[1] == 1 and len(memo) == 1
+        assert sweep.counter[1] == 1 and len(sweep.memo) == 1
