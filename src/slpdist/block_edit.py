@@ -29,9 +29,9 @@ class RunStats:
     driver of peak memory.  ``sweep_memo_hits`` counts the blocks the
     sweep memo answered without a kernel pass, ``sweep_edges`` the distinct
     edges the sweep interned (see ``dist.Edges``), and
-    ``sweep_memo_resets`` how often those edges reached ``table_entries``
-    steps and the memo was cleared with them.  ``elapsed`` maps each phase
-    to its seconds.
+    ``sweep_memo_resets`` how often those edges' steps and the memo's
+    records reached ``table_entries`` and both were cleared.  ``elapsed``
+    maps each phase to its seconds.
     """
 
     COUNTERS = (
@@ -165,8 +165,9 @@ def block_edit_distance(
     # its current left side.  A block's outputs hold its bottom-left value
     # relative to its base and its bottom and right edges, which pass on as
     # they are.  Blocks with the same table and input edges share outputs.
-    # The interned edges may hold as many steps as the tables hold entries,
-    # which keeps the sweep's memory within that of the tables it reads.
+    # The interned edges' steps and the memo's records together may number
+    # as many as the tables hold entries, which keeps the sweep's memory
+    # within that of the tables it reads.
     memo = {}
     edges = Edges(stats.table_entries)
     corners, tops = [], []

@@ -15,7 +15,11 @@ reachable entries, which is what lets two tables sharing a boundary be
 merged with SMAWK in O(s^2) instead of rebuilt in O(s^3).  A monotone path
 only goes down or right, so each merge row hands the kernel just the
 shared vertices and outputs its input can reach: a contiguous block of a
-totally monotone matrix, which leaves out only rows that cannot win.
+totally monotone matrix, which leaves out only rows that cannot win.  Of
+those vertices it also drops each one that its input reaches as cheaply
+through its left neighbour and one step along the shared row: that path
+is never worse, for any output, so the rows left out still cannot win,
+and what remains is still totally monotone.
 
 All tables of one grid share one ceiling, picked once by the grid's owner:
 a bound on every path weight in the grid and on every boundary value the
@@ -35,10 +39,10 @@ as they are.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain
-from operator import sub
+from itertools import accumulate, chain, compress
+from operator import ne, sub
 
-from .monge import fill_stand_ins, minplus_row
+from .monge import SCAN_CELLS, fill_stand_ins, minplus_row
 from .monge import substitute_infinities  # noqa: F401 - bench/tracing.py patches it here
 from .partition import COMPOSITE, EXACT, InvariantViolation
 from .scoring import max_cost
@@ -180,6 +184,16 @@ def merge_vertical(d1: DistTable, d2: DistTable, counter=None) -> DistTable:
     that input can reach.  d1's top-row input at column c reaches only the
     shared vertices c..w and, through them, d2's outputs from column c on;
     left-column inputs reach everything.  Total cost O(s^2).
+
+    A shared vertex t > c whose value equals that of t - 1 plus the step
+    from t - 1 to t along the shared row is dropped as well: by the
+    triangle inequality in d2, going through t - 1 and then along d2's top
+    row to t is never worse than going through t, for every output.  The
+    steps are read off d1's row of input 0, the bottom-left corner, which
+    holds their sums, so the merge reads no costs.  A row small enough
+    for the kernel to scan (``SCAN_CELLS``) keeps every reachable vertex,
+    as checking would cost more than it saves.
+
     Both operands must be stored against the same ceiling, the grid's, and
     the result is stored against it too; a merge that computes a path
     weight above it raises ``ValueError``.  ``counter[0]``, when given,
@@ -200,6 +214,9 @@ def merge_vertical(d1: DistTable, d2: DistTable, counter=None) -> DistTable:
     s = h1 + h2 + w + 1
     m1, m2 = d1.rows, d2.rows
     m2_shifted = m2[h2:]
+    # d1's input 0 is its bottom-left corner, so its row holds the sums of
+    # the steps along the shared row: steps[t - 1] is the step into vertex t
+    steps = list(map(sub, m1[0][1 : w + 1], m1[0][:w]))
     # no path from d2's lower inputs reaches d1's outputs
     unreachable = [ceiling + 1] * (s - s2)
     out = [m2[i] + unreachable for i in range(h2)]
@@ -210,7 +227,12 @@ def merge_vertical(d1: DistTable, d2: DistTable, counter=None) -> DistTable:
         c = max(k - h1, 0)
         # a top-row input at column c reaches no output left of column c
         row_out = [ceiling + 1] * c
-        res = minplus_row(row1[c : w + 1], m2_shifted[c:], c, s2, counter)
+        u, rows = row1[c : w + 1], m2_shifted[c:]
+        if len(u) * (s2 - c) > SCAN_CELLS:
+            # drop each vertex t > c that ties t - 1 plus one step
+            keep = [True, *map(ne, map(sub, u[1:], u), steps[c:])]
+            u, rows = list(compress(u, keep)), list(compress(rows, keep))
+        res = minplus_row(u, rows, c, s2, counter)
         row_out.extend(map(values.setdefault, res, res))
         row_out.extend(row1[s2 - h2 :])
         out.append(row_out)
@@ -239,11 +261,12 @@ class Edge:
 class Edges:
     """The sweep's intern table: one ``Edge`` per distinct step tuple.
 
-    The edges it holds have at most ``budget`` steps in total.  An edge
-    that would take them past it first clears the table, together with
-    the memo whose keys hold its edges, and counts one reset; edges the
-    caller still holds stay exact, only no longer shared.  ``interned``
-    counts the edges made, over all resets.
+    It and the memo whose keys hold its edges are charged together
+    against ``budget``: one unit per step of an edge it holds and one per
+    memo record.  A charge that would take ``held`` past the budget first
+    clears both and counts one reset; edges the caller still holds stay
+    exact, only no longer shared.  ``interned`` counts the edges made,
+    over all resets.
     """
 
     __slots__ = ("table", "budget", "held", "interned", "resets")
@@ -253,16 +276,19 @@ class Edges:
         self.budget = budget
         self.held = self.interned = self.resets = 0
 
+    def charge(self, units: int, memo: dict) -> None:
+        if self.held + units > self.budget:
+            memo.clear()
+            self.table.clear()
+            self.held = 0
+            self.resets += 1
+        self.held += units
+
     def intern(self, steps: tuple, memo: dict) -> Edge:
         edge = self.table.get(steps)
         if edge is None:
-            if self.held + len(steps) > self.budget:
-                memo.clear()
-                self.table.clear()
-                self.held = 0
-                self.resets += 1
+            self.charge(len(steps), memo)
             edge = self.table[steps] = Edge(steps)
-            self.held += len(steps)
             self.interned += 1
         return edge
 
@@ -307,7 +333,8 @@ def apply_inputs(d: DistTable, base, left: Edge, top: Edge, counter, memo, edges
     is exact for any base.  A miss rebuilds the absolute inputs and runs
     one min-plus row product over the table's stored rows (``minplus_row``:
     a scan or a SMAWK pass, O(s) element queries, added to ``counter[0]``),
-    then interns the output edges in ``edges``.  Absolute inputs must be
+    then interns the output edges in ``edges`` and stores the record there,
+    charged one unit against its budget.  Absolute inputs must be
     non-negative, as a stand-in plus a negative input could win a column:
     the kernel is not run on them (``ValueError``).  The table's ceiling
     bounds every boundary value of the grid, and every column of a
@@ -315,7 +342,8 @@ def apply_inputs(d: DistTable, base, left: Edge, top: Edge, counter, memo, edges
     ``InvariantViolation``.  ``block_edit_distance`` sweeps int costs only
     (see ``scoring.scaled_to_ints``), so every shift is exact.
     """
-    out = memo.get((d, left, top))
+    key = d, left, top
+    out = memo.get(key)
     if out is None:
         h, w = d.h, d.w
         if len(left.steps) != h or len(top.steps) != w:
@@ -328,12 +356,10 @@ def apply_inputs(d: DistTable, base, left: Edge, top: Edge, counter, memo, edges
             raise ValueError("input values must be non-negative")
         values = minplus_row(values, d.rows, 0, len(values), counter)
         steps = tuple(map(sub, values[1:], values))
-        out = memo[d, left, top] = Outputs(
-            values[0] - base,
-            edges.intern(steps[:w], memo),
-            edges.intern(steps[w:], memo),
-            max(values) - base,
-        )
+        bottom = edges.intern(steps[:w], memo)
+        right = edges.intern(steps[w:], memo)
+        edges.charge(1, memo)  # one unit for the record
+        out = memo[key] = Outputs(values[0] - base, bottom, right, max(values) - base)
     else:
         counter[1] += 1
     if base + out.peak > d.ceiling:

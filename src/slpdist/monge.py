@@ -18,6 +18,10 @@ in place; callers may run independent computations concurrently.
 
 from __future__ import annotations
 
+# ``minplus_row`` scans a matrix of at most this many elements, where the
+# recursion costs more than it saves
+SCAN_CELLS = 32
+
 
 def _smawk(rows, cols, best, best_row, base):
     """The SMAWK recursion behind ``minplus_row``: REDUCE, recurse on the
@@ -118,8 +122,7 @@ def minplus_row(u, rows, jlo, jhi, counter=None):
         if counter is not None:
             counter[0] += ncols
         return [u0 + row[j] for j in range(jlo, jhi)]
-    if nrows * ncols <= 32:
-        # below this size the recursion costs more than it saves
+    if nrows * ncols <= SCAN_CELLS:
         if counter is not None:
             counter[0] += nrows * ncols
         out = []

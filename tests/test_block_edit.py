@@ -259,14 +259,16 @@ def _decimal_ab():
 
 def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
     # integer and unit cost tables run the sweep through the memo; its
-    # interned edges never hold more steps than the tables hold entries,
-    # and each block's outputs have the table's length, hit or miss
+    # interned edges' steps and its records are charged together and never
+    # number more than the tables hold entries, and each block's outputs
+    # have the table's length, hit or miss
     real = block_edit.apply_inputs
     held = []
 
     def apply(d, base, left, top, counter, memo, edges):
         out = real(d, base, left, top, counter, memo, edges)
         assert len(out) == len(tuple(out)) == d.s
+        assert edges.held == sum(map(len, edges.table)) + len(memo)
         held.append((edges.held, edges.budget))
         return out
 
@@ -313,6 +315,24 @@ def test_sweep_memo_resets_keep_results_exact(rng, monkeypatch):
         assert str(got) == str(wagner_fischer(expand(ga), expand(gb), sf))
         assert stats.sweep_memo_resets > 0
         assert stats.sweep_memo_hits > 0
+    # records alone: a budget that holds every step the sweep interns, but
+    # not every memo record as well, still resets
+    made = []
+
+    def recorded(budget):
+        made.append(dist.Edges(budget))
+        return made[-1]
+
+    for sf in (levenshtein("ab"), _decimal_ab()):
+        monkeypatch.setattr(block_edit, "Edges", recorded)
+        _, stats = block_edit_distance(ga, gb, sf, 5)
+        steps = sum(map(len, made[-1].table))
+        records = stats.block_count - stats.sweep_memo_hits
+        assert stats.sweep_memo_resets == 0 and made[-1].held == steps + records > steps + 1
+        monkeypatch.setattr(block_edit, "Edges", lambda budget: dist.Edges(steps + records // 2))
+        got, stats = block_edit_distance(ga, gb, sf, 5)
+        assert str(got) == str(wagner_fischer(expand(ga), expand(gb), sf))
+        assert stats.sweep_memo_resets > 0
 
 
 def test_sweep_memo_leaves_decimal_results_unchanged(rng, monkeypatch):
@@ -362,6 +382,27 @@ def test_sweep_counters_on_the_fibonacci_pair():
     assert stats.boundary_cells_propagated == 1174953
     assert stats.sweep_edges == 54
     assert stats.sweep_memo_resets == 0
+
+
+def test_repository_counters_on_the_weighted_fibonacci_pair():
+    # the benchmark's fib-repo shape scaled down as tests/test_bench_tracing.py
+    # scales it: the Fibonacci 1024 pair under the seed-1 weighted costs at
+    # x = 48, pinned so that a change to the merges cannot move its
+    # counters unnoticed
+    sf = ScoringFunction(
+        ("a", "b"),
+        {"a": 3, "b": 4},
+        {"a": 6, "b": 1},
+        {("a", "a"): 0, ("a", "b"): 5, ("b", "a"): 2, ("b", "b"): 0},
+    )
+    ga = fibonacci_prefix_slp(1024)
+    gb = fibonacci_prefix_slp(1024, alphabet=("b", "a"))
+    got, stats = block_edit_distance(ga, gb, sf, 48)
+    assert got == 968
+    assert stats.merges == 47
+    assert stats.memo_size == 9
+    # 222864 when every merge row handed the kernel all reachable vertices
+    assert stats.merge_queries == 169812
 
 
 @pytest.mark.parametrize("index", [1, -1])

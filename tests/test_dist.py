@@ -21,6 +21,7 @@ from slpdist import (
 )
 from slpdist import dist
 from slpdist.dist import DistTable, Edges, input_position, output_position
+from slpdist.monge import SCAN_CELLS
 
 
 def test_boundary_orderings():
@@ -227,39 +228,113 @@ def test_merges_match_direct_random(rng):
         assert (got.rows, got.ceiling) == (want.rows, want.ceiling)
 
 
+def _kernel_calls(d1, d2, steps):
+    """The kernel calls a vertical merge of d1 over d2 must make, as
+    ``(u, rows, jlo, jhi)``, one per input k > 0 of d1 (row 0 is copied).
+    Input k reaches the shared vertices from c = max(k - h1, 0) on; its
+    call gets c and every t > c that beats the path through t - 1 plus one
+    step along the shared row (``steps[t - 1]``, read off the costs), and
+    all of d2's outputs from column c on.  A call the kernel would scan
+    keeps every reachable vertex."""
+    h1, h2, w = d1.h, d2.h, d1.w
+    calls = []
+    for k in range(1, d1.s):
+        c = max(k - h1, 0)
+        row = d1.rows[k]
+        ts = [t for t in range(c, w + 1) if t == c or row[t] < row[t - 1] + steps[t - 1]]
+        if (w + 1 - c) * (d2.s - c) <= SCAN_CELLS:
+            ts = list(range(c, w + 1))
+        calls.append(([row[t] for t in ts], [d2.rows[h2 + t] for t in ts], c, d2.s))
+    return calls
+
+
+def _dropped(d1, calls):
+    """Shared vertices reachable in a vertical merge of d1 that its kernel
+    calls left out."""
+    return sum(d1.w + 1 - c - len(u) for u, _, c, _ in calls)
+
+
 def test_merges_hand_the_kernel_only_reachable_vertices(rng, monkeypatch):
     calls = []
     real = dist.minplus_row
 
     def recording(u, rows, jlo, jhi, counter=None):
-        calls.append((list(u), jhi - jlo))
+        calls.append((list(u), list(rows), jlo, jhi))
         return real(u, rows, jlo, jhi, counter)
 
     monkeypatch.setattr(dist, "minplus_row", recording)
+    dropped = 0
     for _ in range(160):
         sf, a, a2, b1, b2, C = _merge_operands(rng)
-        h, w1, w2 = len(a), len(b1), len(b2)
+        d1 = build_direct(a, b1, sf, C)
+        d2 = build_direct(a, b2, sf, C)
+        calls.clear()
+        merge_horizontal(d1, d2)
+        # the vertical merge of the mirrored tables (b1, a) over (b2, a),
+        # whose shared row steps through a's deletions
+        mirrored = dist._mirrored(d1), dist._mirrored(d2)
+        assert calls == _kernel_calls(*mirrored, [sf.delete[ch] for ch in a])
+        assert all(v <= C for u, *_ in calls for v in u)
+        dropped += _dropped(mirrored[0], calls)
+        d2 = build_direct(a2, b1, sf, C)
+        calls.clear()
+        merge_vertical(d1, d2)
+        assert calls == _kernel_calls(d1, d2, [sf.insert[ch] for ch in b1])
+        assert all(v <= C for u, *_ in calls for v in u)
+        dropped += _dropped(d1, calls)
+    assert dropped > 0
+
+
+def _tying_scoring(rng, kind):
+    """Scoring tables under which many shared vertices tie their left
+    neighbour plus one step: free indels, one indel cost for every
+    character, a one-letter alphabet, or Decimal costs scaled to ints."""
+    from decimal import Decimal
+
+    from slpdist.scoring import scaled_to_ints
+
+    sigma = "a" if kind == "one letter" else rng.choice(("ab", "abc"))
+    sf = random_scoring(rng, sigma)
+    if kind in ("free indels", "uniform indels"):
+        k = 0 if kind == "free indels" else rng.randint(1, 4)
+        sf = sf._replace(delete=dict.fromkeys(sigma, k), insert=dict.fromkeys(sigma, k))
+    if kind == "decimal":
+        costs = [Decimal(t) for t in ("0.5", "1.25", "2", "0.75", "1.0", "3.50")]
+        sf = ScoringFunction(
+            tuple(sigma),
+            {c: rng.choice(costs) for c in sigma},
+            {c: rng.choice(costs) for c in sigma},
+            {(x, y): 0 if x == y else rng.choice(costs) for x in sigma for y in sigma},
+        )
+        sf = scaled_to_ints(sf)[0]
+    return sf, sigma
+
+
+@pytest.mark.parametrize("kind", ["free indels", "uniform indels", "one letter", "decimal"])
+def test_merges_stay_exact_where_vertices_are_dropped(rng, monkeypatch, kind):
+    calls = []
+    real = dist.minplus_row
+
+    def recording(u, rows, jlo, jhi, counter=None):
+        calls.append((u, rows, jlo, jhi))
+        return real(u, rows, jlo, jhi, counter)
+
+    monkeypatch.setattr(dist, "minplus_row", recording)
+    dropped = 0
+    for _ in range(40):
+        sf, sigma = _tying_scoring(rng, kind)
+        a, a2, b1, b2 = (random_text(rng, sigma, rng.randint(1, 10)) for _ in range(4))
+        C = grid_ceiling(sf, a, a2, b1, b2)
         d1 = build_direct(a, b1, sf, C)
         calls.clear()
-        merge_horizontal(d1, build_direct(a, b2, sf, C))
-        # the vertical merge of the mirrored tables (b1, a) over (b2, a):
-        # their input k > w1 sits on the top row at column k - w1, and row 0
-        # is copied
-        cols = [max(k - w1, 0) for k in range(1, d1.s)]
-        assert [(len(u), n) for u, n in calls] == [
-            (h + 1 - c, w2 + h + 1 - c) for c in cols
-        ]
-        assert all(v <= C for u, _ in calls for v in u)
-        h1, h2 = len(a), len(a2)
+        got = merge_horizontal(d1, build_direct(a, b2, sf, C))
+        assert got.rows == build_direct(a, b1 + b2, sf, C).rows
+        dropped += _dropped(dist._mirrored(d1), calls)
         calls.clear()
-        merge_vertical(d1, build_direct(a2, b1, sf, C))
-        # d1's input k > h1 sits on the top row at column k - h1: it reaches
-        # the shared vertices from that column on, and d2's outputs too
-        cols = [max(k - h1, 0) for k in range(1, d1.s)]
-        assert [(len(u), n) for u, n in calls] == [
-            (w1 + 1 - c, h2 + w1 + 1 - c) for c in cols
-        ]
-        assert all(v <= C for u, _ in calls for v in u)
+        got = merge_vertical(d1, build_direct(a2, b1, sf, C))
+        assert got.rows == build_direct(a + a2, b1, sf, C).rows
+        dropped += _dropped(d1, calls)
+    assert dropped > 0
 
 
 def test_mirrored_table_is_the_table_of_the_transposed_block(rng):
@@ -421,6 +496,12 @@ def test_edges_are_interned_within_their_budget():
     assert (edges.held, edges.interned, edges.resets, memo) == (1, 3, 1, {})
     assert edges.table == {(5,): c}
     assert edges.intern((1, 2), memo) is not a and a.total == 3 and b.total == -1
+    # a memo record is charged one unit, against the same budget
+    memo["key"] = "value"
+    edges.charge(1, memo)
+    assert (edges.held, edges.resets, len(memo)) == (4, 1, 1)
+    edges.charge(1, memo)
+    assert (edges.held, edges.resets, memo, edges.table) == (1, 2, {}, {})
 
 
 def test_apply_inputs_matches_grid_dp(rng):
