@@ -23,15 +23,19 @@ class RunStats:
     element lookups the repository's merges performed.  A table holds s^2
     entries, an 8-byte list slot each, since equal values within one merge
     share one int object.  ``table_entries`` sums them over the distinct
-    tables the repository holds for the sweep, its part pairs' tables;
-    ``peak_table_entries`` is the most that distinct tables held at once
-    while the repository was built, intermediate operands included, the
-    driver of peak memory.  ``sweep_memo_hits`` counts the blocks the
-    sweep memo answered without a kernel pass, ``sweep_edges`` the distinct
-    edges the sweep interned (see ``dist.Edges``), and
-    ``sweep_memo_resets`` how often those edges' steps and the memo's
-    records reached ``table_entries`` and both were cleared.  ``elapsed``
-    maps each phase to its seconds.
+    tables the repository holds for the sweep: its part pairs' tables and
+    the two operands of each of the ``unbuilt_pairs``, part pairs left
+    unbuilt because sweeping their blocks through their operands costs
+    less (see ``dist.build_repository``).  ``peak_table_entries`` is the
+    most that distinct tables held at once while the repository was built,
+    intermediate operands included, the driver of peak memory.  ``merges``
+    counts the tables built by merging, so an unbuilt pair is not one.
+    ``sweep_memo_hits`` counts the blocks the sweep memo answered from a
+    record (a record of an unbuilt pair's operand is not a block's),
+    ``sweep_edges`` the distinct edges the sweep interned (see
+    ``dist.Edges``), and ``sweep_memo_resets`` how often those edges'
+    steps and the memo's records reached ``table_entries`` and both were
+    cleared.  ``elapsed`` maps each phase to its seconds.
     """
 
     COUNTERS = (
@@ -48,6 +52,7 @@ class RunStats:
         "peak_table_entries",
         "direct_builds",
         "merges",
+        "unbuilt_pairs",
         "boundary_cells_propagated",
         "sweep_queries",
         "sweep_memo_hits",
@@ -155,6 +160,7 @@ def block_edit_distance(
     stats.peak_table_entries = repo.peak_table_entries
     stats.direct_builds = repo.direct_builds
     stats.merges = repo.merges
+    stats.unbuilt_pairs = repo.unbuilt_pairs
     stats.merge_queries = repo.merge_queries
     stats.elapsed["repository"] = time.perf_counter() - t0
 

@@ -24,7 +24,10 @@ Lines in both formats end with LF or CRLF.
 
 Plain-text inputs are read as they are, ``\r`` included, with one trailing
 ``\n`` stripped; ``expand`` writes one back, so compress -> expand
-round-trips newline-terminated files exactly.
+round-trips newline-terminated files exactly.  No grammar derives the empty
+text, so ``compress`` refuses it; ``distance`` takes it and prints the
+other text's insertion or deletion costs summed, as ``--algorithm
+baseline`` prints them.
 """
 
 from __future__ import annotations
@@ -223,21 +226,25 @@ def _compress(text: str, path: str, method: str = "repair") -> slp.Slp:
     return _COMPRESSORS[method](text)
 
 
-def _read_input(path: str) -> slp.Slp:
+def _read_input(path: str) -> slp.Slp | None:
     """Grammar file or plain text, told apart by the SLP header; plain text
-    goes through ``compress``'s default method."""
+    goes through ``compress``'s default method, except the empty text,
+    which no grammar derives: it is None."""
     text = _read(path)
     if text.startswith("SLP "):
         return parse_slp(text, path)
+    if text in ("", "\n"):
+        return None
     return _compress(text, path)
 
 
 def _resolve_scoring(choice: str, grammars):
     """``lev`` over the grammars' terminals, or the table of a scoring file.
-    A terminal no derivation reaches only adds a letter neither text reads."""
+    A terminal no derivation reaches only adds a letter neither text reads,
+    and so does the one letter of ``lev`` when both texts are empty (None)."""
     if choice == "lev":
-        chars = {p for g in grammars for p in g.productions[1:] if isinstance(p, str)}
-        return scoring.levenshtein(sorted(chars))
+        chars = {p for g in grammars if g for p in g.productions[1:] if isinstance(p, str)}
+        return scoring.levenshtein(sorted(chars) or "a")
     return parse_scoring(_read(choice), choice)
 
 
@@ -262,14 +269,20 @@ def _cmd_distance(args) -> int:
         raise CliError("--stats requires the block algorithm")
     slp_a = _read_input(args.a)
     slp_b = _read_input(args.b)
+    # an empty text leaves no grid of blocks, only the other text's indels
+    empty = slp_a is None or slp_b is None
+    if args.stats and empty:
+        path = args.a if slp_a is None else args.b
+        raise CliError(f"{path}: empty input: --stats needs two non-empty inputs")
     sf = _resolve_scoring(args.scoring, (slp_a, slp_b))
     if args.stats:
         # an unwritable path fails before the run; appending nothing leaves
         # a path that names an input, or a run that fails, as it was
         _write(args.stats, "", "a")
     try:
-        if args.algorithm == "baseline":
-            cost = block_edit.wagner_fischer(slp.expand(slp_a), slp.expand(slp_b), sf)
+        if args.algorithm == "baseline" or empty:
+            texts = ("" if g is None else slp.expand(g) for g in (slp_a, slp_b))
+            cost = block_edit.wagner_fischer(*texts, sf)
         else:
             cost, stats = block_edit.block_edit_distance(slp_a, slp_b, sf, args.block_size)
     except scoring.ScoringError as exc:

@@ -34,6 +34,13 @@ other element depends only on the table and the input steps.  The steps
 travel as interned ``Edge`` objects, so a block the sweep has seen before
 costs one dict lookup by identity, and its bottom and right edges pass on
 as they are.
+
+A part pair whose few blocks cost fewer kernel entries pushed through the
+two tables it would be merged from than the merge would fill is left
+unbuilt (``Unbuilt``, decided in ``build_repository``), and
+``apply_inputs`` pushes its blocks through the two operands, each
+through the sweep memo.  That is exact because a merged table is by
+definition the composition of its operands.
 """
 
 from __future__ import annotations
@@ -315,7 +322,29 @@ class Outputs:
         return chain((self.first,), self.bottom.steps, self.right.steps)
 
 
-def apply_inputs(d: DistTable, base, left: Edge, top: Edge, counter, memo, edges) -> Outputs:
+class Unbuilt:
+    """A part pair whose table was left unbuilt (see ``build_repository``):
+    the merge ``op`` it would be, its operands ``d1`` (upper or left) and
+    ``d2``, both built tables, and the h, w, s and ceiling of the table it
+    stands for.  ``apply_inputs`` pushes a block through the two operands,
+    which is exact because the merged table is by definition their
+    composition."""
+
+    __slots__ = ("op", "d1", "d2", "h", "w", "s", "ceiling")
+
+    def __init__(self, op: str, d1: DistTable, d2: DistTable):
+        self.op, self.d1, self.d2 = op, d1, d2
+        if op == "vmerge":
+            self.h, self.w = d1.h + d2.h, d1.w
+        else:
+            self.h, self.w = d1.h, d1.w + d2.w
+        self.s = self.h + self.w + 1
+        self.ceiling = d1.ceiling
+
+
+def apply_inputs(
+    d: DistTable | Unbuilt, base, left: Edge, top: Edge, counter, memo, edges
+) -> Outputs:
     """Output boundary values from input boundary values, both in
     difference form: the value at vertex 0, then each value minus the one
     before it.  The inputs are ``base``, the steps of ``left`` (up the
@@ -334,37 +363,105 @@ def apply_inputs(d: DistTable, base, left: Edge, top: Edge, counter, memo, edges
     one min-plus row product over the table's stored rows (``minplus_row``:
     a scan or a SMAWK pass, O(s) element queries, added to ``counter[0]``),
     then interns the output edges in ``edges`` and stores the record there,
-    charged one unit against its budget.  Absolute inputs must be
-    non-negative, as a stand-in plus a negative input could win a column:
-    the kernel is not run on them (``ValueError``).  The table's ceiling
-    bounds every boundary value of the grid, and every column of a
-    distance table has a reachable entry, so an output above it raises
-    ``InvariantViolation``.  ``block_edit_distance`` sweeps int costs only
-    (see ``scoring.scaled_to_ints``), so every shift is exact.
+    charged one unit against its budget.  ``d`` may also be an ``Unbuilt``
+    pair: a miss then pushes the block through its two operands, one after
+    the other, each through the memo (see ``_through_operands``), and
+    stores one record for the pair besides theirs; a hit on an operand is
+    not a block, so it adds nothing to ``counter[1]``.
+
+    Absolute inputs must be non-negative, as a stand-in plus a negative
+    input could win a column: the kernel is not run on them
+    (``ValueError``).  The table's ceiling bounds every boundary value of
+    the grid, and every column of a distance table has a reachable entry,
+    so an output above it raises ``InvariantViolation``.
+    ``block_edit_distance`` sweeps int costs only (see
+    ``scoring.scaled_to_ints``), so every shift is exact.
     """
     key = d, left, top
     out = memo.get(key)
     if out is None:
-        h, w = d.h, d.w
-        if len(left.steps) != h or len(top.steps) != w:
-            raise ValueError(
-                f"expected {h} left and {w} top steps, "
-                f"got {len(left.steps)} and {len(top.steps)}"
-            )
-        values = list(accumulate(chain((base,), left.steps, top.steps)))
-        if min(values) < 0:
-            raise ValueError("input values must be non-negative")
-        values = minplus_row(values, d.rows, 0, len(values), counter)
-        steps = tuple(map(sub, values[1:], values))
-        bottom = edges.intern(steps[:w], memo)
-        right = edges.intern(steps[w:], memo)
-        edges.charge(1, memo)  # one unit for the record
-        out = memo[key] = Outputs(values[0] - base, bottom, right, max(values) - base)
+        out = _miss(key, base, counter, memo, edges)
     else:
         counter[1] += 1
     if base + out.peak > d.ceiling:
         raise InvariantViolation("unreachable output vertex in a grid block")
     return out
+
+
+def _outputs(d: DistTable, base, left: Edge, top: Edge, counter, memo, edges) -> Outputs:
+    """``apply_inputs`` on an operand of an unbuilt pair: no hit is
+    counted and no ceiling checked, as its outputs on the shared boundary
+    are not outputs of the block."""
+    key = d, left, top
+    out = memo.get(key)
+    return _miss(key, base, counter, memo, edges) if out is None else out
+
+
+def _miss(key, base, counter, memo, edges) -> Outputs:
+    """A memo miss of ``apply_inputs``: check the inputs, compute the
+    outputs, and store their record under ``key``."""
+    d, left, top = key
+    h, w = d.h, d.w
+    if len(left.steps) != h or len(top.steps) != w:
+        raise ValueError(
+            f"expected {h} left and {w} top steps, "
+            f"got {len(left.steps)} and {len(top.steps)}"
+        )
+    values = list(accumulate(chain((base,), left.steps, top.steps)))
+    if min(values) < 0:
+        raise ValueError("input values must be non-negative")
+    if type(d) is Unbuilt:
+        out = _through_operands(d, base, left, top, counter, memo, edges)
+    else:
+        values = minplus_row(values, d.rows, 0, len(values), counter)
+        steps = tuple(map(sub, values[1:], values))
+        bottom = edges.intern(steps[:w], memo)
+        right = edges.intern(steps[w:], memo)
+        out = Outputs(values[0] - base, bottom, right, max(values) - base)
+    edges.charge(1, memo)  # one unit for the record
+    memo[key] = out
+    return out
+
+
+def _through_operands(d: Unbuilt, base, left: Edge, top: Edge, counter, memo, edges) -> Outputs:
+    """The outputs of an unbuilt pair's block, pushed through its operands.
+
+    Vertical: the upper table d1 takes the upper left steps and the top
+    edge; the lower table d2 takes the lower left steps and d1's bottom
+    edge, the shared row.  The block's bottom edge is d2's, and its right
+    edge is d2's right steps followed by d1's: at the shared corner d2
+    adds nothing, as d1's value there already takes every path along the
+    shared row.  The vertex where the shared row meets the left edge is an
+    input of both: d1's output there, never above the input, is the one d2
+    reads, so the last lower left step takes the difference (0 for the
+    grid values the sweep carries).  Horizontal is the mirror: d1 takes
+    the left edge and the left top steps, d2 takes d1's right edge and the
+    right top steps, and the bottom edge joins d1's and d2's.  ``peak`` is
+    the largest of the block's outputs only, relative to ``base``; the
+    shared boundary is not among them.
+    """
+    d1, d2 = d.d1, d.d2
+    if d.op == "vmerge":
+        lower, upper = left.steps[: d2.h], left.steps[d2.h :]
+        out1 = _outputs(d1, base + sum(lower), edges.intern(upper, memo), top, counter, memo, edges)
+        if out1.first:
+            lower = lower[:-1] + (lower[-1] + out1.first,)
+        out2 = _outputs(d2, base, edges.intern(lower, memo), out1.bottom, counter, memo, edges)
+        corner = out2.first + out2.bottom.total + out2.right.total
+        right = edges.intern(out2.right.steps + out1.right.steps, memo)
+        peak = max(out2.peak, max(accumulate(out1.right.steps, initial=corner)))
+        return Outputs(out2.first, out2.bottom, right, peak)
+    w1 = d1.w
+    head, rest = top.steps[:w1], top.steps[w1:]
+    out1 = _outputs(d1, base, left, edges.intern(head, memo), counter, memo, edges)
+    base2 = out1.first + out1.bottom.total
+    shared_top = base2 + out1.right.total - left.total - sum(head)
+    if shared_top:
+        rest = (rest[0] - shared_top,) + rest[1:]
+    out2 = _outputs(d2, base + base2, out1.right, edges.intern(rest, memo), counter, memo, edges)
+    bottom = edges.intern(out1.bottom.steps + out2.bottom.steps, memo)
+    peak = max(base2 + out2.peak, max(accumulate(out1.bottom.steps, initial=out1.first)))
+    return Outputs(out1.first, bottom, out2.right, peak)
 
 
 class Repository:
@@ -391,8 +488,10 @@ class Repository:
     Every repeated occurrence of a pair reuses its table, which is where
     the grammar's repetitiveness pays off.  Each key is built once, by one
     direct build, one merge or an alias (a one-link chain shares its
-    child's table).  Once built, ``memo`` holds only the part pairs, the
-    tables the sweep reads; ``peak_table_entries`` is the most entries the
+    child's table), or left unbuilt (see ``build_repository``).  Once
+    built, ``memo`` holds only the part pairs, what the sweep reads: a
+    table, or an ``Unbuilt`` record of two tables for each of the
+    ``unbuilt_pairs``.  ``peak_table_entries`` is the most entries the
     distinct tables held at once while they were built.
     """
 
@@ -401,6 +500,7 @@ class Repository:
         self.memo = {}
         self.direct_builds = 0
         self.merges = 0
+        self.unbuilt_pairs = 0
         self.peak_table_entries = 0
         self._queries = [0]  # kernel element queries spent in merges
         self._slps = (slp_a, slp_b)
@@ -421,14 +521,35 @@ class Repository:
 
     @property
     def table_entries(self) -> int:
-        """Entries held by the distinct tables in ``memo`` (aliased keys
-        share one)."""
-        tables = {id(t): t for t in self.memo.values()}
+        """Entries held by the distinct tables in ``memo``, the operands of
+        unbuilt pairs included (aliased keys share one)."""
+        tables = {id(t): t for value in self.memo.values() for t in _held(value)}
         return sum(t.s * t.s for t in tables.values())
 
-    def lookup(self, key_a, key_b) -> DistTable:
-        """Table for an already-built pair."""
+    def lookup(self, key_a, key_b) -> DistTable | Unbuilt:
+        """Table, or unbuilt record, for an already-planned pair."""
         return self.memo[key_a, key_b]
+
+    def _plan(self, pairs) -> dict:
+        """``key -> (operands, op)`` for the part pairs and every key they
+        need, each after its operands: one walk of the dependency DAG, over
+        an explicit stack so that grammar depth never hits the Python
+        recursion limit."""
+        plan = {}
+        stack = pairs[::-1]
+        while stack:
+            key = stack[-1]
+            if key in plan:
+                stack.pop()
+                continue
+            deps, op = self._dependencies(*key)
+            missing = [d for d in deps if d not in plan]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            plan[key] = deps, op
+        return plan
 
     def _dependencies(self, key_a, key_b):
         va, kind_a = key_a
@@ -492,16 +613,47 @@ def _chain_links(part) -> dict:
     return links
 
 
+def _held(value) -> tuple:
+    """The built tables a memo value holds: itself, or an unbuilt pair's
+    two operands."""
+    return (value.d1, value.d2) if type(value) is Unbuilt else (value,)
+
+
+def _unbuilt(op: str, d1: DistTable, d2: DistTable, blocks: int, kept: int):
+    """The ``Unbuilt`` record of the merge ``op`` of d1 and d2 when its
+    ``blocks`` cost less swept through the operands than the merge costs,
+    in kernel entries, and the ``kept`` entries it keeps alive are at most
+    the table's; else None (see ``build_repository``)."""
+    record = Unbuilt(op, d1, d2)
+    shared = d1.s + d2.s - record.s  # the shared boundary's vertices
+    if blocks * 2 * shared < (d1.s - 1) * (shared + d2.s) and kept <= record.s**2:
+        return record
+    return None
+
+
 def build_repository(slp_a, slp_b, part_a, part_b, sf) -> Repository:
     """Tables for every (row part, column part) pair the grid can contain.
 
     The partitions must have been built with the same block parameter.  One
-    walk of the dependency DAG from the part pairs, over an explicit stack
-    so that grammar depth never hits the Python recursion limit, plans the
-    build: every key after its operands, and how many times each key is an
-    operand.  The keys are then built in that order, and a key that is not
-    a part pair leaves the memo once its last consumer is built, so its
-    table is freed unless an alias still holds it.
+    walk of the dependency DAG (``Repository._plan``) orders the build:
+    every key after its operands.  The keys are then built in that order,
+    and a key that is not a part pair leaves the memo once its last
+    consumer is built, so its table is freed unless an alias or an unbuilt
+    pair still holds it.
+
+    A part pair that would be a merge no other key consumes is left
+    unbuilt, as an ``Unbuilt`` record of its two operands, when both of
+    these hold, counted from table sizes and part counts alone:
+
+    * less work -- building fills ``(s1 - 1) * (shared + s2)`` kernel
+      entries, ``shared`` being the shared boundary's vertices (d1's w + 1
+      for a vertical merge, its h + 1 for a horizontal one).  Each block
+      fills ``2 * (s1 + s2)`` through the operands, ``2 * shared`` more
+      than the ``2 * s`` through the table, and the pair covers ``blocks``
+      blocks, its row key's parts times its column key's;
+    * no more memory -- the operands it keeps alive, those whose last
+      consumer it is and that are not part pairs, hold at most the
+      ``s * s`` entries the table would.
 
     At most 4 * n_A * n_B keys are built (two kinds per variable per side),
     each by one direct build, one merge or an alias, which is where the
@@ -510,39 +662,35 @@ def build_repository(slp_a, slp_b, part_a, part_b, sf) -> Repository:
     if part_a.block_size != part_b.block_size:
         raise ValueError("partitions built with different block parameters")
     repo = Repository(slp_a, slp_b, part_a, part_b, sf)
-    keys_a = sorted({(p.var, p.kind) for p in part_a.parts})
-    keys_b = sorted({(p.var, p.kind) for p in part_b.parts})
-    pairs = [(ka, kb) for ka in keys_a for kb in keys_b]
-    plan = {}  # key -> (operands, op), operands first
-    consumers = Counter()  # key -> times it is an operand of a planned key
-    stack = pairs[::-1]
-    while stack:
-        key = stack[-1]
-        if key in plan:
-            stack.pop()
-            continue
-        deps, op = repo._dependencies(*key)
-        missing = [d for d in deps if d not in plan]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        plan[key] = deps, op
-        consumers.update(deps)
+    parts_a = Counter((p.var, p.kind) for p in part_a.parts)
+    parts_b = Counter((p.var, p.kind) for p in part_b.parts)
+    pairs = [(ka, kb) for ka in sorted(parts_a) for kb in sorted(parts_b)]
+    plan = repo._plan(pairs)
+    consumers = Counter(d for deps, _ in plan.values() for d in deps)
     keep = set(pairs)
     memo = repo.memo
-    holders = Counter()  # live table -> memo keys holding it
+    holders = Counter()  # live table -> memo keys and unbuilt pairs holding it
     live = 0
     for key, (deps, op) in plan.items():
-        table = memo[key] = repo._combine(key, op, [memo[d] for d in deps])
-        if not holders[table]:
-            live += table.s * table.s
-            repo.peak_table_entries = max(repo.peak_table_entries, live)
-        holders[table] += 1
         for d in deps:
             consumers[d] -= 1
-            if consumers[d] or d in keep:
-                continue
+        done = [d for d in dict.fromkeys(deps) if not consumers[d] and d not in keep]
+        value = None
+        if op in ("vmerge", "hmerge") and not consumers[key]:
+            kept = {id(memo[d]): memo[d].s ** 2 for d in done}
+            blocks = parts_a[key[0]] * parts_b[key[1]]
+            value = _unbuilt(op, *map(memo.get, deps), blocks, sum(kept.values()))
+        if value is None:
+            value = repo._combine(key, op, [memo[d] for d in deps])
+        else:
+            repo.unbuilt_pairs += 1
+        memo[key] = value
+        for table in _held(value):
+            if not holders[table]:
+                live += table.s * table.s
+                repo.peak_table_entries = max(repo.peak_table_entries, live)
+            holders[table] += 1
+        for d in done:
             dropped = memo.pop(d)
             holders[dropped] -= 1
             if not holders[dropped]:

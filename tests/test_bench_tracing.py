@@ -40,18 +40,33 @@ def _traced_distance(tmp_path, monkeypatch, capsys, n, flags):
     return metrics, fields
 
 
-def test_traced_call_meets_the_bench_gates(tmp_path, monkeypatch, capsys):
-    """One traced ``distance`` call on ``fib-repo``'s shape, scaled down to
-    a Fibonacci 1024 pair at x = 48: its counts must agree with ``--stats``
-    and its SMAWK queries stay within the traced bench's bound."""
+def _weighted_flags(tmp_path, monkeypatch, x):
     from random import Random
 
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     costs = tmp_path / "costs.tsv"
     workloads.write_scoring(costs, "ab", Random(1))
-    flags = ["--scoring", str(costs), "--block-size", "48"]
+    return ["--scoring", str(costs), "--block-size", str(x)]
+
+
+def test_traced_call_meets_the_bench_gates(tmp_path, monkeypatch, capsys):
+    """One traced ``distance`` call on ``fib-repo``'s shape, scaled down to
+    a Fibonacci 1024 pair at x = 48: its counts must agree with ``--stats``
+    and its SMAWK queries stay within the traced bench's bound."""
+    flags = _weighted_flags(tmp_path, monkeypatch, 48)
     metrics, fields = _traced_distance(tmp_path, monkeypatch, capsys, 1024, flags)
+    assert metrics["monge.queries.merge"] == int(fields["merge_queries"]) > 0
+
+
+def test_traced_unbuilt_pairs_meet_the_bench_gates(tmp_path, monkeypatch, capsys):
+    """The same on ``fib-repo``'s own shape, the Fibonacci 4096 pair at
+    x = 192, where part pairs are left unbuilt: the sweep's kernel calls
+    through their operands stay inside the traced ``apply_inputs`` call of
+    their block."""
+    flags = _weighted_flags(tmp_path, monkeypatch, 192)
+    metrics, fields = _traced_distance(tmp_path, monkeypatch, capsys, 4096, flags)
+    assert int(fields["unbuilt_pairs"]) > 0
     assert metrics["monge.queries.merge"] == int(fields["merge_queries"]) > 0
 
 

@@ -316,18 +316,27 @@ def test_sweep_memo_resets_keep_results_exact(rng, monkeypatch):
         assert stats.sweep_memo_resets > 0
         assert stats.sweep_memo_hits > 0
     # records alone: a budget that holds every step the sweep interns, but
-    # not every memo record as well, still resets
-    made = []
+    # not every memo record as well, still resets.  The records are those
+    # the memo stored: one per block it did not answer, and one per
+    # operand of an unbuilt pair it did not answer
+    made, memos = [], []
+    real = block_edit.apply_inputs
 
     def recorded(budget):
         made.append(dist.Edges(budget))
         return made[-1]
 
+    def apply(d, base, left, top, counter, memo, edges):
+        memos.append(memo)
+        return real(d, base, left, top, counter, memo, edges)
+
+    monkeypatch.setattr(block_edit, "apply_inputs", apply)
     for sf in (levenshtein("ab"), _decimal_ab()):
         monkeypatch.setattr(block_edit, "Edges", recorded)
         _, stats = block_edit_distance(ga, gb, sf, 5)
         steps = sum(map(len, made[-1].table))
-        records = stats.block_count - stats.sweep_memo_hits
+        records = len(memos[-1])
+        assert stats.unbuilt_pairs > 0 and records > stats.block_count - stats.sweep_memo_hits
         assert stats.sweep_memo_resets == 0 and made[-1].held == steps + records > steps + 1
         monkeypatch.setattr(block_edit, "Edges", lambda budget: dist.Edges(steps + records // 2))
         got, stats = block_edit_distance(ga, gb, sf, 5)
@@ -384,25 +393,51 @@ def test_sweep_counters_on_the_fibonacci_pair():
     assert stats.sweep_memo_resets == 0
 
 
+# the benchmark's seed-1 weighted costs over "ab" (bench/workloads.py)
+_SEED_1_AB = ScoringFunction(
+    ("a", "b"),
+    {"a": 3, "b": 4},
+    {"a": 6, "b": 1},
+    {("a", "a"): 0, ("a", "b"): 5, ("b", "a"): 2, ("b", "b"): 0},
+)
+
+
 def test_repository_counters_on_the_weighted_fibonacci_pair():
     # the benchmark's fib-repo shape scaled down as tests/test_bench_tracing.py
     # scales it: the Fibonacci 1024 pair under the seed-1 weighted costs at
     # x = 48, pinned so that a change to the merges cannot move its
     # counters unnoticed
-    sf = ScoringFunction(
-        ("a", "b"),
-        {"a": 3, "b": 4},
-        {"a": 6, "b": 1},
-        {("a", "a"): 0, ("a", "b"): 5, ("b", "a"): 2, ("b", "b"): 0},
-    )
     ga = fibonacci_prefix_slp(1024)
     gb = fibonacci_prefix_slp(1024, alphabet=("b", "a"))
-    got, stats = block_edit_distance(ga, gb, sf, 48)
+    got, stats = block_edit_distance(ga, gb, _SEED_1_AB, 48)
     assert got == 968
     assert stats.merges == 47
     assert stats.memo_size == 9
     # 222864 when every merge row handed the kernel all reachable vertices
     assert stats.merge_queries == 169812
+    # no part pair of this shape is left unbuilt, so it checks the merges alone
+    assert stats.unbuilt_pairs == 0
+
+
+def test_unbuilt_pairs_on_the_benchmark_weighted_fibonacci_pair():
+    # the benchmark's fib-repo pair itself, the Fibonacci 4096 pair at
+    # x = 192 under the seed-1 weighted costs: 7 of its 16 part pairs cover
+    # so few of the 441 blocks that the sweep pushes their blocks through
+    # the two operands, and the merges that would build them are not made
+    ga = fibonacci_prefix_slp(4096)
+    gb = fibonacci_prefix_slp(4096, alphabet=("b", "a"))
+    got, stats = block_edit_distance(ga, gb, _SEED_1_AB, 192)
+    assert got == 3872
+    assert (stats.memo_size, stats.block_count) == (16, 441)
+    # with every part pair built: 0 unbuilt pairs, 94 merges, 3,938,201
+    # merge queries, 228,360 sweep queries, 2,169,722 table entries and a
+    # peak of 2,216,313
+    assert stats.unbuilt_pairs == 7
+    assert stats.merges == 87
+    assert stats.merge_queries == 1846675
+    assert stats.sweep_queries == 168503
+    assert (stats.table_entries, stats.peak_table_entries) == (925746, 1058186)
+    assert stats.sweep_memo_resets == 0
 
 
 @pytest.mark.parametrize("index", [1, -1])

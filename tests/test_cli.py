@@ -285,7 +285,23 @@ def test_distance_stats_output(tmp_path, capsys):
     fields = dict(line.split("=", 1) for line in record.splitlines())
     assert int(fields["sweep_edges"]) > 0
     assert fields["sweep_memo_resets"] == "0"
+    assert fields["unbuilt_pairs"] == "0"
     assert "merge_queries=" in record
+
+
+def test_distance_stats_count_unbuilt_pairs(tmp_path, capsys):
+    # at x = 4 two part pairs of this grid are left unbuilt and swept through
+    # their two operands; the distance is still the baseline's
+    a, b, stats = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "stats.txt"
+    a.write_text("abaababaabaab\n")
+    b.write_text("abaabbbaabaab\n")
+    argv = ["distance", str(a), str(b), "--block-size", "4"]
+    code, out, err = run_cli(capsys, *argv, "--stats", str(stats))
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, "--algorithm", "baseline") == (0, out, "")
+    fields = dict(line.split("=", 1) for line in stats.read_text().splitlines())
+    assert fields["unbuilt_pairs"] == "2"
+    assert int(fields["merges"]) > 0
 
 
 def test_unwritable_stats_path_fails_before_the_run(tmp_path, capsys, monkeypatch):
@@ -477,6 +493,53 @@ def _ab_table(dela, delb, insa, insb, subab, subba):
         f"INS\ta\t{insa}\nINS\tb\t{insb}\n"
         f"SUB\ta\tb\t{subab}\nSUB\tb\ta\t{subba}\n"
     )
+
+
+@pytest.mark.parametrize("algorithm", ["block", "baseline"])
+def test_distance_to_an_empty_text_sums_the_other_texts_indels(tmp_path, capsys, algorithm):
+    # no grammar derives the empty text, so the distance is the other
+    # text's deletions (empty b) or insertions (empty a), printed as the
+    # baseline prints it; a lone newline is an empty text too
+    texts = {"e": "", "n": "\n", "x": "abbab\n"}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    (tmp_path / "int.tsv").write_text(_ab_table(2, 3, 5, 7, 1, 1))
+    (tmp_path / "dec.tsv").write_text(_ab_table("0.5", "1.25", "2", "1.0", "1", "1"))
+    cases = [
+        ("e", "x", "lev", "5"),
+        ("x", "n", "lev", "5"),
+        ("e", "n", "lev", "0"),
+        ("e", "x", "int.tsv", str(2 * 5 + 3 * 7)),
+        ("x", "e", "int.tsv", str(2 * 2 + 3 * 3)),
+        ("n", "e", "int.tsv", "0"),
+        ("e", "x", "dec.tsv", "7.00"),
+        ("x", "e", "dec.tsv", "4.75"),
+        ("e", "e", "dec.tsv", "0.00"),
+    ]
+    for a, b, table, want in cases:
+        scoring = table if table == "lev" else str(tmp_path / table)
+        argv = ["distance", str(tmp_path / f"{a}.txt"), str(tmp_path / f"{b}.txt")]
+        argv += ["--scoring", scoring, "--algorithm", algorithm]
+        assert run_cli(capsys, *argv) == (0, want + "\n", ""), (a, b, table)
+    # the scoring table still covers the other text
+    (tmp_path / "c.txt").write_text("abc\n")
+    code, out, err = run_cli(
+        capsys, "distance", str(tmp_path / "e.txt"), str(tmp_path / "c.txt"),
+        "--scoring", str(tmp_path / "int.tsv"), "--algorithm", algorithm,
+    )
+    assert (code, out) == (1, "") and "does not cover" in err
+
+
+def test_empty_text_is_refused_by_stats_and_compress(tmp_path, capsys):
+    a, b, stats = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "stats.txt"
+    a.write_text("")
+    b.write_text("abab\n")
+    code, out, err = run_cli(capsys, "distance", str(b), str(a), "--stats", str(stats))
+    assert (code, out) == (1, "")
+    assert err == f"slpdist: {a}: empty input: --stats needs two non-empty inputs\n"
+    assert not stats.exists()
+    code, out, err = run_cli(capsys, "compress", str(a))
+    assert (code, out, err) == (1, "", f"slpdist: {a}: empty input\n")
 
 
 def test_decimal_distance_prints_one_string_for_both_algorithms(tmp_path, capsys):

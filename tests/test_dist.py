@@ -20,7 +20,7 @@ from slpdist import (
     merge_vertical,
 )
 from slpdist import dist
-from slpdist.dist import DistTable, Edges, input_position, output_position
+from slpdist.dist import DistTable, Edges, Unbuilt, input_position, output_position
 from slpdist.monge import SCAN_CELLS
 
 
@@ -552,3 +552,82 @@ def test_apply_inputs_matches_brute_column_minima(rng):
         hit = sweep.apply(d, (steps[0] + shift,) + steps[1:])
         assert hit == (want[0] + shift,) + want[1:]
         assert sweep.counter[1] == 1 and len(sweep.memo) == 1
+
+
+def _outcome(d, steps, h=None, sweep=None):
+    """What applying ``steps`` to d gives: the outputs and their peak, or
+    the error's type and message."""
+    sweep = sweep or _Sweep()
+    try:
+        out = sweep.apply(d, steps, h)
+    except (ValueError, InvariantViolation) as exc:
+        return type(exc), str(exc)
+    (peak,) = [record.peak for key, record in sweep.memo.items() if key[0] is d]
+    return out, peak
+
+
+def _shared_boundary_above_the_ceiling(op, d1, d2):
+    """Absolute inputs under which every output of the merged block is at
+    most the ceiling, while d1's outputs on the shared boundary are above
+    it: the inputs that reach the shared boundary are all above the
+    ceiling, and the rest are 0."""
+    high = d1.ceiling + 1
+    if op == "vmerge":
+        # lower left column 0, upper left column and top row high but for
+        # the top-right corner
+        return [0] * d2.h + [high] * (d1.h + d1.w) + [0]
+    # bottom-left corner 0, the rest of the left column and d1's top row
+    # high, d2's top row 0
+    return [0] + [high] * (d1.h + d1.w) + [0] * d2.w
+
+
+@pytest.mark.parametrize("kind", ["random", "free indels", "uniform indels", "one letter", "decimal"])
+def test_unbuilt_pairs_apply_inputs_as_their_merged_table(rng, kind):
+    # pushing a block through the two operands gives the merged table's
+    # outputs and peak, for any inputs: grid values or not, so the vertex
+    # both operands read may be cheaper through d1; and the same refusals,
+    # for step counts, negative inputs and the ceiling, which bounds the
+    # block's outputs and not the shared boundary
+    seen = {"ok": 0, "ceiling": 0}
+    for _ in range(40):
+        if kind == "random":
+            sigma = rng.choice(("ab", "abc"))
+            sf = random_scoring(rng, sigma)
+        else:
+            sf, sigma = _tying_scoring(rng, kind)
+        a, a2, b1, b2 = (random_text(rng, sigma, rng.randint(1, 7)) for _ in range(4))
+        C = grid_ceiling(sf, a, a2, b1, b2) + rng.randint(0, 20)
+        d1 = build_direct(a, b1, sf, C)
+        for op, d2, merge in (
+            ("vmerge", build_direct(a2, b1, sf, C), merge_vertical),
+            ("hmerge", build_direct(a, b2, sf, C), merge_horizontal),
+        ):
+            record, table = Unbuilt(op, d1, d2), merge(d1, d2)
+            assert (record.h, record.w, record.s) == (table.h, table.w, table.s)
+            inputs = [[rng.randint(0, top) for _ in range(table.s)] for top in (20, C // 2)]
+            inputs += [[C + 1] * table.s, _shared_boundary_above_the_ceiling(op, d1, d2)]
+            for values in inputs:
+                steps = tuple(_steps(values))
+                want = _outcome(table, steps)
+                assert _outcome(record, steps) == want
+                seen["ok" if want[0] is not InvariantViolation else "ceiling"] += 1
+            assert want[0] is not InvariantViolation
+            # a hit at another base is exact, and counts one block
+            sweep = _Sweep()
+            steps = tuple(_steps(inputs[0]))
+            first = sweep.apply(record, steps)
+            queries = sweep.counter[0]
+            again = sweep.apply(record, (steps[0] + 3,) + steps[1:])
+            assert again == (first[0] + 3,) + first[1:]
+            assert sweep.counter == [queries, 1]
+            # refusals: step counts, then negative absolute inputs
+            for h in (table.h - 1, table.h + 1):
+                assert _outcome(record, steps, h) == _outcome(table, steps, h)
+            assert _outcome(record, steps[:-1]) == _outcome(table, steps[:-1])
+            values = list(inputs[0])
+            values[rng.randrange(len(values))] = -1
+            sweep = _Sweep()
+            assert _outcome(record, tuple(_steps(values)), sweep=sweep)[0] is ValueError
+            assert _outcome(table, tuple(_steps(values)))[0] is ValueError
+            assert not sweep.memo
+    assert seen["ok"] and seen["ceiling"]

@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 
 import pytest
 
@@ -14,11 +15,13 @@ from slpdist import (
     expand,
     from_plain,
     levenshtein,
+    merge_horizontal,
+    merge_vertical,
     partition_string,
     wagner_fischer,
 )
-from slpdist.dist import DistTable
-from slpdist.slp import slp_from_productions
+from slpdist.dist import DistTable, Unbuilt
+from slpdist.slp import fibonacci_prefix_slp, slp_from_productions
 
 
 def _repo_for(slp_a, slp_b, sf, x):
@@ -61,6 +64,25 @@ def combined(monkeypatch):
     return calls
 
 
+def _held(repo):
+    """The distinct built tables the memo holds, an unbuilt pair's two
+    operands included."""
+    return list({id(t): t for value in repo.memo.values() for t in dist._held(value)}.values())
+
+
+def _unbuilt(repo):
+    return [value for value in repo.memo.values() if type(value) is Unbuilt]
+
+
+def _merged(record):
+    """The table an unbuilt pair stands for, merged from its operands."""
+    merge = merge_vertical if record.op == "vmerge" else merge_horizontal
+    table = merge(record.d1, record.d2)
+    assert (record.h, record.w, record.s) == (table.h, table.w, table.s)
+    assert record.ceiling == table.ceiling
+    return table
+
+
 def _part_pairs(pa, pb):
     keys_a = {(p.var, p.kind) for p in pa.parts}
     keys_b = {(p.var, p.kind) for p in pb.parts}
@@ -77,24 +99,29 @@ def test_worked_grammar_repository_keys(fib7_slp):
 
 def test_every_memo_table_matches_direct(fib7_slp, rng, built):
     # the stored rows too, stand-ins included, against the repository
-    # ceiling, for the freed operands as well as the tables the memo holds
+    # ceiling, for the freed operands as well as the tables the memo holds;
+    # an unbuilt pair holds two built tables, and their merge is the table
+    # it stands for
+    def check(repo, sf):
+        assert {id(t) for t in _held(repo)} <= {id(t) for t in built}
+        for table in built:
+            direct = build_direct(table.a, table.b, sf, repo.ceiling)
+            assert table.rows == direct.rows
+        for record in _unbuilt(repo):
+            table = _merged(record)
+            assert table.rows == build_direct(table.a, table.b, sf, repo.ceiling).rows
+        return len(_unbuilt(repo))
+
     sf = levenshtein("ab")
-    repo, _, _ = _repo_for(fib7_slp, fib7_slp, sf, 4)
-    assert {id(t) for t in repo.memo.values()} <= {id(t) for t in built}
-    for table in built:
-        direct = build_direct(table.a, table.b, sf, repo.ceiling)
-        assert table.rows == direct.rows
+    unbuilt = check(_repo_for(fib7_slp, fib7_slp, sf, 4)[0], sf)
     for _ in range(10):
         ga = random_slp(rng, max_len=30)
         gb = random_slp(rng, max_len=30)
         sf = random_scoring(rng, sorted(set(expand(ga)) | set(expand(gb))))
         for x in (2, 3, 5):
             built.clear()
-            repo, _, _ = _repo_for(ga, gb, sf, x)
-            assert {id(t) for t in repo.memo.values()} <= {id(t) for t in built}
-            for table in built:
-                direct = build_direct(table.a, table.b, sf, repo.ceiling)
-                assert table.rows == direct.rows
+            unbuilt += check(_repo_for(ga, gb, sf, x)[0], sf)
+    assert unbuilt > 0
 
 
 def test_two_terminal_grammars():
@@ -140,8 +167,11 @@ def test_repeated_builds_identical_and_lookup_counts_hits(fib7_slp):
     repo1, pa, pb = _repo_for(fib7_slp, fib7_slp, sf, 4)
     repo2, _, _ = _repo_for(fib7_slp, fib7_slp, sf, 4)
     assert repo1.memo.keys() == repo2.memo.keys()
+    assert _unbuilt(repo1)
     for key in repo1.memo:
-        assert repo1.memo[key].rows == repo2.memo[key].rows
+        first, second = (dist._held(repo.memo[key]) for repo in (repo1, repo2))
+        assert type(repo1.memo[key]) is type(repo2.memo[key])
+        assert [t.rows for t in first] == [t.rows for t in second]
     first = repo1.lookup((5, EXACT), (5, EXACT))
     second = repo1.lookup((5, EXACT), (5, EXACT))
     assert first is second
@@ -158,10 +188,12 @@ def test_composite_chain_tables(fib7_slp, built):
 
 
 def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch):
-    # one finite matrix per table, built against the repository's ceiling;
-    # the sweep reads those very rows, and stand-ins are shared objects
+    # one finite matrix per table, built against the repository's ceiling,
+    # an unbuilt pair's operands included; the sweep reads those very rows,
+    # and stand-ins are shared objects
     real_build, real_kernel = block_edit.build_repository, dist.minplus_row
-    built, swept = [], []
+    real_apply = block_edit.apply_inputs
+    built, swept, memos = [], [], []
 
     def build(*args):
         built.append(real_build(*args))
@@ -172,8 +204,14 @@ def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch):
         swept.append(rows)
         return real_kernel(u, rows, jlo, jhi, counter)
 
+    def apply(d, base, left, top, counter, memo, edges):
+        memos.append(memo)
+        return real_apply(d, base, left, top, counter, memo, edges)
+
     monkeypatch.setattr(block_edit, "build_repository", build)
+    monkeypatch.setattr(block_edit, "apply_inputs", apply)
     monkeypatch.setattr(dist, "minplus_row", kernel)
+    unbuilt = 0
     for _ in range(10):
         ga = random_slp(rng, max_len=40)
         gb = random_slp(rng, max_len=40)
@@ -183,7 +221,9 @@ def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch):
         cost, stats = block_edit_distance(ga, gb, sf, 3)
         assert cost == wagner_fischer(text_a, text_b, sf)
         (repo,) = built
-        tables = {id(t): t for t in repo.memo.values()}.values()
+        tables = _held(repo)
+        assert repo.unbuilt_pairs == len(_unbuilt(repo))
+        unbuilt += repo.unbuilt_pairs
         for t in tables:
             assert not hasattr(t, "__dict__")
             assert t.ceiling == repo.ceiling
@@ -192,10 +232,14 @@ def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch):
             shared = {id(v) for v in stand_ins}
             assert len(shared) == len(set(stand_ins)) <= 2 * t.s
         assert stats.table_entries == sum(t.s * t.s for t in tables)
-        # one kernel call per block the sweep memo did not answer
-        assert len(swept) == stats.block_count - stats.sweep_memo_hits
+        # one kernel call per record the sweep memo stored for a built
+        # table: per block it did not answer, or per operand of an unbuilt
+        # pair it did not answer
+        assert stats.sweep_memo_resets == 0
+        assert len(swept) == sum(type(d) is DistTable for d, _, _ in memos[-1])
         stored = {id(t.rows) for t in tables}
         assert all(id(rows) in stored for rows in swept)
+    assert unbuilt > 0
 
 
 def _random_pairs(rng, count, max_len=40):
@@ -276,15 +320,22 @@ def test_memo_holds_exactly_the_part_pairs(fib7_slp, rng):
 
 def test_no_key_is_combined_twice(fib7_slp, rng, combined):
     # a key is dropped only after its last consumer is built, so dropping
-    # never forces a rebuild
+    # never forces a rebuild; an unbuilt pair is never combined, and its
+    # operands are
     grammars = [(fib7_slp, fib7_slp, levenshtein("ab"))] + list(_random_pairs(rng, 10))
+    unbuilt = 0
     for ga, gb, sf in grammars:
         for x in (2, 3, 5):
             combined.clear()
             repo, _, _ = _repo_for(ga, gb, sf, x)
             keys = [key for key, _ in combined]
             assert len(set(keys)) == len(keys)
-            assert repo.memo.keys() <= set(keys)
+            left = {key for key, value in repo.memo.items() if type(value) is Unbuilt}
+            assert repo.memo.keys() - left <= set(keys) and left.isdisjoint(keys)
+            made = {id(table) for _, table in combined}
+            assert all(id(t) in made for key in left for t in dist._held(repo.memo[key]))
+            unbuilt += len(left)
+    assert unbuilt > 0
 
 
 def _balanced_pair():
@@ -309,25 +360,87 @@ def test_balanced_grammars_hold_fewer_entries_than_they_build(built):
 def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch):
     # replay the build: as each table is stored, add up the entries of
     # every DistTable still alive, so a freed operand that lingers counts;
-    # the largest sum is the counter
+    # the largest sum is the counter.  An unbuilt pair stores no table but
+    # keeps its operands alive, so once built the tables alive are those
+    # ``table_entries`` counts
     real = dist.Repository._combine
     before = []
     seen = []
 
+    def alive():
+        old = {id(t) for t in before}
+        tables = [o for o in gc.get_objects() if type(o) is DistTable and id(o) not in old]
+        return sum(t.s * t.s for t in tables)
+
     def wrapped(self, key, op, tables):
         table = real(self, key, op, tables)
-        old = {id(t) for t in before}
-        alive = [o for o in gc.get_objects() if type(o) is DistTable and id(o) not in old]
-        seen.append(sum(t.s * t.s for t in alive))
+        seen.append(alive())
         return table
 
     monkeypatch.setattr(dist.Repository, "_combine", wrapped)
     grammars = [(fib7_slp, fib7_slp, levenshtein("ab"))]
     grammars += list(_random_pairs(rng, 3, max_len=24))
     grammars.append((*_balanced_pair(), levenshtein("abcd")))
+    unbuilt = 0
     for ga, gb, sf in grammars:
         for x in (2, 4):
             before[:] = [o for o in gc.get_objects() if type(o) is DistTable]
             seen.clear()
             repo, _, _ = _repo_for(ga, gb, sf, x)
             assert max(seen) == repo.peak_table_entries
+            assert alive() == repo.table_entries
+            unbuilt += repo.unbuilt_pairs
+    assert unbuilt > 0
+
+
+def test_a_pair_is_left_unbuilt_exactly_when_both_counts_favour_it(fib7_slp, rng, combined):
+    # replay the build in plan order: a merge part pair that no planned key
+    # consumes is left unbuilt exactly when (work) its blocks fill fewer
+    # kernel entries through the two operands, 2 * shared more each than
+    # through its table, than the merge fills, and (memory) the operands
+    # whose last consumer it is and that are not part pairs hold at most
+    # the s * s entries its table would
+    grammars = [(fib7_slp, fib7_slp, levenshtein("ab"))] + list(_random_pairs(rng, 12))
+    fib = fibonacci_prefix_slp(300)
+    grammars += [(fib, fibonacci_prefix_slp(300, alphabet=("b", "a")), levenshtein("ab"))]
+    grammars.append((*_balanced_pair(), levenshtein("abcd")))
+    cases = Counter()
+    for ga, gb, sf in grammars:
+        for x in (2, 3, 5, 8, 13):
+            combined.clear()
+            repo, pa, pb = _repo_for(ga, gb, sf, x)
+            tables = dict(combined)
+            parts_a = Counter((p.var, p.kind) for p in pa.parts)
+            parts_b = Counter((p.var, p.kind) for p in pb.parts)
+            pairs = [(ka, kb) for ka in sorted(parts_a) for kb in sorted(parts_b)]
+            plan = repo._plan(pairs)
+            consumers = Counter(d for deps, _ in plan.values() for d in deps)
+            consumed, keys = set(consumers), set(pairs)
+            unbuilt_here = 0
+            for key, (deps, op) in plan.items():
+                for d in deps:
+                    consumers[d] -= 1
+                value = repo.memo.get(key)
+                if op not in ("vmerge", "hmerge") or key in consumed:
+                    assert type(value) is not Unbuilt and key in tables
+                    continue
+                d1, d2 = (tables[d] for d in deps)
+                shared = (d1.w if op == "vmerge" else d1.h) + 1
+                s = d1.s + d2.s - shared
+                blocks = parts_a[key[0]] * parts_b[key[1]]
+                work = blocks * 2 * shared < (d1.s - 1) * (shared + d2.s)
+                kept = {
+                    id(tables[d]): tables[d].s ** 2
+                    for d in deps
+                    if not consumers[d] and d not in keys
+                }
+                memory = sum(kept.values()) <= s * s
+                cases[work, memory] += 1
+                if work and memory:
+                    unbuilt_here += 1
+                    assert key not in tables
+                    assert (value.op, value.d1, value.d2, value.s) == (op, d1, d2, s)
+                else:
+                    assert value is tables[key]
+            assert repo.unbuilt_pairs == unbuilt_here
+    assert len(cases) == 4, cases
