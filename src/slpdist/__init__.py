@@ -24,8 +24,6 @@ from .dist import (
     merge_vertical,
 )
 from .partition import (
-    COMPOSITE,
-    EXACT,
     InvariantViolation,
     Part,
     StringPartition,
@@ -49,9 +47,7 @@ from .slp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPOSITE",
     "DistTable",
-    "EXACT",
     "InvariantViolation",
     "Part",
     "Repository",

@@ -154,7 +154,7 @@ def block_edit_distance(
     stats.elapsed["partition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    repo = build_repository(slp_a, slp_b, part_a, part_b, scaled)
+    repo = build_repository(part_a, part_b, scaled)
     stats.memo_size = repo.memo_size
     stats.table_entries = repo.table_entries
     stats.peak_table_entries = repo.peak_table_entries
@@ -183,7 +183,7 @@ def block_edit_distance(
         corners.append(corners[-1] + tops[-1].total if tops else 0)
         tops.append(edges.intern(tuple([scaled.insert[c] for c in text_b[c0:c1]]), memo))
         c0 = c1
-    keys_b = [(pb.var, pb.kind) for pb in part_b.parts]
+    vars_b = [pb.var for pb in part_b.parts]
     counter = [0, 0]  # kernel queries, memo hits
     r0 = 0
     bottom = 0  # the grid's value at (r0, 0)
@@ -192,8 +192,7 @@ def block_edit_distance(
         # the first column's steps, bottom to top (input order)
         left = edges.intern(tuple([-scaled.delete[c] for c in reversed(text_a[r0:r1])]), memo)
         base = bottom = bottom - left.total
-        key_a = (pa.var, pa.kind)
-        tables = [repo.lookup(key_a, key_b) for key_b in keys_b]
+        tables = [repo.lookup(pa.var, vb) for vb in vars_b]
         for k, table in enumerate(tables):
             if base + left.total != corners[k]:
                 raise InvariantViolation("frontier and left edge disagree at a corner")

@@ -51,7 +51,7 @@ from operator import ne, sub
 
 from .monge import SCAN_CELLS, fill_stand_ins, minplus_row
 from .monge import substitute_infinities  # noqa: F401 - bench/tracing.py patches it here
-from .partition import COMPOSITE, EXACT, InvariantViolation
+from .partition import InvariantViolation
 from .scoring import max_cost
 from .slp import Slp, expand
 
@@ -465,37 +465,28 @@ def _through_operands(d: Unbuilt, base, left: Edge, top: Edge, counter, memo, ed
 
 
 class Repository:
-    """Distance tables for the grid's block pairs, keyed by (variable, kind)
-    pairs and filled by ``build_repository``.
+    """Distance tables for the grid's block pairs, keyed by (row variable,
+    column variable) pairs and filled by ``build_repository``.
 
-    Keys pair a row-side descriptor with a column-side descriptor, each
-    ``(var, kind)`` with kind ``exact`` (the variable's full derivation) or
-    ``composite`` (the accumulated gap substring attached to a partition
-    path variable).  A key's table is built from its operands' tables:
-
-    * exact x exact   -- direct construction for terminal x terminal;
-      otherwise split the side whose variable derives the longer string
-      (A on a tie) and merge the tables of its two children against the
-      whole other side, so the shared boundary is the shorter side;
-    * composite sides -- peel the accumulation chain one hanging child at a
-      time, merging the previous accumulated table with the child's exact
-      table (column side first, so composite x composite reduces to
-      composite x exact).
-
-    Dependencies are listed in grid order (left before right, upper before
-    lower), so each merge takes its operands as listed.
+    The variables are those of the partitions' grammars, where every part
+    is one variable (see ``partition_string``).  A key's table is a direct
+    construction for terminal x terminal; otherwise the side whose
+    variable derives the longer string (A on a tie) is split, and the
+    tables of its two children against the whole other side are merged,
+    so the shared boundary is the shorter side.  Dependencies are listed
+    in grid order (left before right, upper before lower), so each merge
+    takes its operands as listed.
 
     Every repeated occurrence of a pair reuses its table, which is where
     the grammar's repetitiveness pays off.  Each key is built once, by one
-    direct build, one merge or an alias (a one-link chain shares its
-    child's table), or left unbuilt (see ``build_repository``).  Once
-    built, ``memo`` holds only the part pairs, what the sweep reads: a
-    table, or an ``Unbuilt`` record of two tables for each of the
+    direct build or one merge, or left unbuilt (see ``build_repository``).
+    Once built, ``memo`` holds only the part pairs, what the sweep reads:
+    a table, or an ``Unbuilt`` record of two tables for each of the
     ``unbuilt_pairs``.  ``peak_table_entries`` is the most entries the
     distinct tables held at once while they were built.
     """
 
-    def __init__(self, slp_a: Slp, slp_b: Slp, part_a, part_b, sf):
+    def __init__(self, slp_a: Slp, slp_b: Slp, sf):
         self.sf = sf
         self.memo = {}
         self.direct_builds = 0
@@ -504,7 +495,6 @@ class Repository:
         self.peak_table_entries = 0
         self._queries = [0]  # kernel element queries spent in merges
         self._slps = (slp_a, slp_b)
-        self._chains = (_chain_links(part_a), _chain_links(part_b))
         # One unreachable-detection bound that dominates every finite value
         # the grid can produce: every table is stored against it, so merges
         # and the sweep read the stored rows as they are.
@@ -522,7 +512,7 @@ class Repository:
     @property
     def table_entries(self) -> int:
         """Entries held by the distinct tables in ``memo``, the operands of
-        unbuilt pairs included (aliased keys share one)."""
+        unbuilt pairs included."""
         tables = {id(t): t for value in self.memo.values() for t in _held(value)}
         return sum(t.s * t.s for t in tables.values())
 
@@ -551,21 +541,7 @@ class Repository:
             plan[key] = deps, op
         return plan
 
-    def _dependencies(self, key_a, key_b):
-        va, kind_a = key_a
-        vb, kind_b = key_b
-        if kind_b == COMPOSITE:
-            prev, hang, grows = self._chains[1][vb]
-            if prev is None:
-                return [(key_a, (hang, EXACT))], "alias"
-            deps = [(key_a, (prev, COMPOSITE)), (key_a, (hang, EXACT))]
-            return (deps if grows == "suffix" else deps[::-1]), "hmerge"
-        if kind_a == COMPOSITE:
-            prev, hang, grows = self._chains[0][va]
-            if prev is None:
-                return [((hang, EXACT), key_b)], "alias"
-            deps = [((prev, COMPOSITE), key_b), ((hang, EXACT), key_b)]
-            return (deps if grows == "suffix" else deps[::-1]), "vmerge"
+    def _dependencies(self, va, vb):
         slp_a, slp_b = self._slps
         len_a, len_b = slp_a.lengths[va], slp_b.lengths[vb]
         # a variable derives one character exactly when it is a terminal
@@ -576,41 +552,19 @@ class Repository:
         # a terminal is never the longer side of a pair with a non-terminal
         if len_a >= len_b:
             p, q = slp_a.productions[va]
-            return [((p, EXACT), key_b), ((q, EXACT), key_b)], "vmerge"
+            return [(p, vb), (q, vb)], "vmerge"
         r, t = slp_b.productions[vb]
-        return [(key_a, (r, EXACT)), (key_a, (t, EXACT))], "hmerge"
+        return [(va, r), (va, t)], "hmerge"
 
     def _combine(self, key, op, tables):
         if op == "direct":
-            # direct is only issued for terminal x terminal exact keys
             self.direct_builds += 1
-            (va, _), (vb, _) = key
-            a = expand(self._slps[0], va)
-            b = expand(self._slps[1], vb)
+            a = expand(self._slps[0], key[0])
+            b = expand(self._slps[1], key[1])
             return build_direct(a, b, self.sf, self.ceiling)
-        if op == "alias":
-            return tables[0]
         self.merges += 1
         merge = merge_horizontal if op == "hmerge" else merge_vertical
         return merge(*tables, self._queries)
-
-
-def _chain_links(part) -> dict:
-    """Each composite path variable of a partition mapped to its chain link
-    ``(previous path variable or None, hanging child, grows)``."""
-    links = {}
-    for p in part.parts:
-        if p.kind != COMPOSITE:
-            continue
-        prev = None
-        for path_var, hang_var, _ in p.chain:
-            link = (prev, hang_var, p.grows)
-            if links.setdefault(path_var, link) != link:
-                raise InvariantViolation(
-                    f"variable {path_var} accumulates two different substrings"
-                )
-            prev = path_var
-    return links
 
 
 def _held(value) -> tuple:
@@ -631,15 +585,16 @@ def _unbuilt(op: str, d1: DistTable, d2: DistTable, blocks: int, kept: int):
     return None
 
 
-def build_repository(slp_a, slp_b, part_a, part_b, sf) -> Repository:
-    """Tables for every (row part, column part) pair the grid can contain.
+def build_repository(part_a, part_b, sf) -> Repository:
+    """Tables for every (row part, column part) pair the grid can contain,
+    over the grammars the partitions extended (``StringPartition.slp``).
 
     The partitions must have been built with the same block parameter.  One
     walk of the dependency DAG (``Repository._plan``) orders the build:
     every key after its operands.  The keys are then built in that order,
     and a key that is not a part pair leaves the memo once its last
-    consumer is built, so its table is freed unless an alias or an unbuilt
-    pair still holds it.
+    consumer is built, so its table is freed unless an unbuilt pair still
+    holds it.
 
     A part pair that would be a merge no other key consumes is left
     unbuilt, as an ``Unbuilt`` record of its two operands, when both of
@@ -652,24 +607,24 @@ def build_repository(slp_a, slp_b, part_a, part_b, sf) -> Repository:
       than the ``2 * s`` through the table, and the pair covers ``blocks``
       blocks, its row key's parts times its column key's;
     * no more memory -- the operands it keeps alive, those whose last
-      consumer it is and that are not part pairs, hold at most the
-      ``s * s`` entries the table would.
+      consumer it is, that are not part pairs and whose tables nothing
+      else holds, hold at most the ``s * s`` entries the table would.
 
-    At most 4 * n_A * n_B keys are built (two kinds per variable per side),
-    each by one direct build, one merge or an alias, which is where the
-    overall O(n^2 x^2) table-building bound comes from.
+    Each partition adds at most n variables to a grammar of n, so at most
+    4 * n_A * n_B keys are built, each by one direct build or one merge,
+    which is where the overall O(n^2 x^2) table-building bound comes from.
     """
     if part_a.block_size != part_b.block_size:
         raise ValueError("partitions built with different block parameters")
-    repo = Repository(slp_a, slp_b, part_a, part_b, sf)
-    parts_a = Counter((p.var, p.kind) for p in part_a.parts)
-    parts_b = Counter((p.var, p.kind) for p in part_b.parts)
+    repo = Repository(part_a.slp, part_b.slp, sf)
+    parts_a = Counter(p.var for p in part_a.parts)
+    parts_b = Counter(p.var for p in part_b.parts)
     pairs = [(ka, kb) for ka in sorted(parts_a) for kb in sorted(parts_b)]
     plan = repo._plan(pairs)
     consumers = Counter(d for deps, _ in plan.values() for d in deps)
     keep = set(pairs)
     memo = repo.memo
-    holders = Counter()  # live table -> memo keys and unbuilt pairs holding it
+    holders = Counter()  # live table -> the memo key and unbuilt pairs holding it
     live = 0
     for key, (deps, op) in plan.items():
         for d in deps:
@@ -677,9 +632,10 @@ def build_repository(slp_a, slp_b, part_a, part_b, sf) -> Repository:
         done = [d for d in dict.fromkeys(deps) if not consumers[d] and d not in keep]
         value = None
         if op in ("vmerge", "hmerge") and not consumers[key]:
-            kept = {id(memo[d]): memo[d].s ** 2 for d in done}
+            # dropping an operand frees its table only if nothing else holds it
+            kept = sum(memo[d].s ** 2 for d in done if holders[memo[d]] == 1)
             blocks = parts_a[key[0]] * parts_b[key[1]]
-            value = _unbuilt(op, *map(memo.get, deps), blocks, sum(kept.values()))
+            value = _unbuilt(op, *map(memo.get, deps), blocks, kept)
         if value is None:
             value = repo._combine(key, op, [memo[d] for d in deps])
         else:

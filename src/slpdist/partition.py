@@ -8,41 +8,46 @@ The stretches between consecutive key-variable occurrences are covered by
 composite parts: concatenations of the short strings hanging off the parse
 tree path that connects the occurrences.
 
-The same variable always receives the same substring, no matter where in
-the parse tree it occurs, because everything the grouping looks at lies
-inside the variable's own subtree.  That determinism is what lets distance
-tables be shared across occurrences.
+The partition extends the grammar so that every part is the derivation of
+one variable: a composite part folds its hanging pieces into pair
+variables, deduplicated against the grammar's own productions and each
+other.  The same path variable always accumulates the same pieces, no
+matter where in the parse tree it occurs, because everything the grouping
+looks at lies inside its own subtree.  So equal parts get equal variables,
+and that is what lets distance tables be shared across occurrences.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .slp import Slp, expandable_length
-
-EXACT = "exact"
-COMPOSITE = "composite"
+from .slp import Slp, _Builder, expandable_length
 
 
 class InvariantViolation(RuntimeError):
     """An internal consistency guarantee failed; indicates a bug."""
 
 
-class Part(namedtuple("Part", "var kind start length chain grows", defaults=((), None))):
-    """One substring of the partition.
+class Part(namedtuple("Part", "var start length chain grows", defaults=((), None))):
+    """One substring of the partition, the full derivation of ``var`` in the
+    partition's grammar.
 
-    ``kind == EXACT``: the substring is the full derivation of ``var``.
-    ``kind == COMPOSITE``: the substring accumulates the hanging children
-    recorded in ``chain`` (tuples of (path variable, hanging child variable,
-    length)), growing by appending when ``grows == "suffix"`` and by
-    prepending when ``grows == "prefix"``; ``var`` is the last chain link's
-    path variable.
+    A composite part also records how it was grouped: it accumulates the
+    hanging children in ``chain`` (tuples of (path variable, hanging child
+    variable, length)), growing by appending when ``grows == "suffix"`` and
+    by prepending when ``grows == "prefix"``.  ``var`` is the first child
+    folded with each later one into a pair variable, on the side it grows
+    on; a one-link chain's ``var`` is its hanging child.  An anchor part has
+    an empty ``chain``.
     """
 
     __slots__ = ()
 
 
-class StringPartition(namedtuple("StringPartition", "block_size parts")):
+class StringPartition(namedtuple("StringPartition", "block_size parts slp")):
+    """The parts in string order and ``slp``, the input grammar extended
+    with the composite parts' pair variables, its root still last."""
+
     __slots__ = ()
 
 
@@ -107,17 +112,17 @@ def _events(slp: Slp, x: int):
     return out
 
 
-def _group(pieces, x, grows):
+def _group(pieces, x, grows, builder: _Builder):
     """Composite parts from consecutive hanging pieces, which come in the
     order they accumulate.
 
     A run keeps consuming while its total is shorter than x; only the last
-    run may fall short.  Each part is associated with the last path
-    variable it consumed and starts at the smallest offset among its
-    pieces.  Upward-path pieces accumulate left to right, by appending
-    (``grows == "suffix"``).  Downward-path pieces accumulate right to
-    left, by prepending (``"prefix"``): the grouping must depend only on
-    each path variable's own subtree, which grows bottom-up.
+    run may fall short.  Each part folds its pieces into ``builder``'s pair
+    variables in that order and starts at the smallest offset among them.
+    Upward-path pieces accumulate left to right, by appending (``grows ==
+    "suffix"``).  Downward-path pieces accumulate right to left, by
+    prepending (``"prefix"``): the grouping must depend only on each path
+    variable's own subtree, which grows bottom-up.
     """
     parts = []
     run, total = [], 0
@@ -128,22 +133,28 @@ def _group(pieces, x, grows):
         if total >= x or i == last:
             chain = tuple((p[1], p[2], p[4]) for p in run)
             start = min(p[3] for p in run)
-            parts.append(Part(piece[1], COMPOSITE, start, total, chain, grows))
+            var = run[0][2]
+            for p in run[1:]:
+                var = builder.pair(var, p[2]) if grows == "suffix" else builder.pair(p[2], var)
+            parts.append(Part(var, start, total, chain, grows))
             run, total = [], 0
     return parts
 
 
 def partition_string(slp: Slp, block_size: int) -> StringPartition:
-    """Split the derived string into grammar-associated parts of length at
-    most 2 * block_size.  Runs in time linear in the string length, on the
-    grammar's productions and cached lengths alone.  A string longer than
-    ``MAX_EXPAND_LENGTH`` is refused as ``expand`` refuses it.
+    """Split the derived string into parts of length at most 2 * block_size,
+    each the derivation of one variable of the returned grammar, which
+    extends ``slp`` by at most ``slp.size`` variables.  Runs in time linear
+    in the string length and the grammar size, on the grammar's productions
+    and cached lengths alone.  A string longer than ``MAX_EXPAND_LENGTH`` is
+    refused as ``expand`` refuses it.
     """
     if block_size < 2:
         raise ValueError("block size must be >= 2")
     n = expandable_length(slp, slp.root)
     if n < block_size:
-        return StringPartition(block_size, (Part(slp.root, EXACT, 0, n),))
+        return StringPartition(block_size, (Part(slp.root, 0, n),), slp)
+    builder = _Builder(slp.productions)
     parts = []
     gap = []  # hanging pieces since the previous key occurrence
 
@@ -161,15 +172,15 @@ def partition_string(slp: Slp, block_size: int) -> StringPartition:
             p[0] != "left" for p in descending
         ):
             raise InvariantViolation("gap pieces out of path order")
-        parts.extend(_group(ascending, block_size, "suffix"))
-        parts.extend(_group(descending[::-1], block_size, "prefix")[::-1])
+        parts.extend(_group(ascending, block_size, "suffix", builder))
+        parts.extend(_group(descending[::-1], block_size, "prefix", builder)[::-1])
 
     for event in _events(slp, block_size):
         if event[0] == "key":
             flush(gap)
             gap = []
             _, var, off = event
-            parts.append(Part(var, EXACT, off, slp.lengths[var]))
+            parts.append(Part(var, off, slp.lengths[var]))
         else:
             gap.append(event)
     flush(gap)
@@ -180,4 +191,4 @@ def partition_string(slp: Slp, block_size: int) -> StringPartition:
         pos += p.length
     if pos != n:
         raise InvariantViolation("partition does not cover the string")
-    return StringPartition(block_size, tuple(parts))
+    return StringPartition(block_size, tuple(parts), builder.finish(slp.root))

@@ -133,12 +133,17 @@ def expand(slp: Slp, var: int | None = None) -> str:
 
 
 class _Builder:
-    """Accumulates productions with terminal and pair deduplication."""
+    """Accumulates productions with terminal and pair deduplication, after
+    ``productions``, a grammar's own (sentinel included), when given."""
 
-    def __init__(self):
-        self.productions = [None]
+    def __init__(self, productions=(None,)):
+        self.productions = list(productions)
         self.terminal_index = {}
         self.pair_index = {}
+        for v in range(len(self.productions) - 1, 0, -1):
+            prod = self.productions[v]
+            index = self.terminal_index if isinstance(prod, str) else self.pair_index
+            index[prod] = v
 
     def terminal(self, c: str) -> int:
         v = self.terminal_index.get(c)

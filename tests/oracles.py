@@ -127,21 +127,21 @@ def contents(partition, text: str) -> list:
 
 
 def association_map(partition, text: str) -> dict:
-    """Deduplicated (variable, kind) -> (start, length) association of a
-    partition of ``text``.
+    """Deduplicated variable -> (start, length) association of a partition
+    of ``text``.
 
     Raises when two occurrences of the same association disagree on their
     substring content, which would mean the partition is broken.
     """
     mapping = {}
     for p in partition.parts:
-        key = (p.var, p.kind)
+        key = p.var
         content = text[p.start : p.start + p.length]
         seen = mapping.get(key)
         if seen is None:
             mapping[key] = (p.start, p.length)
         elif text[seen[0] : seen[0] + seen[1]] != content:
             raise InvariantViolation(
-                f"association ({p.var}, {p.kind}) carries two different substrings"
+                f"variable {p.var} carries two different substrings"
             )
     return mapping

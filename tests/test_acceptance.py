@@ -18,8 +18,6 @@ from conftest import (
 )
 from oracles import association_map, brute_column_minima, contents
 from slpdist import (
-    COMPOSITE,
-    EXACT,
     block_edit_distance,
     build_direct,
     build_repository,
@@ -213,13 +211,13 @@ def test_criterion_5_repository_counting():
         for x in (2, 4, 8):
             pa = partition_string(ga, x)
             pb = partition_string(gb, x)
-            repo = build_repository(ga, gb, pa, pb, sf)
+            repo = build_repository(pa, pb, sf)
             work = repo.direct_builds + repo.merges
             assert work <= 2 * ga.size * gb.size, (work, ga.size, gb.size)
             worst = max(worst, work / (ga.size * gb.size))
             if i == 0 and x == 2:
                 snapshot = {k: t.rows for k, t in repo.memo.items()}
-                again = build_repository(ga, gb, pa, pb, sf)
+                again = build_repository(pa, pb, sf)
                 assert {k: t.rows for k, t in again.memo.items()} == snapshot
     _report(
         5,
@@ -266,10 +264,9 @@ def test_criterion_7_worked_example():
     assert len(text) == 13
     assert key_variables(g, 4) == {5}
     p = partition_string(g, 4)
-    assert [(q.var, q.kind, q.start, q.length) for q in p.parts] == [
-        (5, EXACT, 0, 5),
-        (6, COMPOSITE, 5, 3),
-        (5, EXACT, 8, 5),
-    ]
+    # while parts had a kind, (var, kind, start, length): (5, exact, 0, 5),
+    # (6, composite, 5, 3), (5, exact, 8, 5); the composite part is now
+    # variable 4, its one hanging child
+    assert [(q.var, q.start, q.length) for q in p.parts] == [(5, 0, 5), (4, 5, 3), (5, 8, 5)]
     assert contents(p, text) == ["abaab", "aba", "abaab"]
     _report(7, True, "worked grammar round-trips, keys and 3-part partition reproduced")

@@ -290,8 +290,9 @@ def test_distance_stats_output(tmp_path, capsys):
 
 
 def test_distance_stats_count_unbuilt_pairs(tmp_path, capsys):
-    # at x = 4 two part pairs of this grid are left unbuilt and swept through
-    # their two operands; the distance is still the baseline's
+    # at x = 4 four part pairs of this grid (two while composite parts were
+    # not grammar variables) are left unbuilt and swept through their two
+    # operands; the distance is still the baseline's
     a, b, stats = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "stats.txt"
     a.write_text("abaababaabaab\n")
     b.write_text("abaabbbaabaab\n")
@@ -300,7 +301,7 @@ def test_distance_stats_count_unbuilt_pairs(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert run_cli(capsys, *argv, "--algorithm", "baseline") == (0, out, "")
     fields = dict(line.split("=", 1) for line in stats.read_text().splitlines())
-    assert fields["unbuilt_pairs"] == "2"
+    assert fields["unbuilt_pairs"] == "4"
     assert int(fields["merges"]) > 0
 
 

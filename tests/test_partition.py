@@ -5,8 +5,6 @@ import pytest
 from conftest import random_slp, random_text
 from oracles import association_map, contents
 from slpdist import (
-    COMPOSITE,
-    EXACT,
     InvariantViolation,
     SlpError,
     expand,
@@ -41,18 +39,22 @@ def test_key_variables_rejects_small_x(fib7_slp):
 
 def test_partition_worked_example(fib7_slp):
     p = partition_string(fib7_slp, 4)
-    shape = [(q.var, q.kind, q.start, q.length) for q in p.parts]
-    assert shape == [(5, EXACT, 0, 5), (6, COMPOSITE, 5, 3), (5, EXACT, 8, 5)]
+    # while parts had a kind, (var, kind, start, length): (5, exact, 0, 5),
+    # (6, composite, 5, 3), (5, exact, 8, 5)
+    shape = [(q.var, q.start, q.length) for q in p.parts]
+    assert shape == [(5, 0, 5), (4, 5, 3), (5, 8, 5)]
     assert contents(p, expand(fib7_slp)) == ["abaab", "aba", "abaab"]
-    # the composite part hangs variable 4 off path variable 6
+    # the composite part hangs variable 4 off path variable 6; a one-link
+    # part is its hanging child, so the grammar gains no variable
     assert p.parts[1].chain == ((6, 4, 3),)
+    assert p.slp.productions == fib7_slp.productions
 
 
 def test_partition_single_block_when_x_exceeds_length(fib7_slp):
     p = partition_string(fib7_slp, 14)
-    assert [(q.var, q.kind) for q in p.parts] == [(7, EXACT)]
+    assert [(q.var, q.chain) for q in p.parts] == [(7, ())]
     p = partition_string(fib7_slp, 13)
-    assert [(q.var, q.kind) for q in p.parts] == [(7, EXACT)]
+    assert [(q.var, q.chain) for q in p.parts] == [(7, ())]
 
 
 def test_partition_rejects_small_x(fib7_slp):
@@ -76,14 +78,15 @@ def test_association_map_fib7(fib7_slp):
     text = expand(fib7_slp)
     p = partition_string(fib7_slp, 4)
     m = association_map(p, text)
-    assert set(m) == {(5, EXACT), (6, COMPOSITE)}
+    # {(5, exact), (6, composite)} while parts had a kind
+    assert set(m) == {5, 4}
     p1 = partition_string(fib7_slp, 13)
-    assert set(association_map(p1, text)) == {(7, EXACT)}
+    assert set(association_map(p1, text)) == {7}
 
 
 def test_association_map_refuses_two_substrings_for_one_association(fib7_slp):
     # the oracle the partition tests lean on must catch a broken partition:
-    # here one (var, kind) names both "abaab" and "abaabaab"
+    # here one variable names both "abaab" and "abaabaab"
     p = partition_string(fib7_slp, 4)
     first = p.parts[0]
     broken = p._replace(parts=(first, first._replace(start=5, length=8)))
@@ -97,8 +100,9 @@ def _check_partition(g, x):
     assert "".join(contents(p, text)) == text
     assert all(1 <= q.length <= 2 * x for q in p.parts)
     assert len(p.parts) <= 3 * math.ceil(len(text) / x) + 2
-    for q in p.parts:
-        if q.kind == EXACT and len(text) >= x:
+    for q, content in zip(p.parts, contents(p, text)):
+        assert expand(p.slp, q.var) == content
+        if not q.chain and len(text) >= x:
             assert q.length == var_length(g, q.var)
             assert x <= q.length < 2 * x
     # determinism across runs and across occurrences
@@ -133,13 +137,14 @@ def test_association_count_bounds(rng):
 
 def test_composite_chains_are_consistent(rng):
     # every chain link of a composite part names a hanging child whose
-    # derivation length matches the recorded length
+    # derivation length matches the recorded length, and the part's
+    # variable derives the children joined on the side the part grows
     for _ in range(30):
         g = random_slp(rng, max_len=50)
         for x in (2, 4, 7):
             p = partition_string(g, x)
             for q in p.parts:
-                if q.kind != COMPOSITE:
+                if not q.chain:
                     continue
                 assert q.grows in ("suffix", "prefix")
                 total = 0
@@ -148,7 +153,12 @@ def test_composite_chains_are_consistent(rng):
                     assert length < x
                     total += length
                 assert total == q.length
-                assert q.var == q.chain[-1][0]
+                pieces = [expand(g, hang_var) for _, hang_var, _ in q.chain]
+                if q.grows == "prefix":
+                    pieces.reverse()
+                assert expand(p.slp, q.var) == "".join(pieces)
+                if len(q.chain) == 1:
+                    assert q.var == q.chain[0][1]
 
 
 def test_power_grammar_partition():
@@ -163,7 +173,7 @@ def _composite_runs(parts):
     """The maximal runs of consecutive composite parts."""
     runs, run = [], []
     for q in parts:
-        if q.kind == COMPOSITE:
+        if q.chain:
             run.append(q)
         elif run:
             runs.append(run)
@@ -192,3 +202,41 @@ def test_grouping_rule(rng):
                 assert all(q.length >= x for q in run[suffixes + 1 :])
                 for q in run:
                     assert sum(length for _, _, length in q.chain[:-1]) < x
+
+
+def _grammars(rng, count):
+    """Random, RePair, LZ78 and balanced grammars, in turn."""
+    for i in range(count):
+        style = i % 4
+        if style == 0:
+            yield random_slp(rng, max_len=80)
+            continue
+        sigma = rng.choice(("ab", "abc"))
+        text = random_text(rng, sigma, rng.randint(1, 160))
+        yield (repair, lambda t: lz78_to_slp(lz78_parse(t)), from_plain)[style - 1](text)
+
+
+def test_partition_extends_the_grammar(rng):
+    # every part is one variable of the partition's grammar, which keeps
+    # the input's variables as they are, adds at most one per input
+    # variable and still derives the text from its last variable
+    added = 0
+    for g in _grammars(rng, 160):
+        text = expand(g)
+        for x in (2, 3, 4, 5, 7, 9, 12):
+            p = partition_string(g, x)
+            ext = p.slp
+            assert ext.productions[: g.size + 1] == g.productions
+            assert ext.productions[ext.root] == g.productions[g.root]
+            assert expand(ext) == text
+            assert ext.size - g.size <= g.size
+            for q, content in zip(p.parts, contents(p, text)):
+                assert expand(ext, q.var) == content
+            # equal pairs share one variable
+            pairs = ext.productions[g.size + 1 : ext.root]
+            assert len(set(pairs)) == len(pairs)
+            assert set(pairs).isdisjoint(g.productions)
+            again = partition_string(g, x)
+            assert again.slp == ext and again.parts == p.parts
+            added += ext.size - g.size
+    assert added > 0

@@ -3,10 +3,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_slp, random_scoring
+from conftest import mutated_periodic, random_slp, random_scoring
 from slpdist import (
-    COMPOSITE,
-    EXACT,
     block_edit,
     block_edit_distance,
     build_direct,
@@ -15,9 +13,12 @@ from slpdist import (
     expand,
     from_plain,
     levenshtein,
+    lz78_parse,
+    lz78_to_slp,
     merge_horizontal,
     merge_vertical,
     partition_string,
+    repair,
     wagner_fischer,
 )
 from slpdist.dist import DistTable, Unbuilt
@@ -27,7 +28,7 @@ from slpdist.slp import fibonacci_prefix_slp, slp_from_productions
 def _repo_for(slp_a, slp_b, sf, x):
     pa = partition_string(slp_a, x)
     pb = partition_string(slp_b, x)
-    return build_repository(slp_a, slp_b, pa, pb, sf), pa, pb
+    return build_repository(pa, pb, sf), pa, pb
 
 
 @pytest.fixture
@@ -84,17 +85,15 @@ def _merged(record):
 
 
 def _part_pairs(pa, pb):
-    keys_a = {(p.var, p.kind) for p in pa.parts}
-    keys_b = {(p.var, p.kind) for p in pb.parts}
-    return {(ka, kb) for ka in keys_a for kb in keys_b}
+    return {(p.var, q.var) for p in pa.parts for q in pb.parts}
 
 
 def test_worked_grammar_repository_keys(fib7_slp):
+    # the keys were ((5, exact), (6, composite)) squared while parts had a
+    # kind; the composite part is now variable 4, its one hanging child
     sf = levenshtein("ab")
     repo, pa, pb = _repo_for(fib7_slp, fib7_slp, sf, 4)
-    for part_key in ((5, EXACT), (6, COMPOSITE)):
-        for other in ((5, EXACT), (6, COMPOSITE)):
-            assert (part_key, other) in repo.memo
+    assert repo.memo.keys() == {(5, 5), (5, 4), (4, 5), (4, 4)}
 
 
 def test_every_memo_table_matches_direct(fib7_slp, rng, built):
@@ -130,7 +129,7 @@ def test_two_terminal_grammars():
     gb = slp_from_productions(["b"])
     repo, _, _ = _repo_for(ga, gb, sf, 2)
     assert repo.memo_size == 1
-    table = repo.memo[(1, EXACT), (1, EXACT)]
+    table = repo.memo[1, 1]
     assert table.rows == build_direct("a", "b", sf, 2).rows
     assert repo.direct_builds == 1 and repo.merges == 0
 
@@ -145,7 +144,9 @@ def test_memo_size_bound_and_oracle_random(rng, built, combined):
             built.clear()
             combined.clear()
             repo, pa, pb = _repo_for(ga, gb, sf, x)
-            assert repo.memo_size <= len(combined) <= 4 * ga.size * gb.size
+            # every key is combined once or left unbuilt
+            keys = len(combined) + repo.unbuilt_pairs
+            assert repo.memo_size <= keys <= 4 * ga.size * gb.size
             for table in built:
                 assert table.rows == build_direct(table.a, table.b, sf, repo.ceiling).rows
 
@@ -172,19 +173,30 @@ def test_repeated_builds_identical_and_lookup_counts_hits(fib7_slp):
         first, second = (dist._held(repo.memo[key]) for repo in (repo1, repo2))
         assert type(repo1.memo[key]) is type(repo2.memo[key])
         assert [t.rows for t in first] == [t.rows for t in second]
-    first = repo1.lookup((5, EXACT), (5, EXACT))
-    second = repo1.lookup((5, EXACT), (5, EXACT))
+    first = repo1.lookup(5, 5)
+    second = repo1.lookup(5, 5)
     assert first is second
 
 
-def test_composite_chain_tables(fib7_slp, built):
-    # block size 2 exercises multi-link accumulation chains
+def test_composite_chain_tables(fib7_slp, rng, built):
+    # composite parts are variables of the partitions' grammars, those of
+    # multi-link chains variables the partition added; their tables are
+    # built as any other's
     sf = levenshtein("ab")
     repo, pa, pb = _repo_for(fib7_slp, fib7_slp, sf, 2)
-    composites = [p for p in pa.parts if p.kind == COMPOSITE]
+    composites = [p for p in pa.parts if p.chain]
     assert composites, "expected composite parts at block size 2"
     for table in built:
         assert table.rows == build_direct(table.a, table.b, sf, repo.ceiling).rows
+    added = 0
+    for ga, gb, sf in _random_pairs(rng, 10):
+        for x in (2, 3, 5):
+            built.clear()
+            repo, pa, pb = _repo_for(ga, gb, sf, x)
+            added += sum(p.var > ga.size for p in pa.parts) + sum(p.var > gb.size for p in pb.parts)
+            for table in built:
+                assert table.rows == build_direct(table.a, table.b, sf, repo.ceiling).rows
+    assert added > 0
 
 
 def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch):
@@ -261,8 +273,9 @@ def test_each_distinct_table_costs_one_build(rng, built):
 
 
 def test_exact_pairs_split_the_longer_side(fib7_slp, rng, monkeypatch, combined):
-    # an exact x exact table of two non-terminals merges the tables of the
-    # longer side's children (A on a tie) with the whole shorter side
+    # a table of two variables not both terminals merges the tables of the
+    # longer side's children (A on a tie) with the whole shorter side, in
+    # the grammars the partitions extended
     made = {}
 
     def recording(kind, merge):
@@ -281,26 +294,25 @@ def test_exact_pairs_split_the_longer_side(fib7_slp, rng, monkeypatch, combined)
         for x in (2, 3, 5):
             made.clear()
             combined.clear()
-            _repo_for(ga, gb, sf, x)
-            for (ka, kb), table in combined:
-                (va, kind_a), (vb, kind_b) = ka, kb
-                prod_a, prod_b = ga.productions[va], gb.productions[vb]
-                if kind_a != EXACT or kind_b != EXACT:
-                    continue
-                if isinstance(prod_a, str) or isinstance(prod_b, str):
+            _, pa, pb = _repo_for(ga, gb, sf, x)
+            ea, eb = pa.slp, pb.slp
+            for (va, vb), table in combined:
+                prod_a, prod_b = ea.productions[va], eb.productions[vb]
+                if isinstance(prod_a, str) and isinstance(prod_b, str):
+                    assert id(table) not in made
                     continue
                 kind, d1, d2 = made[id(table)]
-                if ga.lengths[va] >= gb.lengths[vb]:
+                if ea.lengths[va] >= eb.lengths[vb]:
                     p, q = prod_a
                     assert kind == "v"
-                    assert (d1.a, d1.b) == (expand(ga, p), table.b)
-                    assert (d2.a, d2.b) == (expand(ga, q), table.b)
-                    splits["tie"] += ga.lengths[va] == gb.lengths[vb]
+                    assert (d1.a, d1.b) == (expand(ea, p), table.b)
+                    assert (d2.a, d2.b) == (expand(ea, q), table.b)
+                    splits["tie"] += ea.lengths[va] == eb.lengths[vb]
                 else:
                     r, t = prod_b
                     assert kind == "h"
-                    assert (d1.a, d1.b) == (table.a, expand(gb, r))
-                    assert (d2.a, d2.b) == (table.a, expand(gb, t))
+                    assert (d1.a, d1.b) == (table.a, expand(eb, r))
+                    assert (d2.a, d2.b) == (table.a, expand(eb, t))
                 splits[kind] += 1
     assert all(splits.values()), splits
 
@@ -397,50 +409,67 @@ def test_a_pair_is_left_unbuilt_exactly_when_both_counts_favour_it(fib7_slp, rng
     # replay the build in plan order: a merge part pair that no planned key
     # consumes is left unbuilt exactly when (work) its blocks fill fewer
     # kernel entries through the two operands, 2 * shared more each than
-    # through its table, than the merge fills, and (memory) the operands
-    # whose last consumer it is and that are not part pairs hold at most
-    # the s * s entries its table would
+    # through its table, than the merge fills, and (memory) the operand
+    # tables that its build would free hold at most the s * s entries its
+    # table would.  A table is freed when its key, not a part pair, meets
+    # its last consumer and no unbuilt pair holds it: counted by table,
+    # not by key
     grammars = [(fib7_slp, fib7_slp, levenshtein("ab"))] + list(_random_pairs(rng, 12))
     fib = fibonacci_prefix_slp(300)
     grammars += [(fib, fibonacci_prefix_slp(300, alphabet=("b", "a")), levenshtein("ab"))]
     grammars.append((*_balanced_pair(), levenshtein("abcd")))
+    # compressor grammars of periodic text, where an operand that an
+    # unbuilt pair holds can be the last operand of a later pair
+    for compress in (repair, lambda text: lz78_to_slp(lz78_parse(text))):
+        texts = [mutated_periodic(rng, "ab", 90, 5, 3) for _ in "ab"]
+        grammars.append((*map(compress, texts), levenshtein("ab")))
     cases = Counter()
+    held_elsewhere = 0
     for ga, gb, sf in grammars:
         for x in (2, 3, 5, 8, 13):
             combined.clear()
             repo, pa, pb = _repo_for(ga, gb, sf, x)
-            tables = dict(combined)
-            parts_a = Counter((p.var, p.kind) for p in pa.parts)
-            parts_b = Counter((p.var, p.kind) for p in pb.parts)
+            tables = dict(combined)  # keeps every table alive, so ids stay unique
+            parts_a = Counter(p.var for p in pa.parts)
+            parts_b = Counter(p.var for p in pb.parts)
             pairs = [(ka, kb) for ka in sorted(parts_a) for kb in sorted(parts_b)]
             plan = repo._plan(pairs)
             consumers = Counter(d for deps, _ in plan.values() for d in deps)
             consumed, keys = set(consumers), set(pairs)
+            holders = Counter()  # id of a table -> keys and unbuilt pairs holding it
             unbuilt_here = 0
             for key, (deps, op) in plan.items():
                 for d in deps:
                     consumers[d] -= 1
+                done = {d for d in deps if not consumers[d] and d not in keys}
                 value = repo.memo.get(key)
                 if op not in ("vmerge", "hmerge") or key in consumed:
                     assert type(value) is not Unbuilt and key in tables
-                    continue
-                d1, d2 = (tables[d] for d in deps)
-                shared = (d1.w if op == "vmerge" else d1.h) + 1
-                s = d1.s + d2.s - shared
-                blocks = parts_a[key[0]] * parts_b[key[1]]
-                work = blocks * 2 * shared < (d1.s - 1) * (shared + d2.s)
-                kept = {
-                    id(tables[d]): tables[d].s ** 2
-                    for d in deps
-                    if not consumers[d] and d not in keys
-                }
-                memory = sum(kept.values()) <= s * s
-                cases[work, memory] += 1
-                if work and memory:
-                    unbuilt_here += 1
-                    assert key not in tables
-                    assert (value.op, value.d1, value.d2, value.s) == (op, d1, d2, s)
+                    held = [tables[key]]
                 else:
-                    assert value is tables[key]
+                    d1, d2 = (tables[d] for d in deps)
+                    shared = (d1.w if op == "vmerge" else d1.h) + 1
+                    s = d1.s + d2.s - shared
+                    blocks = parts_a[key[0]] * parts_b[key[1]]
+                    work = blocks * 2 * shared < (d1.s - 1) * (shared + d2.s)
+                    freed = {id(tables[d]): tables[d].s ** 2 for d in done}
+                    kept = sum(n for t, n in freed.items() if holders[t] == 1)
+                    # pairs that counting by key would have built
+                    held_elsewhere += work and memory and sum(freed.values()) > s * s
+                    memory = kept <= s * s
+                    cases[work, memory] += 1
+                    if work and memory:
+                        unbuilt_here += 1
+                        assert key not in tables
+                        assert (value.op, value.d1, value.d2, value.s) == (op, d1, d2, s)
+                        held = [d1, d2]
+                    else:
+                        assert value is tables[key]
+                        held = [value]
+                for t in held:
+                    holders[id(t)] += 1
+                for d in done:
+                    holders[id(tables[d])] -= 1
             assert repo.unbuilt_pairs == unbuilt_here
     assert len(cases) == 4, cases
+    assert held_elsewhere > 0
