@@ -22,16 +22,18 @@ class RunStats:
     the trade the block parameter x tunes; ``merge_queries`` counts the
     element lookups the repository's merges performed.  A table holds s^2
     entries, an 8-byte list slot each, since equal values within one merge
-    share one int object.  ``table_entries`` sums them over the distinct
-    tables the repository holds for the sweep: its part pairs' tables and
-    the two operands of each of the ``unbuilt_pairs``, part pairs left
-    unbuilt because sweeping their blocks through their operands costs
-    less (see ``dist.build_repository``).  ``peak_table_entries`` is the
-    most that distinct tables held at once while the repository was built,
-    intermediate operands included, the driver of peak memory.  ``merges``
-    counts the tables built by merging, so an unbuilt pair is not one.
+    share one int object.  ``unbuilt_keys`` counts the keys the repository
+    left unbuilt because sweeping their blocks through their operands
+    costs less (see ``dist.build_repository``), and ``unbuilt_pairs`` the
+    part pairs among them.  ``table_entries`` sums the entries over the
+    distinct tables the repository holds for the sweep: its part pairs'
+    tables, and in place of an unbuilt one the tables its record holds, at
+    any depth.  ``peak_table_entries`` is the most that distinct tables
+    held at once while the repository was built, intermediate operands
+    included, the driver of peak memory.  ``merges`` counts the tables
+    built by merging, so an unbuilt key is not one.
     ``sweep_memo_hits`` counts the blocks the sweep memo answered from a
-    record (a record of an unbuilt pair's operand is not a block's),
+    record (a record of an unbuilt record's operand is not a block's),
     ``sweep_edges`` the distinct edges the sweep interned (see
     ``dist.Edges``), and ``sweep_memo_resets`` how often those edges'
     steps and the memo's records reached ``table_entries`` and both were
@@ -53,6 +55,7 @@ class RunStats:
         "direct_builds",
         "merges",
         "unbuilt_pairs",
+        "unbuilt_keys",
         "boundary_cells_propagated",
         "sweep_queries",
         "sweep_memo_hits",
@@ -161,6 +164,7 @@ def block_edit_distance(
     stats.direct_builds = repo.direct_builds
     stats.merges = repo.merges
     stats.unbuilt_pairs = repo.unbuilt_pairs
+    stats.unbuilt_keys = repo.unbuilt_keys
     stats.merge_queries = repo.merge_queries
     stats.elapsed["repository"] = time.perf_counter() - t0
 

@@ -35,12 +35,13 @@ travel as interned ``Edge`` objects, so a block the sweep has seen before
 costs one dict lookup by identity, and its bottom and right edges pass on
 as they are.
 
-A part pair whose few blocks cost fewer kernel entries pushed through the
-two tables it would be merged from than the merge would fill is left
-unbuilt (``Unbuilt``, decided in ``build_repository``), and
-``apply_inputs`` pushes its blocks through the two operands, each
-through the sweep memo.  That is exact because a merged table is by
-definition the composition of its operands.
+A key whose few blocks cost fewer kernel entries pushed through the two
+tables it would be merged from than the merge would fill is left unbuilt
+(``Unbuilt``, decided in ``build_repository`` before anything is built),
+and ``apply_inputs`` pushes its blocks through the two operands, each
+through the sweep memo.  An operand may be unbuilt in turn, so records
+nest.  That is exact because a merged table is by definition the
+composition of its operands.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ from .monge import substitute_infinities  # noqa: F401 - bench/tracing.py patche
 from .partition import InvariantViolation
 from .scoring import max_cost
 from .slp import Slp, expand
+
+# Unbuilt records nest at most this deep (see ``build_repository``).  The
+# sweep recurses three calls per level, so this stays far inside Python's
+# default recursion limit of 1000, which records nested as deep as a
+# left-deep chain grammar's parts at x = 450 overran.
+MAX_NESTING = 100
 
 
 class DistTable:
@@ -323,16 +330,16 @@ class Outputs:
 
 
 class Unbuilt:
-    """A part pair whose table was left unbuilt (see ``build_repository``):
-    the merge ``op`` it would be, its operands ``d1`` (upper or left) and
-    ``d2``, both built tables, and the h, w, s and ceiling of the table it
-    stands for.  ``apply_inputs`` pushes a block through the two operands,
-    which is exact because the merged table is by definition their
-    composition."""
+    """A key whose table was left unbuilt (see ``build_repository``): the
+    merge ``op`` it would be, its operands ``d1`` (upper or left) and
+    ``d2``, each a built table or itself an ``Unbuilt`` record, and the h,
+    w, s and ceiling of the table it stands for.  ``apply_inputs`` pushes a
+    block through the two operands, which is exact because the merged
+    table is by definition their composition."""
 
     __slots__ = ("op", "d1", "d2", "h", "w", "s", "ceiling")
 
-    def __init__(self, op: str, d1: DistTable, d2: DistTable):
+    def __init__(self, op: str, d1, d2):
         self.op, self.d1, self.d2 = op, d1, d2
         if op == "vmerge":
             self.h, self.w = d1.h + d2.h, d1.w
@@ -363,11 +370,15 @@ def apply_inputs(
     one min-plus row product over the table's stored rows (``minplus_row``:
     a scan or a SMAWK pass, O(s) element queries, added to ``counter[0]``),
     then interns the output edges in ``edges`` and stores the record there,
-    charged one unit against its budget.  ``d`` may also be an ``Unbuilt``
-    pair: a miss then pushes the block through its two operands, one after
-    the other, each through the memo (see ``_through_operands``), and
-    stores one record for the pair besides theirs; a hit on an operand is
-    not a block, so it adds nothing to ``counter[1]``.
+    charged one unit against its budget.  The product leaves out each input
+    that ties its neighbour towards the top-left corner plus the step
+    between them, read off the table's first or last column: that
+    neighbour is never worse, for any output, as in the merges.  ``d`` may
+    also be an ``Unbuilt`` record: a miss then pushes the block through
+    its two operands, one after the other, each through the memo (see
+    ``_through_operands``), and stores one record for the block besides
+    theirs; a hit on an operand is not a block, so it adds nothing to
+    ``counter[1]``.
 
     Absolute inputs must be non-negative, as a stand-in plus a negative
     input could win a column: the kernel is not run on them
@@ -388,8 +399,8 @@ def apply_inputs(
     return out
 
 
-def _outputs(d: DistTable, base, left: Edge, top: Edge, counter, memo, edges) -> Outputs:
-    """``apply_inputs`` on an operand of an unbuilt pair: no hit is
+def _outputs(d, base, left: Edge, top: Edge, counter, memo, edges) -> Outputs:
+    """``apply_inputs`` on an operand of an unbuilt record: no hit is
     counted and no ceiling checked, as its outputs on the shared boundary
     are not outputs of the block."""
     key = d, left, top
@@ -413,7 +424,18 @@ def _miss(key, base, counter, memo, edges) -> Outputs:
     if type(d) is Unbuilt:
         out = _through_operands(d, base, left, top, counter, memo, edges)
     else:
-        values = minplus_row(values, d.rows, 0, len(values), counter)
+        rows = d.rows
+        # an input whose value ties its neighbour towards the top-left
+        # corner plus the step between them is never better than that
+        # neighbour, for any output; the steps are the differences down the
+        # table's first column and along its last one
+        first = [row[0] for row in rows[: h + 1]]
+        last = [row[-1] for row in rows[h:]]
+        keep = [*map(ne, left.steps, map(sub, first, first[1:])), True]
+        keep += map(ne, top.steps, map(sub, last, last[1:]))
+        values = minplus_row(
+            list(compress(values, keep)), list(compress(rows, keep)), 0, len(values), counter
+        )
         steps = tuple(map(sub, values[1:], values))
         bottom = edges.intern(steps[:w], memo)
         right = edges.intern(steps[w:], memo)
@@ -424,7 +446,8 @@ def _miss(key, base, counter, memo, edges) -> Outputs:
 
 
 def _through_operands(d: Unbuilt, base, left: Edge, top: Edge, counter, memo, edges) -> Outputs:
-    """The outputs of an unbuilt pair's block, pushed through its operands.
+    """The outputs of an unbuilt record's block, pushed through its
+    operands, tables or records.
 
     Vertical: the upper table d1 takes the upper left steps and the top
     edge; the lower table d2 takes the lower left steps and d1's bottom
@@ -481,8 +504,9 @@ class Repository:
     the grammar's repetitiveness pays off.  Each key is built once, by one
     direct build or one merge, or left unbuilt (see ``build_repository``).
     Once built, ``memo`` holds only the part pairs, what the sweep reads:
-    a table, or an ``Unbuilt`` record of two tables for each of the
-    ``unbuilt_pairs``.  ``peak_table_entries`` is the most entries the
+    a table, or an ``Unbuilt`` record for each of the ``unbuilt_pairs``.
+    ``unbuilt_keys`` counts every key left unbuilt, the part pairs among
+    them included.  ``peak_table_entries`` is the most entries the
     distinct tables held at once while they were built.
     """
 
@@ -492,6 +516,7 @@ class Repository:
         self.direct_builds = 0
         self.merges = 0
         self.unbuilt_pairs = 0
+        self.unbuilt_keys = 0
         self.peak_table_entries = 0
         self._queries = [0]  # kernel element queries spent in merges
         self._slps = (slp_a, slp_b)
@@ -511,10 +536,9 @@ class Repository:
 
     @property
     def table_entries(self) -> int:
-        """Entries held by the distinct tables in ``memo``, the operands of
-        unbuilt pairs included."""
-        tables = {id(t): t for value in self.memo.values() for t in _held(value)}
-        return sum(t.s * t.s for t in tables.values())
+        """Entries held by the distinct tables in ``memo``, those the
+        unbuilt records hold at any depth included."""
+        return sum(t.s * t.s for t in _held(*self.memo.values()))
 
     def lookup(self, key_a, key_b) -> DistTable | Unbuilt:
         """Table, or unbuilt record, for an already-planned pair."""
@@ -556,6 +580,41 @@ class Repository:
         r, t = slp_b.productions[vb]
         return [(va, r), (va, t)], "hmerge"
 
+    def _left_unbuilt(self, plan: dict, parts_a: Counter, parts_b: Counter) -> set:
+        """The keys of ``plan`` to leave unbuilt, decided from sizes and
+        part counts alone in one pass from the last key to the first, so
+        each key after every key that consumes it (see
+        ``build_repository``)."""
+        len_a, len_b = self._slps[0].lengths, self._slps[1].lengths
+
+        def size(key):
+            return len_a[key[0]] + len_b[key[1]] + 1
+
+        through = Counter()  # blocks unbuilt consumers push through each key
+        nesting = Counter()  # most unbuilt records above each key
+        needed = set()  # operands of built keys
+        consumed = set()  # operands of the keys after this one
+        unbuilt = set()
+        for key, (deps, op) in reversed(plan.items()):
+            # the operands whose last consumer this key is
+            last = {d for d in deps if d not in consumed}
+            consumed.update(deps)
+            if op == "direct" or key in needed or nesting[key] == MAX_NESTING:
+                needed.update(deps)
+                continue
+            s1, s2, s = size(deps[0]), size(deps[1]), size(key)
+            shared = s1 + s2 - s  # the shared boundary's vertices
+            blocks = parts_a[key[0]] * parts_b[key[1]] + through[key]
+            kept = sum(size(d) ** 2 for d in last if not (parts_a[d[0]] and parts_b[d[1]]))
+            if blocks * 2 * shared < (s1 - 1) * (shared + s2) and kept <= s * s:
+                unbuilt.add(key)
+                for d in deps:
+                    through[d] += blocks
+                    nesting[d] = max(nesting[d], nesting[key] + 1)
+            else:
+                needed.update(deps)
+        return unbuilt
+
     def _combine(self, key, op, tables):
         if op == "direct":
             self.direct_builds += 1
@@ -567,22 +626,20 @@ class Repository:
         return merge(*tables, self._queries)
 
 
-def _held(value) -> tuple:
-    """The built tables a memo value holds: itself, or an unbuilt pair's
-    two operands."""
-    return (value.d1, value.d2) if type(value) is Unbuilt else (value,)
-
-
-def _unbuilt(op: str, d1: DistTable, d2: DistTable, blocks: int, kept: int):
-    """The ``Unbuilt`` record of the merge ``op`` of d1 and d2 when its
-    ``blocks`` cost less swept through the operands than the merge costs,
-    in kernel entries, and the ``kept`` entries it keeps alive are at most
-    the table's; else None (see ``build_repository``)."""
-    record = Unbuilt(op, d1, d2)
-    shared = d1.s + d2.s - record.s  # the shared boundary's vertices
-    if blocks * 2 * shared < (d1.s - 1) * (shared + d2.s) and kept <= record.s**2:
-        return record
-    return None
+def _held(*values) -> tuple:
+    """The distinct built tables memo values hold: each table itself, and
+    those an unbuilt record's operands hold, at any depth."""
+    tables, seen = {}, set()
+    stack = list(values)
+    while stack:
+        value = stack.pop()
+        if type(value) is Unbuilt:
+            if id(value) not in seen:
+                seen.add(id(value))
+                stack += value.d1, value.d2
+        else:
+            tables[id(value)] = value
+    return tuple(tables.values())
 
 
 def build_repository(part_a, part_b, sf) -> Repository:
@@ -591,24 +648,34 @@ def build_repository(part_a, part_b, sf) -> Repository:
 
     The partitions must have been built with the same block parameter.  One
     walk of the dependency DAG (``Repository._plan``) orders the build:
-    every key after its operands.  The keys are then built in that order,
-    and a key that is not a part pair leaves the memo once its last
-    consumer is built, so its table is freed unless an unbuilt pair still
-    holds it.
+    every key after its operands.  Which keys to leave unbuilt is decided
+    next, before anything is built, from table sizes and part counts
+    alone, in one pass in reverse plan order, so each key after all its
+    consumers.  A key that is a merge, and that only unbuilt keys consume
+    if any key does, is left unbuilt, as an ``Unbuilt`` record of its two
+    operands, when both of these hold:
 
-    A part pair that would be a merge no other key consumes is left
-    unbuilt, as an ``Unbuilt`` record of its two operands, when both of
-    these hold, counted from table sizes and part counts alone:
+    * less work -- ``through`` counts the blocks the sweep pushes through
+      the key: its own, its row key's parts times its column key's (none
+      unless it is a part pair), plus the ``through`` of each consumer.
+      Building fills ``(s1 - 1) * (shared + s2)`` kernel entries,
+      ``shared`` being the shared boundary's vertices (d1's w + 1 for a
+      vertical merge, its h + 1 for a horizontal one).  Each block pushed
+      through the operands fills ``2 * shared`` more than through the
+      table, and the key stays unbuilt when ``through * 2 * shared`` is
+      less;
+    * no more memory -- the operands it newly keeps alive, those it is the
+      last consumer of in plan order and that are not part pairs, hold at
+      most the ``s * s`` entries its table would, each counted as the
+      table it would be.
 
-    * less work -- building fills ``(s1 - 1) * (shared + s2)`` kernel
-      entries, ``shared`` being the shared boundary's vertices (d1's w + 1
-      for a vertical merge, its h + 1 for a horizontal one).  Each block
-      fills ``2 * (s1 + s2)`` through the operands, ``2 * shared`` more
-      than the ``2 * s`` through the table, and the pair covers ``blocks``
-      blocks, its row key's parts times its column key's;
-    * no more memory -- the operands it keeps alive, those whose last
-      consumer it is, that are not part pairs and whose tables nothing
-      else holds, hold at most the ``s * s`` entries the table would.
+    So no built key has an unbuilt operand, and an unbuilt key's operands
+    may be unbuilt in turn, at most ``MAX_NESTING`` records deep.  The
+    keys are then built in plan order: a built key by a direct build or a
+    merge, an unbuilt one as a record of its operands, tables or records.
+    A key that is not a part pair leaves the memo once its last consumer
+    is done, so its table is freed unless an unbuilt record still holds
+    it.
 
     Each partition adds at most n variables to a grammar of n, so at most
     4 * n_A * n_B keys are built, each by one direct build or one merge,
@@ -621,36 +688,48 @@ def build_repository(part_a, part_b, sf) -> Repository:
     parts_b = Counter(p.var for p in part_b.parts)
     pairs = [(ka, kb) for ka in sorted(parts_a) for kb in sorted(parts_b)]
     plan = repo._plan(pairs)
+    unbuilt = repo._left_unbuilt(plan, parts_a, parts_b)
     consumers = Counter(d for deps, _ in plan.values() for d in deps)
     keep = set(pairs)
     memo = repo.memo
-    holders = Counter()  # live table -> the memo key and unbuilt pairs holding it
+    holders = Counter()  # live table or record -> memo keys and records holding it
     live = 0
+
+    def hold(value):
+        nonlocal live
+        if not holders[value]:
+            if type(value) is Unbuilt:
+                hold(value.d1)
+                hold(value.d2)
+            else:
+                live += value.s * value.s
+        holders[value] += 1
+
+    def release(value):
+        nonlocal live
+        holders[value] -= 1
+        if not holders[value]:
+            del holders[value]
+            if type(value) is Unbuilt:
+                release(value.d1)
+                release(value.d2)
+            else:
+                live -= value.s * value.s
+
     for key, (deps, op) in plan.items():
         for d in deps:
             consumers[d] -= 1
-        done = [d for d in dict.fromkeys(deps) if not consumers[d] and d not in keep]
-        value = None
-        if op in ("vmerge", "hmerge") and not consumers[key]:
-            # dropping an operand frees its table only if nothing else holds it
-            kept = sum(memo[d].s ** 2 for d in done if holders[memo[d]] == 1)
-            blocks = parts_a[key[0]] * parts_b[key[1]]
-            value = _unbuilt(op, *map(memo.get, deps), blocks, kept)
-        if value is None:
-            value = repo._combine(key, op, [memo[d] for d in deps])
+        operands = [memo[d] for d in deps]
+        if key in unbuilt:
+            value = Unbuilt(op, *operands)
+            repo.unbuilt_keys += 1
+            repo.unbuilt_pairs += key in keep
         else:
-            repo.unbuilt_pairs += 1
+            value = repo._combine(key, op, operands)
         memo[key] = value
-        for table in _held(value):
-            if not holders[table]:
-                live += table.s * table.s
-                repo.peak_table_entries = max(repo.peak_table_entries, live)
-            holders[table] += 1
-        for d in done:
-            dropped = memo.pop(d)
-            holders[dropped] -= 1
-            if not holders[dropped]:
-                del holders[dropped]
-                live -= dropped.s * dropped.s
-            del dropped  # free it now, not at the next drop
+        hold(value)
+        repo.peak_table_entries = max(repo.peak_table_entries, live)
+        for d in dict.fromkeys(deps):
+            if not consumers[d] and d not in keep:
+                release(memo.pop(d))  # freed now, unless a record holds it
     return repo

@@ -28,18 +28,12 @@ class InvariantViolation(RuntimeError):
     """An internal consistency guarantee failed; indicates a bug."""
 
 
-class Part(namedtuple("Part", "var start length chain grows", defaults=((), None))):
+class Part(namedtuple("Part", "var start length")):
     """One substring of the partition, the full derivation of ``var`` in the
-    partition's grammar.
-
-    A composite part also records how it was grouped: it accumulates the
-    hanging children in ``chain`` (tuples of (path variable, hanging child
-    variable, length)), growing by appending when ``grows == "suffix"`` and
-    by prepending when ``grows == "prefix"``.  ``var`` is the first child
-    folded with each later one into a pair variable, on the side it grows
-    on; a one-link chain's ``var`` is its hanging child.  An anchor part has
-    an empty ``chain``.
-    """
+    partition's grammar, ``length`` characters from ``start`` on.  A
+    composite part's ``var`` folds its hanging children into pair
+    variables, in the order they accumulate (see ``_group``); a one-piece
+    composite's ``var`` is its hanging child."""
 
     __slots__ = ()
 
@@ -131,12 +125,11 @@ def _group(pieces, x, grows, builder: _Builder):
         run.append(piece)
         total += piece[4]
         if total >= x or i == last:
-            chain = tuple((p[1], p[2], p[4]) for p in run)
             start = min(p[3] for p in run)
             var = run[0][2]
             for p in run[1:]:
                 var = builder.pair(var, p[2]) if grows == "suffix" else builder.pair(p[2], var)
-            parts.append(Part(var, start, total, chain, grows))
+            parts.append(Part(var, start, total))
             run, total = [], 0
     return parts
 

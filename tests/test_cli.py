@@ -285,14 +285,15 @@ def test_distance_stats_output(tmp_path, capsys):
     fields = dict(line.split("=", 1) for line in record.splitlines())
     assert int(fields["sweep_edges"]) > 0
     assert fields["sweep_memo_resets"] == "0"
-    assert fields["unbuilt_pairs"] == "0"
+    assert fields["unbuilt_pairs"] == fields["unbuilt_keys"] == "0"
     assert "merge_queries=" in record
 
 
 def test_distance_stats_count_unbuilt_pairs(tmp_path, capsys):
-    # at x = 4 four part pairs of this grid (two while composite parts were
-    # not grammar variables) are left unbuilt and swept through their two
-    # operands; the distance is still the baseline's
+    # at x = 4 six part pairs of this grid are left unbuilt and swept
+    # through their two operands (two while composite parts were not
+    # grammar variables, four while only part pairs no key consumes could
+    # be); the distance is still the baseline's
     a, b, stats = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "stats.txt"
     a.write_text("abaababaabaab\n")
     b.write_text("abaabbbaabaab\n")
@@ -301,7 +302,8 @@ def test_distance_stats_count_unbuilt_pairs(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert run_cli(capsys, *argv, "--algorithm", "baseline") == (0, out, "")
     fields = dict(line.split("=", 1) for line in stats.read_text().splitlines())
-    assert fields["unbuilt_pairs"] == "4"
+    # ``unbuilt_keys`` counts the part pairs and the keys they nest
+    assert (fields["unbuilt_pairs"], fields["unbuilt_keys"]) == ("6", "8")
     assert int(fields["merges"]) > 0
 
 

@@ -554,6 +554,63 @@ def test_apply_inputs_matches_brute_column_minima(rng):
         assert sweep.counter[1] == 1 and len(sweep.memo) == 1
 
 
+def _tied_inputs(rng, d, top):
+    """Absolute inputs of d, about half of which tie their neighbour
+    towards the top-left corner plus the step between them, read off the
+    table's first column below the corner and its last one right of it,
+    as the grid values the sweep carries often do; the others lie below
+    or above that."""
+    h, s, rows = d.h, d.s, d.rows
+    values = [0] * s
+    values[h] = rng.randint(0, top)
+    for i in [*range(h - 1, -1, -1), *range(h + 1, s)]:
+        j, col = (i + 1, 0) if i < h else (i - 1, -1)
+        step = rows[j][col] - rows[i][col]
+        values[i] = values[j] + step - (rng.randint(-step, step) if rng.random() < 0.5 else 0)
+    return values
+
+
+def test_sweep_misses_hand_the_kernel_only_undominated_inputs(rng, monkeypatch):
+    # a miss drops each input below the corner whose value is the value
+    # above it plus the step down, and each input right of it whose value is
+    # the value on its left plus the step along: that neighbour is never
+    # worse, for any output.  The corner stays, the kernel gets the kept
+    # values and stored rows in order, and the outputs are the column
+    # minima over every input
+    calls = []
+    real = dist.minplus_row
+
+    def kernel(u, rows, jlo, jhi, counter=None):
+        calls.append((list(u), list(rows), jlo, jhi))
+        return real(u, rows, jlo, jhi, counter)
+
+    monkeypatch.setattr(dist, "minplus_row", kernel)
+    dropped = 0
+    for _ in range(80):
+        sigma = rng.choice(("ab", "abc"))
+        sf = random_scoring(rng, sigma)
+        a = random_text(rng, sigma, rng.randint(0, 7))
+        b = random_text(rng, sigma, rng.randint(0, 7))
+        d = build_direct(a, b, sf, 30 + 3 * grid_ceiling(sf, a, b))
+        inputs = _tied_inputs(rng, d, 30)
+        rows, h = d.rows, d.h
+        product = [
+            [None if v is None else u + v for v in row] for u, row in zip(inputs, with_none(d))
+        ]
+        calls.clear()
+        assert _apply(d, tuple(_steps(inputs))) == tuple(_steps(brute_column_minima(product)[0]))
+        down = {i: inputs[i + 1] + rows[i + 1][0] - rows[i][0] for i in range(h)}
+        along = {i: inputs[i - 1] + rows[i - 1][-1] - rows[i][-1] for i in range(h + 1, d.s)}
+        ties = {i for i, tie in (down | along).items() if inputs[i] == tie}
+        keep = [i for i in range(d.s) if i not in ties]
+        ((u, handed, jlo, jhi),) = calls
+        assert h in keep and (jlo, jhi) == (0, d.s)
+        assert u == [inputs[i] for i in keep]
+        assert [id(row) for row in handed] == [id(rows[i]) for i in keep]
+        dropped += len(ties)
+    assert dropped > 0
+
+
 def _outcome(d, steps, h=None, sweep=None):
     """What applying ``steps`` to d gives: the outputs and their peak, or
     the error's type and message."""

@@ -44,17 +44,18 @@ def test_partition_worked_example(fib7_slp):
     shape = [(q.var, q.start, q.length) for q in p.parts]
     assert shape == [(5, 0, 5), (4, 5, 3), (5, 8, 5)]
     assert contents(p, expand(fib7_slp)) == ["abaab", "aba", "abaab"]
-    # the composite part hangs variable 4 off path variable 6; a one-link
-    # part is its hanging child, so the grammar gains no variable
-    assert p.parts[1].chain == ((6, 4, 3),)
+    # the composite part hangs variable 4 off path variable 6; a one-piece
+    # part is its hanging child, so the grammar gains no variable (while
+    # parts recorded their grouping, its chain read ((6, 4, 3),))
+    assert fib7_slp.productions[6] == (5, 4)
     assert p.slp.productions == fib7_slp.productions
 
 
 def test_partition_single_block_when_x_exceeds_length(fib7_slp):
     p = partition_string(fib7_slp, 14)
-    assert [(q.var, q.chain) for q in p.parts] == [(7, ())]
+    assert p.parts == ((7, 0, 13),)
     p = partition_string(fib7_slp, 13)
-    assert [(q.var, q.chain) for q in p.parts] == [(7, ())]
+    assert p.parts == ((7, 0, 13),)
 
 
 def test_partition_rejects_small_x(fib7_slp):
@@ -100,11 +101,16 @@ def _check_partition(g, x):
     assert "".join(contents(p, text)) == text
     assert all(1 <= q.length <= 2 * x for q in p.parts)
     assert len(p.parts) <= 3 * math.ceil(len(text) / x) + 2
+    keys = key_variables(g, x) if len(text) >= x else set()
     for q, content in zip(p.parts, contents(p, text)):
         assert expand(p.slp, q.var) == content
-        if not q.chain and len(text) >= x:
+        # a part of a key variable is that variable's whole string; any
+        # other part is one hanging child, shorter than x, or folds several
+        if q.var in keys:
             assert q.length == var_length(g, q.var)
             assert x <= q.length < 2 * x
+        else:
+            assert q.length < x or q.var > g.size
     # determinism across runs and across occurrences
     again = partition_string(g, x)
     assert again.parts == p.parts
@@ -135,30 +141,40 @@ def test_association_count_bounds(rng):
             assert len(m) <= 2 * g.size
 
 
+def _added(g, p):
+    """The pair productions the partition folded into g, by variable: all
+    it added but the last, the copy of the root that keeps the root last."""
+    return {v: p.slp.productions[v] for v in range(g.size + 1, p.slp.size)}
+
+
 def test_composite_chains_are_consistent(rng):
-    # every chain link of a composite part names a hanging child whose
-    # derivation length matches the recorded length, and the part's
-    # variable derives the children joined on the side the part grows
+    # while parts recorded their grouping, every chain link named a hanging
+    # child shorter than x, and the part's variable derived the children
+    # joined on the side it grows.  Restated on the added productions: each
+    # joins a fold of pieces shorter than x with one more piece, so both
+    # children derive fewer than x characters, and every added variable is
+    # a part's or folds into one
+    folded = 0
     for _ in range(30):
         g = random_slp(rng, max_len=50)
         for x in (2, 4, 7):
             p = partition_string(g, x)
-            for q in p.parts:
-                if not q.chain:
-                    continue
-                assert q.grows in ("suffix", "prefix")
-                total = 0
-                for path_var, hang_var, length in q.chain:
-                    assert var_length(g, hang_var) == length
-                    assert length < x
-                    total += length
-                assert total == q.length
-                pieces = [expand(g, hang_var) for _, hang_var, _ in q.chain]
-                if q.grows == "prefix":
-                    pieces.reverse()
-                assert expand(p.slp, q.var) == "".join(pieces)
-                if len(q.chain) == 1:
-                    assert q.var == q.chain[0][1]
+            added = _added(g, p)
+            if p.slp.size > g.size:
+                assert p.slp.productions[p.slp.root] == g.productions[g.root]
+            for v, (left, right) in added.items():
+                assert p.slp.lengths[left] < x and p.slp.lengths[right] < x
+                assert p.slp.lengths[v] < 2 * x
+            used = {q.var for q in p.parts} & added.keys()
+            stack = list(used)
+            while stack:
+                for child in added[stack.pop()]:
+                    if child in added and child not in used:
+                        used.add(child)
+                        stack.append(child)
+            assert used == added.keys()
+            folded += len(added)
+    assert folded > 0
 
 
 def test_power_grammar_partition():
@@ -169,11 +185,12 @@ def test_power_grammar_partition():
         assert "".join(contents(p, expand(g))) == "a" * 16
 
 
-def _composite_runs(parts):
-    """The maximal runs of consecutive composite parts."""
+def _composite_runs(parts, keys):
+    """The maximal runs of consecutive parts not of a key variable (a
+    composite part that folds into a key variable ends a run)."""
     runs, run = [], []
     for q in parts:
-        if q.chain:
+        if q.var not in keys:
             run.append(q)
         elif run:
             runs.append(run)
@@ -194,14 +211,20 @@ def test_grouping_rule(rng):
             text = random_text(rng, sigma, rng.randint(1, 120))
             g = (repair, lambda t: lz78_to_slp(lz78_parse(t)), from_plain)[style - 1](text)
         for x in (2, 3, 4, 5, 7, 9, 11):
-            for run in _composite_runs(partition_string(g, x).parts):
-                grows = [q.grows for q in run]
-                suffixes = grows.count("suffix")
-                assert grows == ["suffix"] * suffixes + ["prefix"] * (len(run) - suffixes)
-                assert all(q.length >= x for q in run[: max(suffixes - 1, 0)])
-                assert all(q.length >= x for q in run[suffixes + 1 :])
-                for q in run:
-                    assert sum(length for _, _, length in q.chain[:-1]) < x
+            if var_length(g, g.root) < x:
+                continue
+            p = partition_string(g, x)
+            # upward parts come first and only the last of them may fall
+            # short; downward parts follow and only the first may: so at
+            # most two parts of a run are shorter than x, next to each other
+            # (while parts recorded ``grows``, the run's suffix parts were
+            # checked to come before its prefix parts)
+            for run in _composite_runs(p.parts, key_variables(g, x)):
+                short = [i for i, q in enumerate(run) if q.length < x]
+                assert len(short) <= 2 and (len(short) < 2 or short[1] == short[0] + 1)
+            # each fold but a part's last joins pieces totalling fewer than x
+            for left, right in _added(g, p).values():
+                assert p.slp.lengths[left] < x and p.slp.lengths[right] < x
 
 
 def _grammars(rng, count):

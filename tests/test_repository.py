@@ -12,6 +12,7 @@ from slpdist import (
     dist,
     expand,
     from_plain,
+    key_variables,
     levenshtein,
     lz78_parse,
     lz78_to_slp,
@@ -22,6 +23,7 @@ from slpdist import (
     wagner_fischer,
 )
 from slpdist.dist import DistTable, Unbuilt
+from slpdist.scoring import ScoringFunction, scaled_to_ints
 from slpdist.slp import fibonacci_prefix_slp, slp_from_productions
 
 
@@ -66,8 +68,8 @@ def combined(monkeypatch):
 
 
 def _held(repo):
-    """The distinct built tables the memo holds, an unbuilt pair's two
-    operands included."""
+    """The distinct built tables the memo holds, those its unbuilt records
+    hold at any depth included."""
     return list({id(t): t for value in repo.memo.values() for t in dist._held(value)}.values())
 
 
@@ -75,10 +77,29 @@ def _unbuilt(repo):
     return [value for value in repo.memo.values() if type(value) is Unbuilt]
 
 
+def _records(repo):
+    """Every distinct unbuilt record the memo holds, at any depth."""
+    records, stack = {}, list(repo.memo.values())
+    while stack:
+        value = stack.pop()
+        if type(value) is Unbuilt and id(value) not in records:
+            records[id(value)] = value
+            stack += value.d1, value.d2
+    return list(records.values())
+
+
+def _nested(repo):
+    """The unbuilt records that hold an unbuilt record."""
+    return [r for r in _records(repo) if Unbuilt in (type(r.d1), type(r.d2))]
+
+
 def _merged(record):
-    """The table an unbuilt pair stands for, merged from its operands."""
+    """The table a memo value stands for: itself if built, else its
+    operands' tables merged, at any depth."""
+    if type(record) is not Unbuilt:
+        return record
     merge = merge_vertical if record.op == "vmerge" else merge_horizontal
-    table = merge(record.d1, record.d2)
+    table = merge(_merged(record.d1), _merged(record.d2))
     assert (record.h, record.w, record.s) == (table.h, table.w, table.s)
     assert record.ceiling == table.ceiling
     return table
@@ -99,14 +120,14 @@ def test_worked_grammar_repository_keys(fib7_slp):
 def test_every_memo_table_matches_direct(fib7_slp, rng, built):
     # the stored rows too, stand-ins included, against the repository
     # ceiling, for the freed operands as well as the tables the memo holds;
-    # an unbuilt pair holds two built tables, and their merge is the table
-    # it stands for
+    # an unbuilt record holds two operands, built tables or records, and
+    # their merge is the table it stands for
     def check(repo, sf):
         assert {id(t) for t in _held(repo)} <= {id(t) for t in built}
         for table in built:
             direct = build_direct(table.a, table.b, sf, repo.ceiling)
             assert table.rows == direct.rows
-        for record in _unbuilt(repo):
+        for record in _records(repo):
             table = _merged(record)
             assert table.rows == build_direct(table.a, table.b, sf, repo.ceiling).rows
         return len(_unbuilt(repo))
@@ -184,7 +205,7 @@ def test_composite_chain_tables(fib7_slp, rng, built):
     # built as any other's
     sf = levenshtein("ab")
     repo, pa, pb = _repo_for(fib7_slp, fib7_slp, sf, 2)
-    composites = [p for p in pa.parts if p.chain]
+    composites = [p for p in pa.parts if p.var not in key_variables(fib7_slp, 2)]
     assert composites, "expected composite parts at block size 2"
     for table in built:
         assert table.rows == build_direct(table.a, table.b, sf, repo.ceiling).rows
@@ -246,11 +267,18 @@ def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch):
         assert stats.table_entries == sum(t.s * t.s for t in tables)
         # one kernel call per record the sweep memo stored for a built
         # table: per block it did not answer, or per operand of an unbuilt
-        # pair it did not answer
+        # record it did not answer
         assert stats.sweep_memo_resets == 0
         assert len(swept) == sum(type(d) is DistTable for d, _, _ in memos[-1])
-        stored = {id(t.rows) for t in tables}
-        assert all(id(rows) in stored for rows in swept)
+        # each call hands over stored row objects of one table, in order and
+        # the top-left corner's among them (while a miss handed the kernel
+        # every input, it handed over the table's own row list)
+        stored = {id(row): (id(t), i, t.h) for t in tables for i, row in enumerate(t.rows)}
+        for rows in swept:
+            owners = [stored[id(row)] for row in rows]
+            assert len({table for table, _, _ in owners}) == 1
+            indices = [i for _, i, _ in owners]
+            assert indices == sorted(set(indices)) and owners[0][2] in indices
     assert unbuilt > 0
 
 
@@ -372,9 +400,9 @@ def test_balanced_grammars_hold_fewer_entries_than_they_build(built):
 def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch):
     # replay the build: as each table is stored, add up the entries of
     # every DistTable still alive, so a freed operand that lingers counts;
-    # the largest sum is the counter.  An unbuilt pair stores no table but
-    # keeps its operands alive, so once built the tables alive are those
-    # ``table_entries`` counts
+    # the largest sum is the counter.  An unbuilt record stores no table
+    # but keeps its operands alive, records among them, so once built the
+    # tables alive are those ``table_entries`` counts
     real = dist.Repository._combine
     before = []
     seen = []
@@ -393,7 +421,7 @@ def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch):
     grammars = [(fib7_slp, fib7_slp, levenshtein("ab"))]
     grammars += list(_random_pairs(rng, 3, max_len=24))
     grammars.append((*_balanced_pair(), levenshtein("abcd")))
-    unbuilt = 0
+    unbuilt = nested = 0
     for ga, gb, sf in grammars:
         for x in (2, 4):
             before[:] = [o for o in gc.get_objects() if type(o) is DistTable]
@@ -402,74 +430,222 @@ def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch):
             assert max(seen) == repo.peak_table_entries
             assert alive() == repo.table_entries
             unbuilt += repo.unbuilt_pairs
-    assert unbuilt > 0
+            nested += len(_nested(repo))
+    assert unbuilt > 0 and nested > 0
 
 
-def test_a_pair_is_left_unbuilt_exactly_when_both_counts_favour_it(fib7_slp, rng, combined):
-    # replay the build in plan order: a merge part pair that no planned key
-    # consumes is left unbuilt exactly when (work) its blocks fill fewer
-    # kernel entries through the two operands, 2 * shared more each than
-    # through its table, than the merge fills, and (memory) the operand
-    # tables that its build would free hold at most the s * s entries its
-    # table would.  A table is freed when its key, not a part pair, meets
-    # its last consumer and no unbuilt pair holds it: counted by table,
-    # not by key
+def _decisions(repo, pa, pb):
+    """Replay the unbuilt rule from sizes and part counts, in reverse plan
+    order: ``(plan, unbuilt keys, Counter of (work, memory, last) cases)``,
+    where ``last`` says whether the memory count left out an operand the
+    key is not the last consumer of."""
+    ea, eb = pa.slp, pb.slp
+    parts_a = Counter(p.var for p in pa.parts)
+    parts_b = Counter(p.var for p in pb.parts)
+    pairs = [(ka, kb) for ka in sorted(parts_a) for kb in sorted(parts_b)]
+    plan = repo._plan(pairs)
+    keys = list(plan)
+    consumers = {key: [] for key in keys}
+    for key, (deps, _) in plan.items():
+        for d in dict.fromkeys(deps):
+            consumers[d].append(key)
+
+    def size(key):
+        return ea.lengths[key[0]] + eb.lengths[key[1]] + 1
+
+    unbuilt, through, nesting, cases = set(), {}, {}, Counter()
+    for key in reversed(keys):
+        deps, op = plan[key]
+        users = consumers[key]
+        own = parts_a[key[0]] * parts_b[key[1]]
+        # a key every consumer of which is unbuilt, or none consumes
+        if op == "direct" or any(c not in unbuilt for c in users):
+            continue
+        nesting[key] = max((nesting[c] + 1 for c in users), default=0)
+        through[key] = own + sum(through[c] for c in users for d in plan[c][0] if d == key)
+        s1, s2, s = size(deps[0]), size(deps[1]), size(key)
+        shared = s1 + s2 - s
+        work = through[key] * 2 * shared < (s1 - 1) * (shared + s2)
+        # operands this key is the last consumer of, in plan order, and
+        # that are not part pairs
+        fresh = {d for d in deps if d not in pairs and max(consumers[d], key=keys.index) == key}
+        memory = sum(size(d) ** 2 for d in fresh) <= s * s
+        left_out = {d for d in deps if d not in pairs} - fresh
+        cases[work, memory, bool(left_out)] += 1
+        if work and memory and nesting[key] < dist.MAX_NESTING:
+            unbuilt.add(key)
+    return plan, unbuilt, cases
+
+
+def _grammar_pairs(fib7_slp, rng):
     grammars = [(fib7_slp, fib7_slp, levenshtein("ab"))] + list(_random_pairs(rng, 12))
     fib = fibonacci_prefix_slp(300)
     grammars += [(fib, fibonacci_prefix_slp(300, alphabet=("b", "a")), levenshtein("ab"))]
     grammars.append((*_balanced_pair(), levenshtein("abcd")))
     # compressor grammars of periodic text, where an operand that an
-    # unbuilt pair holds can be the last operand of a later pair
+    # unbuilt key holds can be the operand of a later key as well
     for compress in (repair, lambda text: lz78_to_slp(lz78_parse(text))):
         texts = [mutated_periodic(rng, "ab", 90, 5, 3) for _ in "ab"]
         grammars.append((*map(compress, texts), levenshtein("ab")))
+    return grammars
+
+
+def test_a_pair_is_left_unbuilt_exactly_when_both_counts_favour_it(fib7_slp, rng, combined):
+    # replay the rule in reverse plan order: a merge key that only unbuilt
+    # keys consume, if any, is left unbuilt exactly when (work) the blocks
+    # pushed through it, ``through``, its own plus each consumer's, fill
+    # fewer kernel entries through the two operands, 2 * shared more each
+    # than through its table, than the merge fills, and (memory) the
+    # operands it is the last consumer of, not part pairs, hold at most
+    # the s * s entries its table would.  While only part pairs no key
+    # consumes could be left unbuilt, the work count was their own blocks
+    # and the memory count skipped operands an earlier unbuilt pair held
     cases = Counter()
-    held_elsewhere = 0
-    for ga, gb, sf in grammars:
+    nested = 0
+    for ga, gb, sf in _grammar_pairs(fib7_slp, rng):
         for x in (2, 3, 5, 8, 13):
             combined.clear()
             repo, pa, pb = _repo_for(ga, gb, sf, x)
-            tables = dict(combined)  # keeps every table alive, so ids stay unique
-            parts_a = Counter(p.var for p in pa.parts)
-            parts_b = Counter(p.var for p in pb.parts)
-            pairs = [(ka, kb) for ka in sorted(parts_a) for kb in sorted(parts_b)]
-            plan = repo._plan(pairs)
-            consumers = Counter(d for deps, _ in plan.values() for d in deps)
-            consumed, keys = set(consumers), set(pairs)
-            holders = Counter()  # id of a table -> keys and unbuilt pairs holding it
-            unbuilt_here = 0
-            for key, (deps, op) in plan.items():
-                for d in deps:
-                    consumers[d] -= 1
-                done = {d for d in deps if not consumers[d] and d not in keys}
-                value = repo.memo.get(key)
-                if op not in ("vmerge", "hmerge") or key in consumed:
-                    assert type(value) is not Unbuilt and key in tables
-                    held = [tables[key]]
+            plan, unbuilt, here = _decisions(repo, pa, pb)
+            cases.update(here)
+            made = {key for key, _ in combined}
+            # every key is combined or left unbuilt, never both
+            assert made.isdisjoint(unbuilt) and made | unbuilt == plan.keys()
+            pairs = repo.memo.keys()
+            assert repo.unbuilt_keys == len(unbuilt)
+            assert repo.unbuilt_pairs == len(unbuilt & pairs)
+            for key in unbuilt & pairs:
+                record = repo.memo[key]
+                deps, op = plan[key]
+                assert (record.op, record.s) == (op, _merged(record).s)
+            nested += len(_nested(repo))
+    # each count decides some key both ways, and a key left unbuilt whose
+    # operand the memory count leaves out, as another key consumes it last
+    assert {(w, m) for w, m, _ in cases} == {(w, m) for w in (0, 1) for m in (0, 1)}, cases
+    assert cases[True, True, True] > 0, cases
+    assert nested > 0
+
+
+def test_no_built_key_has_an_unbuilt_operand(fib7_slp, rng, combined):
+    # a merge reads two built tables: every operand of a combined key was
+    # combined before it
+    nested = 0
+    for ga, gb, sf in _grammar_pairs(fib7_slp, rng):
+        for x in (2, 3, 5, 8):
+            combined.clear()
+            repo, pa, pb = _repo_for(ga, gb, sf, x)
+            plan = repo._plan(sorted(repo.memo))
+            done = set()
+            for key, _ in combined:
+                assert all(d in done for d in plan[key][0])
+                done.add(key)
+            nested += len(_nested(repo))
+    assert nested > 0
+
+
+def test_nested_records_hold_each_table_once(fib7_slp, rng):
+    # a record that holds a record holds that record's tables: the memo's
+    # values hold the tables reachable through their operands at any depth,
+    # each counted once by ``_held`` and ``table_entries``
+    seen = 0
+    for ga, gb, sf in _grammar_pairs(fib7_slp, rng):
+        for x in (2, 3, 5, 8, 13):
+            repo, _, _ = _repo_for(ga, gb, sf, x)
+            reached = {}
+
+            def walk(value):
+                if type(value) is Unbuilt:
+                    walk(value.d1)
+                    walk(value.d2)
                 else:
-                    d1, d2 = (tables[d] for d in deps)
-                    shared = (d1.w if op == "vmerge" else d1.h) + 1
-                    s = d1.s + d2.s - shared
-                    blocks = parts_a[key[0]] * parts_b[key[1]]
-                    work = blocks * 2 * shared < (d1.s - 1) * (shared + d2.s)
-                    freed = {id(tables[d]): tables[d].s ** 2 for d in done}
-                    kept = sum(n for t, n in freed.items() if holders[t] == 1)
-                    # pairs that counting by key would have built
-                    held_elsewhere += work and memory and sum(freed.values()) > s * s
-                    memory = kept <= s * s
-                    cases[work, memory] += 1
-                    if work and memory:
-                        unbuilt_here += 1
-                        assert key not in tables
-                        assert (value.op, value.d1, value.d2, value.s) == (op, d1, d2, s)
-                        held = [d1, d2]
-                    else:
-                        assert value is tables[key]
-                        held = [value]
-                for t in held:
-                    holders[id(t)] += 1
-                for d in done:
-                    holders[id(tables[d])] -= 1
-            assert repo.unbuilt_pairs == unbuilt_here
-    assert len(cases) == 4, cases
-    assert held_elsewhere > 0
+                    reached[id(value)] = value
+
+            for value in repo.memo.values():
+                walk(value)
+                held = dist._held(value)
+                assert len({id(t) for t in held}) == len(held)
+                assert all(type(t) is DistTable for t in held)
+            assert {id(t) for t in dist._held(*repo.memo.values())} == reached.keys()
+            assert repo.table_entries == sum(t.s * t.s for t in reached.values())
+            for record in _nested(repo):
+                inner = [v for v in (record.d1, record.d2) if type(v) is Unbuilt]
+                tables = {id(t) for v in inner for t in dist._held(v)}
+                assert tables <= {id(t) for t in dist._held(record)}
+                seen += 1
+    assert seen > 0
+
+
+def _short(rng, sigma, n):
+    """A random grammar of a random text over sigma, at most n long."""
+    return from_plain("".join(rng.choice(sigma) for _ in range(rng.randint(1, n))))
+
+
+@pytest.mark.parametrize("grid", ["random", "1 x k", "k x 1"])
+def test_nested_records_are_exact(rng, grid):
+    # the distance through nested records is Wagner-Fischer's, with int
+    # and Decimal costs, and every record's merged operands are the direct
+    # table of its strings; a grid of one block row or one block column
+    # nests records down one side only
+    from decimal import Decimal
+
+    costs = [Decimal(t) for t in ("1.5", "2.25", "3", "0.75", "1.0", "2.50")]
+    nested = 0
+    for i in range(16):
+        x = rng.choice((2, 3, 5))
+        if grid == "random":
+            ga, gb = random_slp(rng, max_len=40), random_slp(rng, max_len=40)
+        else:
+            ga, gb = _short(rng, "ab", x - 1), random_slp(rng, max_len=60)
+            if grid == "k x 1":
+                ga, gb = gb, ga
+        text_a, text_b = expand(ga), expand(gb)
+        sigma = sorted(set(text_a) | set(text_b))
+        sf = random_scoring(rng, sigma)
+        if i % 2:
+            sf = ScoringFunction(
+                sigma,
+                {c: rng.choice(costs) for c in sigma},
+                {c: rng.choice(costs) for c in sigma},
+                {(a, b): Decimal(0) if a == b else rng.choice(costs) for a in sigma for b in sigma},
+            )
+        got, stats = block_edit_distance(ga, gb, sf, x)
+        assert str(got) == str(wagner_fischer(text_a, text_b, sf))
+        pa, pb = partition_string(ga, x), partition_string(gb, x)
+        if grid != "random":
+            assert min(len(pa.parts), len(pb.parts)) == 1
+        scaled, _ = scaled_to_ints(sf, text_a, text_b)
+        repo = build_repository(pa, pb, scaled)
+        assert stats.unbuilt_keys == repo.unbuilt_keys >= repo.unbuilt_pairs
+        for record in _records(repo):
+            table = _merged(record)
+            assert table.rows == build_direct(table.a, table.b, scaled, repo.ceiling).rows
+        nested += len(_nested(repo))
+    assert nested > 0
+
+
+def _depth(value):
+    """How many unbuilt records nest down from a memo value, itself
+    included."""
+    if type(value) is not Unbuilt:
+        return 0
+    return 1 + max(_depth(value.d1), _depth(value.d2))
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_records_nest_at_most_max_nesting(fib7_slp, rng, monkeypatch, cap):
+    # the sweep recurses once per level of nesting, so a key below
+    # ``MAX_NESTING`` unbuilt records is built; the distance stays exact
+    def deepest(grammars):
+        depth = 0
+        for ga, gb, sf in grammars:
+            for x in (3, 5, 8, 13):
+                repo, _, _ = _repo_for(ga, gb, sf, x)
+                depth = max([depth] + [_depth(v) for v in repo.memo.values()])
+                cost, _ = block_edit_distance(ga, gb, sf, x)
+                assert cost == wagner_fischer(expand(ga), expand(gb), sf)
+        return depth
+
+    grammars = _grammar_pairs(fib7_slp, rng)
+    assert deepest(grammars) > cap
+    monkeypatch.setattr(dist, "MAX_NESTING", cap)
+    assert deepest(grammars) == cap
