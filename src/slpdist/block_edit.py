@@ -19,25 +19,26 @@ class RunStats:
     block sweep (one per output vertex per block); ``sweep_queries`` counts
     the matrix element lookups the sweep's SMAWK passes performed.  Both
     scale as N^2/x while the table-building counters scale as n^2, which is
-    the trade the block parameter x tunes; ``merge_queries`` counts the
-    element lookups the repository's merges performed.  A table holds s^2
-    entries, an 8-byte list slot each, since equal values within one merge
-    share one int object.  ``unbuilt_keys`` counts the keys the repository
-    left unbuilt because sweeping their blocks through their operands
-    costs less (see ``dist.build_repository``), and ``unbuilt_pairs`` the
-    part pairs among them.  ``table_entries`` sums the entries over the
-    distinct tables the repository holds for the sweep: its part pairs'
-    tables, and in place of an unbuilt one the tables its record holds, at
-    any depth.  ``peak_table_entries`` is the most that distinct tables
-    held at once while the repository was built, intermediate operands
-    included, the driver of peak memory.  ``merges`` counts the tables
-    built by merging, so an unbuilt key is not one.
+    the trade the block parameter x tunes.  The sweep builds tables on
+    demand (see ``dist.Unbuilt``), so the repository's counters are read
+    when it ends.  ``merges`` counts the tables built by merging, before
+    or during the sweep, and ``merge_queries`` the element lookups those
+    merges performed.  A table holds s^2 entries, an 8-byte list slot
+    each, since equal values within one merge share one int object.
+    ``unbuilt_keys`` counts the keys still records when the sweep ends,
+    and ``unbuilt_pairs`` the part pairs among them.  ``table_entries``
+    then sums the entries over the distinct tables the repository holds:
+    its part pairs' tables, and in place of an unbuilt one the tables its
+    record holds, at any depth.  ``peak_table_entries`` is the most that
+    distinct tables held at once over the whole run, intermediate
+    operands included, the driver of peak memory.
     ``sweep_memo_hits`` counts the blocks the sweep memo answered from a
     record (a record of an unbuilt record's operand is not a block's),
     ``sweep_edges`` the distinct edges the sweep interned (see
     ``dist.Edges``), and ``sweep_memo_resets`` how often those edges'
-    steps and the memo's records reached ``table_entries`` and both were
-    cleared.  ``elapsed`` maps each phase to its seconds.
+    steps and the memo's records reached the entries the part pairs'
+    tables would hold, built or not, and both were cleared.  ``elapsed``
+    maps each phase to its seconds.
     """
 
     COUNTERS = (
@@ -129,10 +130,11 @@ def block_edit_distance(
     """Edit distance between the strings two grammars derive.
 
     Partitions both strings, builds the repository of boundary distance
-    tables, then sweeps the grid block by block, carrying only the frontier
-    row and the current block column.  Returns ``(cost, RunStats)``; the
-    cost is exactly what ``wagner_fischer`` returns on the expanded
-    strings, for every valid block size, as the same printed string.
+    tables (the sweep merges the rest of them on demand), then sweeps the
+    grid block by block, carrying only the frontier row and the current
+    block column.  Returns ``(cost, RunStats)``; the cost is exactly what
+    ``wagner_fischer`` returns on the expanded strings, for every valid
+    block size, as the same printed string.
     """
     stats = RunStats()
     t0 = time.perf_counter()
@@ -159,13 +161,7 @@ def block_edit_distance(
     t0 = time.perf_counter()
     repo = build_repository(part_a, part_b, scaled)
     stats.memo_size = repo.memo_size
-    stats.table_entries = repo.table_entries
-    stats.peak_table_entries = repo.peak_table_entries
     stats.direct_builds = repo.direct_builds
-    stats.merges = repo.merges
-    stats.unbuilt_pairs = repo.unbuilt_pairs
-    stats.unbuilt_keys = repo.unbuilt_keys
-    stats.merge_queries = repo.merge_queries
     stats.elapsed["repository"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -176,10 +172,10 @@ def block_edit_distance(
     # relative to its base and its bottom and right edges, which pass on as
     # they are.  Blocks with the same table and input edges share outputs.
     # The interned edges' steps and the memo's records together may number
-    # as many as the tables hold entries, which keeps the sweep's memory
-    # within that of the tables it reads.
+    # as many as the part pairs' tables would hold entries, built or not,
+    # which keeps the sweep's memory within that of the tables it reads.
     memo = {}
-    edges = Edges(stats.table_entries)
+    edges = Edges(sum(v.s * v.s for v in repo.memo.values()))
     corners, tops = [], []
     c0 = 0
     for pb in part_b.parts:
@@ -212,5 +208,13 @@ def block_edit_distance(
     )
     stats.sweep_queries, stats.sweep_memo_hits = counter
     stats.sweep_edges, stats.sweep_memo_resets = edges.interned, edges.resets
+    # the sweep builds records on demand, so the repository's counters are
+    # read once it is done
+    stats.table_entries = repo.table_entries
+    stats.peak_table_entries = repo.peak_table_entries
+    stats.merges = repo.merges
+    stats.unbuilt_pairs = repo.unbuilt_pairs
+    stats.unbuilt_keys = repo.unbuilt_keys
+    stats.merge_queries = repo.merge_queries
     stats.elapsed["sweep"] = time.perf_counter() - t0
     return _unscaled(corners[-1] + tops[-1].total, sf, scaled, e), stats

@@ -380,10 +380,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = None  # built on the first call of ``main``, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit status.  Parsing leaves no
+    state in the parser, so repeated in-process calls share one."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.run(args)
     except (CliError, ValueError) as exc:
         print(f"slpdist: {exc}", file=sys.stderr)

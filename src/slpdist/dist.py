@@ -35,13 +35,14 @@ travel as interned ``Edge`` objects, so a block the sweep has seen before
 costs one dict lookup by identity, and its bottom and right edges pass on
 as they are.
 
-A key whose few blocks cost fewer kernel entries pushed through the two
-tables it would be merged from than the merge would fill is left unbuilt
-(``Unbuilt``, decided in ``build_repository`` before anything is built),
-and ``apply_inputs`` pushes its blocks through the two operands, each
-through the sweep memo.  An operand may be unbuilt in turn, so records
-nest.  That is exact because a merged table is by definition the
-composition of its operands.
+The repository builds only the direct tables before the sweep.  Every
+merge key starts as an ``Unbuilt`` record of its two operands, and
+``apply_inputs`` pushes its blocks through the operands, each through the
+sweep memo.  An operand may be unbuilt in turn, so records nest.  That is
+exact because a merged table is by definition the composition of its
+operands.  The sweep builds a record on demand: at the miss where the
+kernel entries its misses cost beyond what its table would first reach
+those its merge would fill (rent or buy, see ``Unbuilt``).
 """
 
 from __future__ import annotations
@@ -330,23 +331,46 @@ class Outputs:
 
 
 class Unbuilt:
-    """A key whose table was left unbuilt (see ``build_repository``): the
-    merge ``op`` it would be, its operands ``d1`` (upper or left) and
-    ``d2``, each a built table or itself an ``Unbuilt`` record, and the h,
-    w, s and ceiling of the table it stands for.  ``apply_inputs`` pushes a
-    block through the two operands, which is exact because the merged
-    table is by definition their composition."""
+    """A key whose table is not built yet (see ``build_repository``): the
+    ``key`` it stands for, the merge ``op`` it would be, its operands
+    ``d1`` (upper or left) and ``d2``, each a built table or itself an
+    ``Unbuilt`` record, the repository ``repo`` that builds it, and the h,
+    w, s and ceiling of its table.  ``apply_inputs`` pushes a block through
+    the two operands, which is exact because the merged table is by
+    definition their composition.
 
-    __slots__ = ("op", "d1", "d2", "h", "w", "s", "ceiling")
+    The record rents until buying pays (Karlin et al., "Competitive snoopy
+    caching", 1988).  Its ``price`` is the kernel entries its merge would
+    fill, ``(s1 - 1) * (shared + s2)``, ``shared`` being the shared
+    boundary's vertices (d1's w + 1 for a vertical merge, its h + 1 for a
+    horizontal one).  Its ``rent`` grows by ``2 * shared``, what a block
+    pushed through the operands fills beyond one through the table, at
+    each sweep miss through it.  At the miss where rent first reaches
+    price, ``Repository.build`` merges ``table``, and the record holds it
+    in place of its operands.  The record stays the memo key, so the
+    sweep's earlier records of it stay valid.  Making a record holds its
+    operands in ``repo``'s count of holders.
+    """
 
-    def __init__(self, op: str, d1, d2):
-        self.op, self.d1, self.d2 = op, d1, d2
+    __slots__ = (
+        "key", "op", "d1", "d2", "repo", "h", "w", "s", "ceiling",
+        "shared", "price", "rent", "table",
+    )
+
+    def __init__(self, key, op: str, d1, d2, repo: Repository):
+        self.key, self.op, self.d1, self.d2, self.repo = key, op, d1, d2, repo
         if op == "vmerge":
             self.h, self.w = d1.h + d2.h, d1.w
         else:
             self.h, self.w = d1.h, d1.w + d2.w
         self.s = self.h + self.w + 1
         self.ceiling = d1.ceiling
+        self.shared = d1.s + d2.s - self.s
+        self.price = (d1.s - 1) * (self.shared + d2.s)
+        self.rent = 0
+        self.table = None
+        repo.hold(d1)
+        repo.hold(d2)
 
 
 def apply_inputs(
@@ -374,11 +398,13 @@ def apply_inputs(
     that ties its neighbour towards the top-left corner plus the step
     between them, read off the table's first or last column: that
     neighbour is never worse, for any output, as in the merges.  ``d`` may
-    also be an ``Unbuilt`` record: a miss then pushes the block through
-    its two operands, one after the other, each through the memo (see
-    ``_through_operands``), and stores one record for the block besides
-    theirs; a hit on an operand is not a block, so it adds nothing to
-    ``counter[1]``.
+    also be an ``Unbuilt`` record.  A miss adds to its rent, and builds its
+    table at the miss where the rent first reaches the price; it then runs
+    the kernel on that table as on any other.  While the record is unbuilt,
+    a miss pushes the block through its two operands, one after the other,
+    each through the memo (see ``_through_operands``), and stores one
+    record for the block besides theirs; a hit on an operand is not a
+    block, so it adds nothing to ``counter[1]``.
 
     Absolute inputs must be non-negative, as a stand-in plus a negative
     input could win a column: the kernel is not run on them
@@ -421,10 +447,17 @@ def _miss(key, base, counter, memo, edges) -> Outputs:
     values = list(accumulate(chain((base,), left.steps, top.steps)))
     if min(values) < 0:
         raise ValueError("input values must be non-negative")
+    table = d
     if type(d) is Unbuilt:
+        if d.table is None:
+            d.rent += 2 * d.shared
+            if d.rent >= d.price:
+                d.repo.build(d)
+        table = d.table
+    if table is None:
         out = _through_operands(d, base, left, top, counter, memo, edges)
     else:
-        rows = d.rows
+        rows = table.rows
         # an input whose value ties its neighbour towards the top-left
         # corner plus the step between them is never better than that
         # neighbour, for any output; the steps are the differences down the
@@ -501,22 +534,24 @@ class Repository:
     takes its operands as listed.
 
     Every repeated occurrence of a pair reuses its table, which is where
-    the grammar's repetitiveness pays off.  Each key is built once, by one
-    direct build or one merge, or left unbuilt (see ``build_repository``).
-    Once built, ``memo`` holds only the part pairs, what the sweep reads:
-    a table, or an ``Unbuilt`` record for each of the ``unbuilt_pairs``.
-    ``unbuilt_keys`` counts every key left unbuilt, the part pairs among
-    them included.  ``peak_table_entries`` is the most entries the
-    distinct tables held at once while they were built.
+    the grammar's repetitiveness pays off.  Each key is built at most once,
+    by one direct build or one merge: before the sweep, or during it, when
+    its ``Unbuilt`` record's rent reaches its price (``build``).  ``memo``
+    holds only the part pairs, what the sweep reads: a table or a record.
+    ``unbuilt_keys`` counts the records not built yet, at any depth, and
+    ``unbuilt_pairs`` the part pairs among them.  ``holders`` counts, for
+    each live table or record, the memo keys and records that hold it, and
+    ``table_entries`` the entries of the live tables; ``peak_table_entries``
+    is the most they held at once, before and during the sweep.
     """
 
     def __init__(self, slp_a: Slp, slp_b: Slp, sf):
         self.sf = sf
         self.memo = {}
+        self.holders = Counter()
         self.direct_builds = 0
         self.merges = 0
-        self.unbuilt_pairs = 0
-        self.unbuilt_keys = 0
+        self.table_entries = 0
         self.peak_table_entries = 0
         self._queries = [0]  # kernel element queries spent in merges
         self._slps = (slp_a, slp_b)
@@ -535,14 +570,53 @@ class Repository:
         return self._queries[0]
 
     @property
-    def table_entries(self) -> int:
-        """Entries held by the distinct tables in ``memo``, those the
-        unbuilt records hold at any depth included."""
-        return sum(t.s * t.s for t in _held(*self.memo.values()))
+    def unbuilt_keys(self) -> int:
+        return sum(type(v) is Unbuilt and v.table is None for v in self.holders)
+
+    @property
+    def unbuilt_pairs(self) -> int:
+        return sum(type(v) is Unbuilt and v.table is None for v in self.memo.values())
 
     def lookup(self, key_a, key_b) -> DistTable | Unbuilt:
         """Table, or unbuilt record, for an already-planned pair."""
         return self.memo[key_a, key_b]
+
+    def hold(self, value) -> None:
+        """Count one more holder of a table or record; a table's first
+        holder adds its entries to ``table_entries``."""
+        if not self.holders[value] and type(value) is DistTable:
+            self.table_entries += value.s * value.s
+            self.peak_table_entries = max(self.peak_table_entries, self.table_entries)
+        self.holders[value] += 1
+
+    def release(self, value) -> None:
+        """Count one holder fewer.  A table left without one leaves
+        ``table_entries``; a record left without one releases what it
+        holds, and drops its references to them: the sweep memo's keys may
+        still hold the record, but no sweep reaches it again."""
+        self.holders[value] -= 1
+        if self.holders[value]:
+            return
+        del self.holders[value]
+        if type(value) is DistTable:
+            self.table_entries -= value.s * value.s
+            return
+        for held in (value.d1, value.d2) if value.table is None else (value.table,):
+            self.release(held)
+        value.d1 = value.d2 = value.table = None
+
+    def build(self, record: Unbuilt) -> DistTable:
+        """Merge an unbuilt record's table, building its unbuilt operands
+        first the same way; the record then holds its table in place of its
+        operands."""
+        operands = record.d1, record.d2
+        tables = [o if type(o) is DistTable else o.table or self.build(o) for o in operands]
+        record.table = self._combine(record.key, record.op, tables)
+        self.hold(record.table)
+        record.d1 = record.d2 = None
+        for o in operands:
+            self.release(o)
+        return record.table
 
     def _plan(self, pairs) -> dict:
         """``key -> (operands, op)`` for the part pairs and every key they
@@ -580,40 +654,21 @@ class Repository:
         r, t = slp_b.productions[vb]
         return [(va, r), (va, t)], "hmerge"
 
-    def _left_unbuilt(self, plan: dict, parts_a: Counter, parts_b: Counter) -> set:
-        """The keys of ``plan`` to leave unbuilt, decided from sizes and
-        part counts alone in one pass from the last key to the first, so
-        each key after every key that consumes it (see
-        ``build_repository``)."""
-        len_a, len_b = self._slps[0].lengths, self._slps[1].lengths
-
-        def size(key):
-            return len_a[key[0]] + len_b[key[1]] + 1
-
-        through = Counter()  # blocks unbuilt consumers push through each key
+    def _built_first(self, plan: dict) -> set:
+        """The keys of ``plan`` to build before the sweep: the direct ones,
+        those ``MAX_NESTING`` records deep, and the operands of each, found
+        in one pass from the last key to the first, so each key after every
+        key that consumes it."""
         nesting = Counter()  # most unbuilt records above each key
-        needed = set()  # operands of built keys
-        consumed = set()  # operands of the keys after this one
-        unbuilt = set()
+        built = set()
         for key, (deps, op) in reversed(plan.items()):
-            # the operands whose last consumer this key is
-            last = {d for d in deps if d not in consumed}
-            consumed.update(deps)
-            if op == "direct" or key in needed or nesting[key] == MAX_NESTING:
-                needed.update(deps)
-                continue
-            s1, s2, s = size(deps[0]), size(deps[1]), size(key)
-            shared = s1 + s2 - s  # the shared boundary's vertices
-            blocks = parts_a[key[0]] * parts_b[key[1]] + through[key]
-            kept = sum(size(d) ** 2 for d in last if not (parts_a[d[0]] and parts_b[d[1]]))
-            if blocks * 2 * shared < (s1 - 1) * (shared + s2) and kept <= s * s:
-                unbuilt.add(key)
-                for d in deps:
-                    through[d] += blocks
-                    nesting[d] = max(nesting[d], nesting[key] + 1)
+            if op == "direct" or key in built or nesting[key] == MAX_NESTING:
+                built.add(key)
+                built.update(deps)
             else:
-                needed.update(deps)
-        return unbuilt
+                for d in deps:
+                    nesting[d] = max(nesting[d], nesting[key] + 1)
+        return built
 
     def _combine(self, key, op, tables):
         if op == "direct":
@@ -626,110 +681,51 @@ class Repository:
         return merge(*tables, self._queries)
 
 
-def _held(*values) -> tuple:
-    """The distinct built tables memo values hold: each table itself, and
-    those an unbuilt record's operands hold, at any depth."""
-    tables, seen = {}, set()
-    stack = list(values)
-    while stack:
-        value = stack.pop()
-        if type(value) is Unbuilt:
-            if id(value) not in seen:
-                seen.add(id(value))
-                stack += value.d1, value.d2
-        else:
-            tables[id(value)] = value
-    return tuple(tables.values())
-
-
 def build_repository(part_a, part_b, sf) -> Repository:
-    """Tables for every (row part, column part) pair the grid can contain,
-    over the grammars the partitions extended (``StringPartition.slp``).
+    """Tables or records for every (row part, column part) pair the grid
+    can contain, over the grammars the partitions extended
+    (``StringPartition.slp``).
 
     The partitions must have been built with the same block parameter.  One
     walk of the dependency DAG (``Repository._plan``) orders the build:
-    every key after its operands.  Which keys to leave unbuilt is decided
-    next, before anything is built, from table sizes and part counts
-    alone, in one pass in reverse plan order, so each key after all its
-    consumers.  A key that is a merge, and that only unbuilt keys consume
-    if any key does, is left unbuilt, as an ``Unbuilt`` record of its two
-    operands, when both of these hold:
+    every key after its operands.  The direct keys, terminal x terminal,
+    are built; so is a key with ``MAX_NESTING`` unbuilt records above it,
+    and then its operands, so that no built key has an unbuilt operand.
+    Every other key becomes an ``Unbuilt`` record of its two operands,
+    tables or records, and the sweep builds it on demand, once its misses
+    have cost as much as its merge would (see ``Unbuilt``).  A key that is
+    not a part pair leaves the memo once its last consumer is made, so a
+    table is freed unless a record still holds it.
 
-    * less work -- ``through`` counts the blocks the sweep pushes through
-      the key: its own, its row key's parts times its column key's (none
-      unless it is a part pair), plus the ``through`` of each consumer.
-      Building fills ``(s1 - 1) * (shared + s2)`` kernel entries,
-      ``shared`` being the shared boundary's vertices (d1's w + 1 for a
-      vertical merge, its h + 1 for a horizontal one).  Each block pushed
-      through the operands fills ``2 * shared`` more than through the
-      table, and the key stays unbuilt when ``through * 2 * shared`` is
-      less;
-    * no more memory -- the operands it newly keeps alive, those it is the
-      last consumer of in plan order and that are not part pairs, hold at
-      most the ``s * s`` entries its table would, each counted as the
-      table it would be.
-
-    So no built key has an unbuilt operand, and an unbuilt key's operands
-    may be unbuilt in turn, at most ``MAX_NESTING`` records deep.  The
-    keys are then built in plan order: a built key by a direct build or a
-    merge, an unbuilt one as a record of its operands, tables or records.
-    A key that is not a part pair leaves the memo once its last consumer
-    is done, so its table is freed unless an unbuilt record still holds
-    it.
-
-    Each partition adds at most n variables to a grammar of n, so at most
-    4 * n_A * n_B keys are built, each by one direct build or one merge,
-    which is where the overall O(n^2 x^2) table-building bound comes from.
+    Rent or buy bounds the waste: a record pays at most its price in rent
+    before its one merge, so in kernel entries the repository costs at
+    most twice what building every key before the sweep would.  Each
+    partition adds at most n variables to a grammar of n, so at most
+    4 * n_A * n_B keys are planned, each built by at most one direct build
+    or one merge, which is where the overall O(n^2 x^2) table-building
+    bound comes from.
     """
     if part_a.block_size != part_b.block_size:
         raise ValueError("partitions built with different block parameters")
     repo = Repository(part_a.slp, part_b.slp, sf)
-    parts_a = Counter(p.var for p in part_a.parts)
-    parts_b = Counter(p.var for p in part_b.parts)
-    pairs = [(ka, kb) for ka in sorted(parts_a) for kb in sorted(parts_b)]
+    vars_a = sorted({p.var for p in part_a.parts})
+    vars_b = sorted({p.var for p in part_b.parts})
+    pairs = [(ka, kb) for ka in vars_a for kb in vars_b]
     plan = repo._plan(pairs)
-    unbuilt = repo._left_unbuilt(plan, parts_a, parts_b)
+    built = repo._built_first(plan)
     consumers = Counter(d for deps, _ in plan.values() for d in deps)
     keep = set(pairs)
     memo = repo.memo
-    holders = Counter()  # live table or record -> memo keys and records holding it
-    live = 0
-
-    def hold(value):
-        nonlocal live
-        if not holders[value]:
-            if type(value) is Unbuilt:
-                hold(value.d1)
-                hold(value.d2)
-            else:
-                live += value.s * value.s
-        holders[value] += 1
-
-    def release(value):
-        nonlocal live
-        holders[value] -= 1
-        if not holders[value]:
-            del holders[value]
-            if type(value) is Unbuilt:
-                release(value.d1)
-                release(value.d2)
-            else:
-                live -= value.s * value.s
-
     for key, (deps, op) in plan.items():
         for d in deps:
             consumers[d] -= 1
         operands = [memo[d] for d in deps]
-        if key in unbuilt:
-            value = Unbuilt(op, *operands)
-            repo.unbuilt_keys += 1
-            repo.unbuilt_pairs += key in keep
+        if key in built:
+            memo[key] = repo._combine(key, op, operands)
         else:
-            value = repo._combine(key, op, operands)
-        memo[key] = value
-        hold(value)
-        repo.peak_table_entries = max(repo.peak_table_entries, live)
+            memo[key] = Unbuilt(key, op, *operands, repo)
+        repo.hold(memo[key])
         for d in dict.fromkeys(deps):
             if not consumers[d] and d not in keep:
-                release(memo.pop(d))  # freed now, unless a record holds it
+                repo.release(memo.pop(d))  # freed now, unless a record holds it
     return repo

@@ -34,6 +34,7 @@ from slpdist import (
     wagner_fischer,
 )
 from slpdist.cli import dump_slp, parse_slp
+from slpdist.dist import Unbuilt
 
 SIGMAS = ("ab", "abcd", "abcdefghijklmnopqrstuvwxyz")
 
@@ -200,7 +201,20 @@ def test_criterion_4_partition_invariants():
     _report(4, True, f"{checked} partitions tiled exactly within every bound")
 
 
+def _built_rows(repo):
+    """Every part pair's table rows, once each record is built as the
+    sweep would build it on demand."""
+    rows = {}
+    for key, value in repo.memo.items():
+        if type(value) is Unbuilt:
+            value = value.table or repo.build(value)
+        rows[key] = value.rows
+    return rows
+
+
 def test_criterion_5_repository_counting():
+    # the bound holds with every record built, as if each part pair's
+    # table were needed; the sweep builds only some of them
     rng = random.Random(505)
     worst = 0.0
     for i in range(30):
@@ -212,13 +226,13 @@ def test_criterion_5_repository_counting():
             pa = partition_string(ga, x)
             pb = partition_string(gb, x)
             repo = build_repository(pa, pb, sf)
+            rows = _built_rows(repo)
             work = repo.direct_builds + repo.merges
             assert work <= 2 * ga.size * gb.size, (work, ga.size, gb.size)
             worst = max(worst, work / (ga.size * gb.size))
             if i == 0 and x == 2:
-                snapshot = {k: t.rows for k, t in repo.memo.items()}
                 again = build_repository(pa, pb, sf)
-                assert {k: t.rows for k, t in again.memo.items()} == snapshot
+                assert _built_rows(again) == rows
     _report(
         5,
         True,

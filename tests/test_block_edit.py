@@ -21,6 +21,7 @@ from slpdist import (
     levenshtein,
     lz78_parse,
     lz78_to_slp,
+    partition_string,
     repair,
     wagner_fischer,
 )
@@ -257,11 +258,22 @@ def _decimal_ab():
     )
 
 
+def _pair_entries(ga, gb, x):
+    """The entries the distinct part pairs' tables would hold, read off
+    the partitions' grammars."""
+    pa, pb = partition_string(ga, x), partition_string(gb, x)
+    la, lb = pa.slp.lengths, pb.slp.lengths
+    vars_a, vars_b = {p.var for p in pa.parts}, {p.var for p in pb.parts}
+    return sum((la[va] + lb[vb] + 1) ** 2 for va in vars_a for vb in vars_b)
+
+
 def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
     # integer and unit cost tables run the sweep through the memo; its
     # interned edges' steps and its records are charged together and never
-    # number more than the tables hold entries, and each block's outputs
-    # have the table's length, hit or miss
+    # number more than the part pairs' tables would hold entries, built or
+    # not (than the tables held entries, ``table_entries``, while the
+    # repository built them all before the sweep), and each block's
+    # outputs have the table's length, hit or miss
     real = block_edit.apply_inputs
     held = []
 
@@ -279,9 +291,10 @@ def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
         chars = "".join(sorted(set(text_a) | set(text_b)))
         sf = random_scoring(rng, chars) if rng.random() < 0.5 else levenshtein(chars)
         held.clear()
-        got, stats = block_edit_distance(ga, gb, sf, rng.randint(2, 5))
+        x = rng.randint(2, 5)
+        got, stats = block_edit_distance(ga, gb, sf, x)
         assert got == wagner_fischer(text_a, text_b, sf)
-        assert all(steps <= budget == stats.table_entries for steps, budget in held)
+        assert all(steps <= budget == _pair_entries(ga, gb, x) for steps, budget in held)
         assert 0 <= stats.sweep_memo_hits < stats.block_count
     # a repetitive pair: nearly every block repeats an earlier shape, with
     # unit costs and Decimal costs alike
@@ -291,6 +304,36 @@ def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
         got, stats = block_edit_distance(ga, gb, sf, 5)
         assert str(got) == str(wagner_fischer(expand(ga), expand(gb), sf))
         assert stats.sweep_memo_hits > stats.block_count // 2
+
+
+def test_sweep_memo_budget_does_not_depend_on_what_is_built(rng, monkeypatch):
+    # the same budget whether the sweep builds records on demand or the
+    # repository builds every key first (MAX_NESTING = 0 caps every merge
+    # key, so each is built before the sweep): the part pairs' sizes fix it
+    budgets = []
+
+    def recorded(budget):
+        budgets.append(budget)
+        return dist.Edges(budget)
+
+    monkeypatch.setattr(block_edit, "Edges", recorded)
+    cap = dist.MAX_NESTING
+    built_first = 0
+    for _ in range(20):
+        ga, gb = random_slp(rng), random_slp(rng)
+        chars = "".join(sorted(set(expand(ga)) | set(expand(gb))))
+        sf = random_scoring(rng, chars)
+        x = rng.randint(2, 5)
+        results = []
+        for nesting in (cap, 0):
+            monkeypatch.setattr(dist, "MAX_NESTING", nesting)
+            results.append(block_edit_distance(ga, gb, sf, x))
+        (on_demand, lazy), (first, eager) = results
+        assert on_demand == first == wagner_fischer(expand(ga), expand(gb), sf)
+        assert eager.unbuilt_keys == 0 and eager.merges >= lazy.merges
+        assert budgets[-2] == budgets[-1] == _pair_entries(ga, gb, x)
+        built_first += eager.merges > lazy.merges
+    assert built_first > 0
 
 
 def test_sweep_memo_resets_keep_results_exact(rng, monkeypatch):
@@ -386,12 +429,18 @@ def test_sweep_counters_on_the_fibonacci_pair():
     _, stats = block_edit_distance(ga, gb, levenshtein("ab"))
     assert stats.block_size == 31
     assert stats.block_count == 19881
-    assert stats.sweep_memo_hits == 19812
-    # 32,220 while a miss handed the kernel every input, dominated or not
-    assert stats.sweep_queries == 24378
+    # 19,812 hits, 24,378 sweep queries and 54 edges while the repository
+    # built every table before the sweep: now 18 merges of 59 are made, on
+    # demand, and the sweep's records of an unbuilt pair's operands answer
+    # some blocks of the operands' own part pairs (32,220 sweep queries
+    # while a miss handed the kernel every input, dominated or not)
+    assert stats.sweep_memo_hits == 19823
+    assert stats.sweep_queries == 3987
     assert stats.boundary_cells_propagated == 1174953
-    assert stats.sweep_edges == 54
+    assert stats.sweep_edges == 210
     assert stats.sweep_memo_resets == 0
+    assert (stats.merges, stats.merge_queries) == (18, 2290)
+    assert (stats.unbuilt_pairs, stats.unbuilt_keys) == (9, 41)
 
 
 # the benchmark's seed-1 weighted costs over "ab" (bench/workloads.py)
@@ -416,19 +465,20 @@ def test_repository_counters_on_the_weighted_fibonacci_pair():
     # merge queries and no part pair left unbuilt (222,864 merge queries
     # when every merge row handed the kernel all reachable vertices).
     # While only part pairs no key consumes could be left unbuilt: 44
-    # merges, 129,274 merge queries and 3 unbuilt pairs
-    assert stats.merges == 39
+    # merges, 129,274 merge queries and 3 unbuilt pairs.  While the
+    # repository decided which keys to leave unbuilt before the sweep: 39
+    # merges, 105,376 merge queries, 5 unbuilt pairs and 8 unbuilt keys
+    assert stats.merges == 13
     assert stats.memo_size == 9
-    assert stats.merge_queries == 105376
-    assert (stats.unbuilt_pairs, stats.unbuilt_keys) == (5, 8)
+    assert stats.merge_queries == 802
+    assert (stats.unbuilt_pairs, stats.unbuilt_keys) == (9, 34)
 
 
 def test_unbuilt_pairs_on_the_benchmark_weighted_fibonacci_pair():
     # the benchmark's fib-repo pair itself, the Fibonacci 4096 pair at
-    # x = 192 under the seed-1 weighted costs: 14 of its 16 part pairs, and
-    # 5 keys they are merged from, cover so few of the 441 blocks that the
-    # sweep pushes their blocks through their operands, and the merges that
-    # would build them are not made
+    # x = 192 under the seed-1 weighted costs: the sweep memo answers 380
+    # of its 441 blocks, so few misses pass through each record that only
+    # 14 small keys are ever merged, and every part pair stays unbuilt
     ga = fibonacci_prefix_slp(4096)
     gb = fibonacci_prefix_slp(4096, alphabet=("b", "a"))
     got, stats = block_edit_distance(ga, gb, _SEED_1_AB, 192)
@@ -442,12 +492,16 @@ def test_unbuilt_pairs_on_the_benchmark_weighted_fibonacci_pair():
     # part pairs no key consumes could be left unbuilt, and a miss handed
     # the kernel every input: 9 unbuilt pairs, 67 merges, 1,579,178 merge
     # queries, 153,491 sweep queries, 723,262 table entries and a peak of
-    # 779,140
-    assert (stats.unbuilt_pairs, stats.unbuilt_keys) == (14, 19)
-    assert stats.merges == 57
-    assert stats.merge_queries == 674917
-    assert stats.sweep_queries == 51131
-    assert (stats.table_entries, stats.peak_table_entries) == (229549, 246286)
+    # 779,140.  While the repository decided which keys to leave unbuilt
+    # before the sweep: 14 unbuilt pairs and 19 unbuilt keys, 57 merges,
+    # 674,917 merge queries, 51,131 sweep queries, 229,549 table entries
+    # and a peak of 246,286
+    assert (stats.unbuilt_pairs, stats.unbuilt_keys) == (16, 62)
+    assert stats.merges == 14
+    assert stats.merge_queries == 816
+    assert stats.sweep_queries == 1227
+    assert (stats.table_entries, stats.peak_table_entries) == (610, 666)
+    assert stats.sweep_memo_hits == 380
     assert stats.sweep_memo_resets == 0
 
 

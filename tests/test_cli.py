@@ -285,15 +285,17 @@ def test_distance_stats_output(tmp_path, capsys):
     fields = dict(line.split("=", 1) for line in record.splitlines())
     assert int(fields["sweep_edges"]) > 0
     assert fields["sweep_memo_resets"] == "0"
-    assert fields["unbuilt_pairs"] == fields["unbuilt_keys"] == "0"
+    # 4 merges and no key left unbuilt while the repository decided before
+    # the sweep: now 2 of the 4 part pairs are built on demand
+    assert (fields["merges"], fields["unbuilt_pairs"], fields["unbuilt_keys"]) == ("2", "2", "2")
     assert "merge_queries=" in record
 
 
 def test_distance_stats_count_unbuilt_pairs(tmp_path, capsys):
-    # at x = 4 six part pairs of this grid are left unbuilt and swept
-    # through their two operands (two while composite parts were not
-    # grammar variables, four while only part pairs no key consumes could
-    # be); the distance is still the baseline's
+    # at x = 4 six part pairs of this grid are still unbuilt when the
+    # sweep ends, swept through their two operands (two while composite
+    # parts were not grammar variables, four while only part pairs no key
+    # consumes could be); the distance is still the baseline's
     a, b, stats = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "stats.txt"
     a.write_text("abaababaabaab\n")
     b.write_text("abaabbbaabaab\n")
@@ -302,9 +304,10 @@ def test_distance_stats_count_unbuilt_pairs(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert run_cli(capsys, *argv, "--algorithm", "baseline") == (0, out, "")
     fields = dict(line.split("=", 1) for line in stats.read_text().splitlines())
-    # ``unbuilt_keys`` counts the part pairs and the keys they nest
-    assert (fields["unbuilt_pairs"], fields["unbuilt_keys"]) == ("6", "8")
-    assert int(fields["merges"]) > 0
+    # ``unbuilt_keys`` counts the part pairs and the keys they nest (8,
+    # and 11 merges, while the repository decided before the sweep)
+    assert (fields["unbuilt_pairs"], fields["unbuilt_keys"]) == ("6", "9")
+    assert fields["merges"] == "10"
 
 
 def test_unwritable_stats_path_fails_before_the_run(tmp_path, capsys, monkeypatch):
@@ -732,6 +735,32 @@ def test_usage_error_exits_one(capsys):
     assert out == ""
     assert "invalid choice: 'bench'" in err
     assert "Traceback" not in err
+
+
+def test_repeated_calls_in_one_process_act_as_fresh_ones(tmp_path, capsys):
+    # ``main`` builds its parser once per process; a call that fails, in
+    # parsing or in its command, leaves nothing behind for the next one,
+    # whatever its subcommand: each call prints and returns what a fresh
+    # ``python -m slpdist.cli`` process does
+    a, g = tmp_path / "a.txt", tmp_path / "a.slp"
+    a.write_text("abaababaabaab\n")
+    g.write_text(FIB7_SLP_TEXT)
+    calls = [
+        ["distance", str(a)],
+        ["expand", str(g)],
+        ["distance", str(a), str(g), "--block-size", "1"],
+        ["compress", str(a), "--method", "lz78"],
+        ["selftest", "--cases", "0"],
+        ["distance", str(a), str(g), "--block-size", "3"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "slpdist.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert [run_cli(capsys, *argv)[0] for argv in calls] == [1, 0, 1, 0, 1, 0]
 
 
 def test_subcommands_are_pinned():

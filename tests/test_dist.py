@@ -13,8 +13,10 @@ from oracles import brute_column_minima, is_monge, with_none
 from slpdist import (
     InvariantViolation,
     ScoringFunction,
+    Repository,
     apply_inputs,
     build_direct,
+    from_plain,
     levenshtein,
     merge_horizontal,
     merge_vertical,
@@ -638,14 +640,25 @@ def _shared_boundary_above_the_ceiling(op, d1, d2):
     return [0] + [high] * (d1.h + d1.w) + [0] * d2.w
 
 
+def _hand_made(op, d1, d2, sf):
+    """An unbuilt record of d1 and d2 made by hand, with the table it
+    stands for, in a repository of its own that builds it on demand."""
+    table = (merge_vertical if op == "vmerge" else merge_horizontal)(d1, d2)
+    repo = Repository(from_plain(table.a), from_plain(table.b), sf)
+    return Unbuilt(None, op, d1, d2, repo), table
+
+
 @pytest.mark.parametrize("kind", ["random", "free indels", "uniform indels", "one letter", "decimal"])
 def test_unbuilt_pairs_apply_inputs_as_their_merged_table(rng, kind):
     # pushing a block through the two operands gives the merged table's
     # outputs and peak, for any inputs: grid values or not, so the vertex
     # both operands read may be cheaper through d1; and the same refusals,
     # for step counts, negative inputs and the ceiling, which bounds the
-    # block's outputs and not the shared boundary
-    seen = {"ok": 0, "ceiling": 0}
+    # block's outputs and not the shared boundary.  Records are swept over
+    # and over, so some are built part way through, on demand or by hand,
+    # and the rest stay unbuilt (records were made as ``Unbuilt(op, d1,
+    # d2)`` and never built while the repository decided before the sweep)
+    seen = {"ok": 0, "ceiling": 0, "built": 0, "unbuilt": 0}
     for _ in range(40):
         if kind == "random":
             sigma = rng.choice(("ab", "abc"))
@@ -655,15 +668,16 @@ def test_unbuilt_pairs_apply_inputs_as_their_merged_table(rng, kind):
         a, a2, b1, b2 = (random_text(rng, sigma, rng.randint(1, 7)) for _ in range(4))
         C = grid_ceiling(sf, a, a2, b1, b2) + rng.randint(0, 20)
         d1 = build_direct(a, b1, sf, C)
-        for op, d2, merge in (
-            ("vmerge", build_direct(a2, b1, sf, C), merge_vertical),
-            ("hmerge", build_direct(a, b2, sf, C), merge_horizontal),
-        ):
-            record, table = Unbuilt(op, d1, d2), merge(d1, d2)
+        for op, d2 in (("vmerge", build_direct(a2, b1, sf, C)), ("hmerge", build_direct(a, b2, sf, C))):
+            record, table = _hand_made(op, d1, d2, sf)
             assert (record.h, record.w, record.s) == (table.h, table.w, table.s)
             inputs = [[rng.randint(0, top) for _ in range(table.s)] for top in (20, C // 2)]
             inputs += [[C + 1] * table.s, _shared_boundary_above_the_ceiling(op, d1, d2)]
-            for values in inputs:
+            # built on demand or not, a record may also be built by hand
+            built_at = rng.randrange(len(inputs) + 1)
+            for i, values in enumerate(inputs):
+                if i == built_at and record.table is None:
+                    record.repo.build(record)
                 steps = tuple(_steps(values))
                 want = _outcome(table, steps)
                 assert _outcome(record, steps) == want
@@ -687,4 +701,5 @@ def test_unbuilt_pairs_apply_inputs_as_their_merged_table(rng, kind):
             assert _outcome(record, tuple(_steps(values)), sweep=sweep)[0] is ValueError
             assert _outcome(table, tuple(_steps(values)))[0] is ValueError
             assert not sweep.memo
-    assert seen["ok"] and seen["ceiling"]
+            seen["unbuilt" if record.table is None else "built"] += 1
+    assert all(seen.values()), seen

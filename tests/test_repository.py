@@ -1,5 +1,6 @@
 import gc
 from collections import Counter
+from operator import sub
 
 import pytest
 
@@ -23,7 +24,7 @@ from slpdist import (
     wagner_fischer,
 )
 from slpdist.dist import DistTable, Unbuilt
-from slpdist.scoring import ScoringFunction, scaled_to_ints
+from slpdist.scoring import ScoringFunction, max_cost, scaled_to_ints
 from slpdist.slp import fibonacci_prefix_slp, slp_from_productions
 
 
@@ -67,14 +68,31 @@ def combined(monkeypatch):
     return calls
 
 
+def _tables(*values):
+    """The distinct built tables memo values hold: each table itself, a
+    built record's table, and those an unbuilt record's operands hold, at
+    any depth."""
+    tables, seen = {}, set()
+    stack = list(values)
+    while stack:
+        value = stack.pop()
+        if type(value) is not Unbuilt:
+            tables[id(value)] = value
+        elif id(value) not in seen:
+            seen.add(id(value))
+            stack += (value.d1, value.d2) if value.table is None else (value.table,)
+    return list(tables.values())
+
+
 def _held(repo):
-    """The distinct built tables the memo holds, those its unbuilt records
-    hold at any depth included."""
-    return list({id(t): t for value in repo.memo.values() for t in dist._held(value)}.values())
+    """The distinct built tables the memo holds, those its records hold at
+    any depth included."""
+    return _tables(*repo.memo.values())
 
 
 def _unbuilt(repo):
-    return [value for value in repo.memo.values() if type(value) is Unbuilt]
+    """The part pairs' records not built yet."""
+    return [v for v in repo.memo.values() if type(v) is Unbuilt and v.table is None]
 
 
 def _records(repo):
@@ -82,7 +100,7 @@ def _records(repo):
     records, stack = {}, list(repo.memo.values())
     while stack:
         value = stack.pop()
-        if type(value) is Unbuilt and id(value) not in records:
+        if type(value) is Unbuilt and value.table is None and id(value) not in records:
             records[id(value)] = value
             stack += value.d1, value.d2
     return list(records.values())
@@ -94,15 +112,24 @@ def _nested(repo):
 
 
 def _merged(record):
-    """The table a memo value stands for: itself if built, else its
-    operands' tables merged, at any depth."""
+    """The table a memo value stands for: itself if a table, a built
+    record's table, else its operands' tables merged, at any depth."""
     if type(record) is not Unbuilt:
         return record
+    if record.table is not None:
+        return record.table
     merge = merge_vertical if record.op == "vmerge" else merge_horizontal
     table = merge(_merged(record.d1), _merged(record.d2))
     assert (record.h, record.w, record.s) == (table.h, table.w, table.s)
     assert record.ceiling == table.ceiling
     return table
+
+
+def _build_all(repo):
+    """Build every record the memo holds, as the sweep would on demand."""
+    for value in repo.memo.values():
+        if type(value) is Unbuilt and value.table is None:
+            repo.build(value)
 
 
 def _part_pairs(pa, pb):
@@ -191,7 +218,7 @@ def test_repeated_builds_identical_and_lookup_counts_hits(fib7_slp):
     assert repo1.memo.keys() == repo2.memo.keys()
     assert _unbuilt(repo1)
     for key in repo1.memo:
-        first, second = (dist._held(repo.memo[key]) for repo in (repo1, repo2))
+        first, second = (_tables(repo.memo[key]) for repo in (repo1, repo2))
         assert type(repo1.memo[key]) is type(repo2.memo[key])
         assert [t.rows for t in first] == [t.rows for t in second]
     first = repo1.lookup(5, 5)
@@ -220,66 +247,87 @@ def test_composite_chain_tables(fib7_slp, rng, built):
     assert added > 0
 
 
-def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch):
-    # one finite matrix per table, built against the repository's ceiling,
-    # an unbuilt pair's operands included; the sweep reads those very rows,
-    # and stand-ins are shared objects
+def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch, built):
+    # one finite matrix per table, built against the repository's ceiling
+    # before the sweep or by the sweep on demand; the sweep reads those
+    # very rows, and stand-ins are shared objects
     real_build, real_kernel = block_edit.build_repository, dist.minplus_row
-    real_apply = block_edit.apply_inputs
-    built, swept, memos = [], [], []
+    real_miss, real_through = dist._miss, dist._through_operands
+    repos, swept, merging, misses = [], [], [], Counter()
 
     def build(*args):
-        built.append(real_build(*args))
+        repos.append(real_build(*args))
         swept.clear()
-        return built[-1]
+        misses.clear()
+        return repos[-1]
 
     def kernel(u, rows, jlo, jhi, counter=None):
-        swept.append(rows)
+        if not merging:
+            swept.append(rows)
         return real_kernel(u, rows, jlo, jhi, counter)
 
-    def apply(d, base, left, top, counter, memo, edges):
-        memos.append(memo)
-        return real_apply(d, base, left, top, counter, memo, edges)
+    def merge_flagged(merge):
+        def wrapped(*args):
+            merging.append(merge)
+            try:
+                return merge(*args)
+            finally:
+                merging.pop()
+
+        return wrapped
+
+    def miss(*args):
+        misses["stored"] += 1
+        return real_miss(*args)
+
+    def through_operands(*args):
+        misses["through"] += 1
+        return real_through(*args)
 
     monkeypatch.setattr(block_edit, "build_repository", build)
-    monkeypatch.setattr(block_edit, "apply_inputs", apply)
     monkeypatch.setattr(dist, "minplus_row", kernel)
-    unbuilt = 0
+    monkeypatch.setattr(dist, "_miss", miss)
+    monkeypatch.setattr(dist, "_through_operands", through_operands)
+    for name in ("merge_vertical", "merge_horizontal"):
+        monkeypatch.setattr(dist, name, merge_flagged(getattr(dist, name)))
+    unbuilt = on_demand = 0
     for _ in range(10):
         ga = random_slp(rng, max_len=40)
         gb = random_slp(rng, max_len=40)
         text_a, text_b = expand(ga), expand(gb)
         sf = random_scoring(rng, sorted(set(text_a) | set(text_b)))
+        repos.clear()
         built.clear()
         cost, stats = block_edit_distance(ga, gb, sf, 3)
         assert cost == wagner_fischer(text_a, text_b, sf)
-        (repo,) = built
-        tables = _held(repo)
+        (repo,) = repos
         assert repo.unbuilt_pairs == len(_unbuilt(repo))
         unbuilt += repo.unbuilt_pairs
-        for t in tables:
+        on_demand += stats.merges
+        for t in built:
             assert not hasattr(t, "__dict__")
             assert t.ceiling == repo.ceiling
             assert all(v is not None for row in t.rows for v in row)
             stand_ins = [v for row in t.rows for v in row if v > t.ceiling]
             shared = {id(v) for v in stand_ins}
             assert len(shared) == len(set(stand_ins)) <= 2 * t.s
-        assert stats.table_entries == sum(t.s * t.s for t in tables)
-        # one kernel call per record the sweep memo stored for a built
-        # table: per block it did not answer, or per operand of an unbuilt
-        # record it did not answer
-        assert stats.sweep_memo_resets == 0
-        assert len(swept) == sum(type(d) is DistTable for d, _, _ in memos[-1])
+        assert stats.table_entries == sum(t.s * t.s for t in _held(repo))
+        # one sweep kernel call per record the sweep memo stored, but for
+        # those pushed through an unbuilt record's operands, memo resets or
+        # not (while the repository built its tables before the sweep: one
+        # per record it stored for a built table, counted in a memo that
+        # did not reset)
+        assert len(swept) == misses["stored"] - misses["through"]
         # each call hands over stored row objects of one table, in order and
         # the top-left corner's among them (while a miss handed the kernel
         # every input, it handed over the table's own row list)
-        stored = {id(row): (id(t), i, t.h) for t in tables for i, row in enumerate(t.rows)}
+        stored = {id(row): (id(t), i, t.h) for t in built for i, row in enumerate(t.rows)}
         for rows in swept:
             owners = [stored[id(row)] for row in rows]
             assert len({table for table, _, _ in owners}) == 1
             indices = [i for _, i, _ in owners]
             assert indices == sorted(set(indices)) and owners[0][2] in indices
-    assert unbuilt > 0
+    assert unbuilt > 0 and on_demand > 0
 
 
 def _random_pairs(rng, count, max_len=40):
@@ -303,7 +351,8 @@ def test_each_distinct_table_costs_one_build(rng, built):
 def test_exact_pairs_split_the_longer_side(fib7_slp, rng, monkeypatch, combined):
     # a table of two variables not both terminals merges the tables of the
     # longer side's children (A on a tie) with the whole shorter side, in
-    # the grammars the partitions extended
+    # the grammars the partitions extended; every record is built, as the
+    # sweep builds records on demand
     made = {}
 
     def recording(kind, merge):
@@ -322,7 +371,8 @@ def test_exact_pairs_split_the_longer_side(fib7_slp, rng, monkeypatch, combined)
         for x in (2, 3, 5):
             made.clear()
             combined.clear()
-            _, pa, pb = _repo_for(ga, gb, sf, x)
+            repo, pa, pb = _repo_for(ga, gb, sf, x)
+            _build_all(repo)
             ea, eb = pa.slp, pb.slp
             for (va, vb), table in combined:
                 prod_a, prod_b = ea.productions[va], eb.productions[vb]
@@ -373,7 +423,7 @@ def test_no_key_is_combined_twice(fib7_slp, rng, combined):
             left = {key for key, value in repo.memo.items() if type(value) is Unbuilt}
             assert repo.memo.keys() - left <= set(keys) and left.isdisjoint(keys)
             made = {id(table) for _, table in combined}
-            assert all(id(t) in made for key in left for t in dist._held(repo.memo[key]))
+            assert all(id(t) in made for key in left for t in _tables(repo.memo[key]))
             unbuilt += len(left)
     assert unbuilt > 0
 
@@ -421,7 +471,7 @@ def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch):
     grammars = [(fib7_slp, fib7_slp, levenshtein("ab"))]
     grammars += list(_random_pairs(rng, 3, max_len=24))
     grammars.append((*_balanced_pair(), levenshtein("abcd")))
-    unbuilt = nested = 0
+    unbuilt = nested = built = 0
     for ga, gb, sf in grammars:
         for x in (2, 4):
             before[:] = [o for o in gc.get_objects() if type(o) is DistTable]
@@ -431,50 +481,22 @@ def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch):
             assert alive() == repo.table_entries
             unbuilt += repo.unbuilt_pairs
             nested += len(_nested(repo))
-    assert unbuilt > 0 and nested > 0
-
-
-def _decisions(repo, pa, pb):
-    """Replay the unbuilt rule from sizes and part counts, in reverse plan
-    order: ``(plan, unbuilt keys, Counter of (work, memory, last) cases)``,
-    where ``last`` says whether the memory count left out an operand the
-    key is not the last consumer of."""
-    ea, eb = pa.slp, pb.slp
-    parts_a = Counter(p.var for p in pa.parts)
-    parts_b = Counter(p.var for p in pb.parts)
-    pairs = [(ka, kb) for ka in sorted(parts_a) for kb in sorted(parts_b)]
-    plan = repo._plan(pairs)
-    keys = list(plan)
-    consumers = {key: [] for key in keys}
-    for key, (deps, _) in plan.items():
-        for d in dict.fromkeys(deps):
-            consumers[d].append(key)
-
-    def size(key):
-        return ea.lengths[key[0]] + eb.lengths[key[1]] + 1
-
-    unbuilt, through, nesting, cases = set(), {}, {}, Counter()
-    for key in reversed(keys):
-        deps, op = plan[key]
-        users = consumers[key]
-        own = parts_a[key[0]] * parts_b[key[1]]
-        # a key every consumer of which is unbuilt, or none consumes
-        if op == "direct" or any(c not in unbuilt for c in users):
-            continue
-        nesting[key] = max((nesting[c] + 1 for c in users), default=0)
-        through[key] = own + sum(through[c] for c in users for d in plan[c][0] if d == key)
-        s1, s2, s = size(deps[0]), size(deps[1]), size(key)
-        shared = s1 + s2 - s
-        work = through[key] * 2 * shared < (s1 - 1) * (shared + s2)
-        # operands this key is the last consumer of, in plan order, and
-        # that are not part pairs
-        fresh = {d for d in deps if d not in pairs and max(consumers[d], key=keys.index) == key}
-        memory = sum(size(d) ** 2 for d in fresh) <= s * s
-        left_out = {d for d in deps if d not in pairs} - fresh
-        cases[work, memory, bool(left_out)] += 1
-        if work and memory and nesting[key] < dist.MAX_NESTING:
-            unbuilt.add(key)
-    return plan, unbuilt, cases
+            # records built in any order, as the sweep builds them on
+            # demand: each holds its table in place of its operands, and a
+            # table or record no record or part pair holds any more is
+            # freed (a freed record holds nothing)
+            records = _records(repo)
+            rng.shuffle(records)
+            for record in records:
+                if record not in repo.holders:
+                    assert record.d1 is record.d2 is record.table is None
+                elif record.table is None:
+                    repo.build(record)
+                    assert max(seen) == repo.peak_table_entries
+                    assert alive() == repo.table_entries
+                    built += 1
+            assert repo.unbuilt_keys == 0
+    assert unbuilt > 0 and nested > 0 and built > 0
 
 
 def _grammar_pairs(fib7_slp, rng):
@@ -490,40 +512,62 @@ def _grammar_pairs(fib7_slp, rng):
     return grammars
 
 
-def test_a_pair_is_left_unbuilt_exactly_when_both_counts_favour_it(fib7_slp, rng, combined):
-    # replay the rule in reverse plan order: a merge key that only unbuilt
-    # keys consume, if any, is left unbuilt exactly when (work) the blocks
-    # pushed through it, ``through``, its own plus each consumer's, fill
-    # fewer kernel entries through the two operands, 2 * shared more each
-    # than through its table, than the merge fills, and (memory) the
-    # operands it is the last consumer of, not part pairs, hold at most
-    # the s * s entries its table would.  While only part pairs no key
-    # consumes could be left unbuilt, the work count was their own blocks
-    # and the memory count skipped operands an earlier unbuilt pair held
-    cases = Counter()
-    nested = 0
+def test_a_record_is_built_exactly_when_its_rent_reaches_its_price(
+    fib7_slp, rng, monkeypatch, combined
+):
+    # replay the sweep's misses: a record's price is what its merge would
+    # fill, (s1 - 1) * (shared + s2); its rent grows by 2 * shared at each
+    # miss through it, and the miss where the rent first reaches the price
+    # builds its table.  A record built before that is an unbuilt operand
+    # of a record being built, and is built first.  No key is combined
+    # twice.  (While the repository decided before the sweep, a replay of
+    # its reverse pass over sizes and part counts checked which keys it
+    # left unbuilt.)
+    real_miss, real_build = dist._miss, dist.Repository.build
+    misses = Counter()  # misses through each record while it is unbuilt
+    building = []
+    events = Counter()
+
+    def miss(key, *args):
+        d = key[0]
+        if type(d) is not Unbuilt or d.table is not None:
+            return real_miss(key, *args)
+        if not misses[d]:
+            s1, s2 = d.d1.s, d.d2.s
+            assert d.shared == s1 + s2 - d.s and d.price == (s1 - 1) * (d.shared + s2)
+        assert d.rent == 2 * d.shared * misses[d]
+        misses[d] += 1
+        out = real_miss(key, *args)
+        reached = 2 * d.shared * misses[d] >= d.price
+        assert (d.table is not None) == reached
+        events["rent"] += reached
+        return out
+
+    def build(self, record):
+        assert record.table is None
+        if building:
+            assert record in (building[-1].d1, building[-1].d2)
+            assert record.rent < record.price
+            events["operand"] += 1
+        else:
+            assert record.rent >= record.price > record.rent - 2 * record.shared
+        building.append(record)
+        try:
+            return real_build(self, record)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(dist, "_miss", miss)
+    monkeypatch.setattr(dist.Repository, "build", build)
     for ga, gb, sf in _grammar_pairs(fib7_slp, rng):
         for x in (2, 3, 5, 8, 13):
             combined.clear()
-            repo, pa, pb = _repo_for(ga, gb, sf, x)
-            plan, unbuilt, here = _decisions(repo, pa, pb)
-            cases.update(here)
-            made = {key for key, _ in combined}
-            # every key is combined or left unbuilt, never both
-            assert made.isdisjoint(unbuilt) and made | unbuilt == plan.keys()
-            pairs = repo.memo.keys()
-            assert repo.unbuilt_keys == len(unbuilt)
-            assert repo.unbuilt_pairs == len(unbuilt & pairs)
-            for key in unbuilt & pairs:
-                record = repo.memo[key]
-                deps, op = plan[key]
-                assert (record.op, record.s) == (op, _merged(record).s)
-            nested += len(_nested(repo))
-    # each count decides some key both ways, and a key left unbuilt whose
-    # operand the memory count leaves out, as another key consumes it last
-    assert {(w, m) for w, m, _ in cases} == {(w, m) for w in (0, 1) for m in (0, 1)}, cases
-    assert cases[True, True, True] > 0, cases
-    assert nested > 0
+            cost, stats = block_edit_distance(ga, gb, sf, x)
+            assert cost == wagner_fischer(expand(ga), expand(gb), sf)
+            keys = [key for key, _ in combined]
+            assert len(set(keys)) == len(keys)
+            events["unbuilt"] += stats.unbuilt_keys
+    assert events["rent"] and events["operand"] and events["unbuilt"], events
 
 
 def test_no_built_key_has_an_unbuilt_operand(fib7_slp, rng, combined):
@@ -562,15 +606,15 @@ def test_nested_records_hold_each_table_once(fib7_slp, rng):
 
             for value in repo.memo.values():
                 walk(value)
-                held = dist._held(value)
+                held = _tables(value)
                 assert len({id(t) for t in held}) == len(held)
                 assert all(type(t) is DistTable for t in held)
-            assert {id(t) for t in dist._held(*repo.memo.values())} == reached.keys()
+            assert {id(t) for t in _tables(*repo.memo.values())} == reached.keys()
             assert repo.table_entries == sum(t.s * t.s for t in reached.values())
             for record in _nested(repo):
                 inner = [v for v in (record.d1, record.d2) if type(v) is Unbuilt]
-                tables = {id(t) for v in inner for t in dist._held(v)}
-                assert tables <= {id(t) for t in dist._held(record)}
+                tables = {id(t) for v in inner for t in _tables(v)}
+                assert tables <= {id(t) for t in _tables(record)}
                 seen += 1
     assert seen > 0
 
@@ -580,17 +624,14 @@ def _short(rng, sigma, n):
     return from_plain("".join(rng.choice(sigma) for _ in range(rng.randint(1, n))))
 
 
-@pytest.mark.parametrize("grid", ["random", "1 x k", "k x 1"])
-def test_nested_records_are_exact(rng, grid):
-    # the distance through nested records is Wagner-Fischer's, with int
-    # and Decimal costs, and every record's merged operands are the direct
-    # table of its strings; a grid of one block row or one block column
-    # nests records down one side only
+def _grid_cases(rng, grid, count=16):
+    """``(ga, gb, sf, x)`` for random grammars, or for grids of one block
+    row ("1 x k") or one block column ("k x 1"), with int costs and, in
+    every other case, Decimal costs."""
     from decimal import Decimal
 
     costs = [Decimal(t) for t in ("1.5", "2.25", "3", "0.75", "1.0", "2.50")]
-    nested = 0
-    for i in range(16):
+    for i in range(count):
         x = rng.choice((2, 3, 5))
         if grid == "random":
             ga, gb = random_slp(rng, max_len=40), random_slp(rng, max_len=40)
@@ -598,8 +639,7 @@ def test_nested_records_are_exact(rng, grid):
             ga, gb = _short(rng, "ab", x - 1), random_slp(rng, max_len=60)
             if grid == "k x 1":
                 ga, gb = gb, ga
-        text_a, text_b = expand(ga), expand(gb)
-        sigma = sorted(set(text_a) | set(text_b))
+        sigma = sorted(set(expand(ga)) | set(expand(gb)))
         sf = random_scoring(rng, sigma)
         if i % 2:
             sf = ScoringFunction(
@@ -608,19 +648,97 @@ def test_nested_records_are_exact(rng, grid):
                 {c: rng.choice(costs) for c in sigma},
                 {(a, b): Decimal(0) if a == b else rng.choice(costs) for a in sigma for b in sigma},
             )
+        if grid != "random":
+            parts = len(partition_string(ga, x).parts), len(partition_string(gb, x).parts)
+            assert min(parts) == 1
+        yield ga, gb, sf, x
+
+
+GRIDS = ["random", "1 x k", "k x 1"]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_nested_records_are_exact(rng, grid):
+    # the distance through nested records is Wagner-Fischer's, with int
+    # and Decimal costs, and every record's merged operands are the direct
+    # table of its strings; a grid of one block row or one block column
+    # nests records down one side only
+    nested = 0
+    for ga, gb, sf, x in _grid_cases(rng, grid):
+        text_a, text_b = expand(ga), expand(gb)
         got, stats = block_edit_distance(ga, gb, sf, x)
         assert str(got) == str(wagner_fischer(text_a, text_b, sf))
-        pa, pb = partition_string(ga, x), partition_string(gb, x)
-        if grid != "random":
-            assert min(len(pa.parts), len(pb.parts)) == 1
         scaled, _ = scaled_to_ints(sf, text_a, text_b)
-        repo = build_repository(pa, pb, scaled)
-        assert stats.unbuilt_keys == repo.unbuilt_keys >= repo.unbuilt_pairs
+        repo = build_repository(partition_string(ga, x), partition_string(gb, x), scaled)
+        # the sweep builds some records on demand, so fewer keys are
+        # unbuilt once it ends than when the repository was built (equal
+        # while the repository decided before the sweep)
+        assert repo.unbuilt_keys >= stats.unbuilt_keys >= stats.unbuilt_pairs
         for record in _records(repo):
             table = _merged(record)
             assert table.rows == build_direct(table.a, table.b, scaled, repo.ceiling).rows
         nested += len(_nested(repo))
     assert nested > 0
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_tables_built_on_demand_are_exact(rng, grid, monkeypatch, built):
+    # every table the sweep builds on demand is the direct table of its
+    # strings, stand-ins included, and the distance stays Wagner-Fischer's
+    real = dist.Repository.build
+    on_demand = []
+
+    def build(self, record):
+        on_demand.append(real(self, record))
+        return on_demand[-1]
+
+    monkeypatch.setattr(dist.Repository, "build", build)
+    swept = 0
+    for ga, gb, sf, x in _grid_cases(rng, grid):
+        text_a, text_b = expand(ga), expand(gb)
+        built.clear()
+        on_demand.clear()
+        got, stats = block_edit_distance(ga, gb, sf, x)
+        assert str(got) == str(wagner_fischer(text_a, text_b, sf))
+        scaled, _ = scaled_to_ints(sf, text_a, text_b)
+        ceiling = (len(text_a) + len(text_b)) * max_cost(scaled)
+        assert stats.direct_builds + stats.merges == len(built)
+        for table in built:
+            assert table.rows == build_direct(table.a, table.b, scaled, ceiling).rows
+        swept += len(on_demand)
+    assert swept > 0
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_a_record_gives_the_same_outputs_once_built(rng, grid):
+    # a block pushed through a record's operands and through the table it
+    # is then built into gives the same outputs, for any non-negative
+    # inputs, each on a memo of its own
+    compared = 0
+    for ga, gb, sf, x in _grid_cases(rng, grid):
+        text_a, text_b = expand(ga), expand(gb)
+        scaled, _ = scaled_to_ints(sf, text_a, text_b)
+        repo = build_repository(partition_string(ga, x), partition_string(gb, x), scaled)
+        records = _records(repo)
+        rng.shuffle(records)
+        for record in records:
+            if record.table is not None or record not in repo.holders:
+                continue
+            values = [rng.randint(0, 30) for _ in range(record.s)]
+            outputs = []
+            for push in (dist._through_operands, dist._outputs):
+                edges, memo = dist.Edges(10**6), {}
+                left, top = (
+                    edges.intern(tuple(map(sub, e[1:], e)), memo)
+                    for e in (values[: record.h + 1], values[record.h :])
+                )
+                out = push(record, values[0], left, top, [0, 0], memo, edges)
+                outputs.append((out.first, out.bottom.steps, out.right.steps, out.peak))
+                if record.table is None:
+                    repo.build(record)
+            assert outputs[0] == outputs[1]
+            compared += 1
+    assert compared > 0
 
 
 def _depth(value):
