@@ -6,7 +6,7 @@ from __future__ import annotations
 import time
 from decimal import Decimal
 
-from .dist import Edges, apply_inputs, build_repository
+from .dist import Sweep, apply_inputs, build_repository
 from .partition import InvariantViolation, partition_string
 from .scoring import ScoringFunction, scaled_to_ints
 from .slp import Slp, expand
@@ -35,7 +35,7 @@ class RunStats:
     ``sweep_memo_hits`` counts the blocks the sweep memo answered from a
     record (a record of an unbuilt record's operand is not a block's),
     ``sweep_edges`` the distinct edges the sweep interned (see
-    ``dist.Edges``), and ``sweep_memo_resets`` how often those edges'
+    ``dist.Sweep``), and ``sweep_memo_resets`` how often those edges'
     steps and the memo's records reached the entries the part pairs'
     tables would hold, built or not, and both were cleared.  ``elapsed``
     maps each phase to its seconds.
@@ -174,29 +174,27 @@ def block_edit_distance(
     # The interned edges' steps and the memo's records together may number
     # as many as the part pairs' tables would hold entries, built or not,
     # which keeps the sweep's memory within that of the tables it reads.
-    memo = {}
-    edges = Edges(sum(v.s * v.s for v in repo.memo.values()))
+    sweep = Sweep(sum(v.s * v.s for v in repo.memo.values()), repo)
     corners, tops = [], []
     c0 = 0
     for pb in part_b.parts:
         c1 = c0 + pb.length
         corners.append(corners[-1] + tops[-1].total if tops else 0)
-        tops.append(edges.intern(tuple([scaled.insert[c] for c in text_b[c0:c1]]), memo))
+        tops.append(sweep.intern(tuple([scaled.insert[c] for c in text_b[c0:c1]])))
         c0 = c1
     vars_b = [pb.var for pb in part_b.parts]
-    counter = [0, 0]  # kernel queries, memo hits
     r0 = 0
     bottom = 0  # the grid's value at (r0, 0)
     for pa in part_a.parts:
         r1 = r0 + pa.length
         # the first column's steps, bottom to top (input order)
-        left = edges.intern(tuple([-scaled.delete[c] for c in reversed(text_a[r0:r1])]), memo)
+        left = sweep.intern(tuple([-scaled.delete[c] for c in reversed(text_a[r0:r1])]))
         base = bottom = bottom - left.total
         tables = [repo.lookup(pa.var, vb) for vb in vars_b]
         for k, table in enumerate(tables):
             if base + left.total != corners[k]:
                 raise InvariantViolation("frontier and left edge disagree at a corner")
-            out = apply_inputs(table, base, left, tops[k], counter, memo, edges)
+            out = apply_inputs(table, base, left, tops[k], sweep)
             corners[k] = base = base + out.first
             tops[k] = top = out.bottom
             left = out.right
@@ -206,8 +204,8 @@ def block_edit_distance(
     stats.boundary_cells_propagated = (
         stats.parts_b * (len(text_a) + stats.parts_a) + stats.parts_a * len(text_b)
     )
-    stats.sweep_queries, stats.sweep_memo_hits = counter
-    stats.sweep_edges, stats.sweep_memo_resets = edges.interned, edges.resets
+    stats.sweep_queries, stats.sweep_memo_hits = sweep.queries[0], sweep.hits
+    stats.sweep_edges, stats.sweep_memo_resets = sweep.interned, sweep.resets
     # the sweep builds records on demand, so the repository's counters are
     # read once it is done
     stats.table_entries = repo.table_entries

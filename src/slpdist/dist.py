@@ -40,9 +40,9 @@ merge key starts as an ``Unbuilt`` record of its two operands, and
 ``apply_inputs`` pushes its blocks through the operands, each through the
 sweep memo.  An operand may be unbuilt in turn, so records nest.  That is
 exact because a merged table is by definition the composition of its
-operands.  The sweep builds a record on demand: at the miss where the
-kernel entries its misses cost beyond what its table would first reach
-those its merge would fill (rent or buy, see ``Unbuilt``).
+operands.  The sweep builds a record on demand, at the miss where what
+its misses filled beyond what its table would have first reaches what its
+merge would fill (rent or buy, see ``Unbuilt``).
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ _merge_vertical = merge_vertical
 
 class Edge:
     """The steps along one block edge and their sum.  The sweep interns its
-    edges (``Edges``), so equal steps share one Edge, and an Edge hashes
+    edges (``Sweep``), so equal steps share one Edge, and an Edge hashes
     and compares by identity, in O(1)."""
 
     __slots__ = ("steps", "total")
@@ -273,36 +273,42 @@ class Edge:
         self.total = sum(steps)
 
 
-class Edges:
-    """The sweep's intern table: one ``Edge`` per distinct step tuple.
+class Sweep:
+    """One block sweep's state: the repository ``repo`` whose records it
+    builds on demand, its ``memo`` of block outputs (``apply_inputs``) and
+    its intern ``table``, one ``Edge`` per distinct step tuple.
 
-    It and the memo whose keys hold its edges are charged together
-    against ``budget``: one unit per step of an edge it holds and one per
-    memo record.  A charge that would take ``held`` past the budget first
-    clears both and counts one reset; edges the caller still holds stay
-    exact, only no longer shared.  ``interned`` counts the edges made,
-    over all resets.
+    The memo and the table are charged together against ``budget``: one
+    unit per step of an edge the table holds and one per memo record.  A
+    charge that would take ``held`` past the budget first clears both and
+    counts one reset; edges the caller still holds stay exact, only no
+    longer shared.  ``interned`` counts the edges made, over all resets,
+    ``queries[0]`` the kernel's element queries and ``hits`` the blocks
+    the memo answered.
     """
 
-    __slots__ = ("table", "budget", "held", "interned", "resets")
+    __slots__ = ("repo", "memo", "table", "budget", "held", "resets", "interned", "queries", "hits")
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, repo: Repository | None):
+        self.repo = repo
+        self.memo = {}
         self.table = {}
         self.budget = budget
-        self.held = self.interned = self.resets = 0
+        self.held = self.resets = self.interned = self.hits = 0
+        self.queries = [0]  # a list, as ``minplus_row`` adds to element 0
 
-    def charge(self, units: int, memo: dict) -> None:
+    def charge(self, units: int) -> None:
         if self.held + units > self.budget:
-            memo.clear()
+            self.memo.clear()
             self.table.clear()
             self.held = 0
             self.resets += 1
         self.held += units
 
-    def intern(self, steps: tuple, memo: dict) -> Edge:
+    def intern(self, steps: tuple) -> Edge:
         edge = self.table.get(steps)
         if edge is None:
-            self.charge(len(steps), memo)
+            self.charge(len(steps))
             edge = self.table[steps] = Edge(steps)
             self.interned += 1
         return edge
@@ -331,13 +337,13 @@ class Outputs:
 
 
 class Unbuilt:
-    """A key whose table is not built yet (see ``build_repository``): the
-    ``key`` it stands for, the merge ``op`` it would be, its operands
-    ``d1`` (upper or left) and ``d2``, each a built table or itself an
-    ``Unbuilt`` record, the repository ``repo`` that builds it, and the h,
-    w, s and ceiling of its table.  ``apply_inputs`` pushes a block through
-    the two operands, which is exact because the merged table is by
-    definition their composition.
+    """A merge key's record (see ``build_repository``): the ``key`` it
+    stands for, the merge ``op`` it would be, its operands ``d1`` (upper
+    or left) and ``d2``, each a built table or itself a record, and the h,
+    w, s and ceiling of its table.  While ``table`` is None the record is
+    unbuilt, and ``apply_inputs`` pushes a block through the two operands,
+    which is exact because the merged table is by definition their
+    composition.
 
     The record rents until buying pays (Karlin et al., "Competitive snoopy
     caching", 1988).  Its ``price`` is the kernel entries its merge would
@@ -346,19 +352,17 @@ class Unbuilt:
     horizontal one).  Its ``rent`` grows by ``2 * shared``, what a block
     pushed through the operands fills beyond one through the table, at
     each sweep miss through it.  At the miss where rent first reaches
-    price, ``Repository.build`` merges ``table``, and the record holds it
-    in place of its operands.  The record stays the memo key, so the
-    sweep's earlier records of it stay valid.  Making a record holds its
-    operands in ``repo``'s count of holders.
+    price, the sweep's ``Repository.build`` merges ``table``, and the
+    record holds it in place of its operands.  The record stays the memo
+    key, so the sweep's earlier records of it stay valid.
     """
 
     __slots__ = (
-        "key", "op", "d1", "d2", "repo", "h", "w", "s", "ceiling",
-        "shared", "price", "rent", "table",
+        "key", "op", "d1", "d2", "h", "w", "s", "ceiling", "shared", "price", "rent", "table",
     )
 
-    def __init__(self, key, op: str, d1, d2, repo: Repository):
-        self.key, self.op, self.d1, self.d2, self.repo = key, op, d1, d2, repo
+    def __init__(self, key, op: str, d1, d2):
+        self.key, self.op, self.d1, self.d2 = key, op, d1, d2
         if op == "vmerge":
             self.h, self.w = d1.h + d2.h, d1.w
         else:
@@ -369,13 +373,9 @@ class Unbuilt:
         self.price = (d1.s - 1) * (self.shared + d2.s)
         self.rent = 0
         self.table = None
-        repo.hold(d1)
-        repo.hold(d2)
 
 
-def apply_inputs(
-    d: DistTable | Unbuilt, base, left: Edge, top: Edge, counter, memo, edges
-) -> Outputs:
+def apply_inputs(d: DistTable | Unbuilt, base, left: Edge, top: Edge, sweep: Sweep) -> Outputs:
     """Output boundary values from input boundary values, both in
     difference form: the value at vertex 0, then each value minus the one
     before it.  The inputs are ``base``, the steps of ``left`` (up the
@@ -387,24 +387,24 @@ def apply_inputs(
     outputs relative to ``base`` depend only on the table and the two
     edges, and the caller hands the bottom and right edges on as they are.
 
-    ``memo``, a dict owned by the caller, maps ``(d, left, top)`` to those
-    outputs; as edges are interned, a hit is one lookup by identity and an
-    O(1) ceiling check, runs no kernel and adds one to ``counter[1]``.  It
-    is exact for any base.  A miss rebuilds the absolute inputs and runs
-    one min-plus row product over the table's stored rows (``minplus_row``:
-    a scan or a SMAWK pass, O(s) element queries, added to ``counter[0]``),
-    then interns the output edges in ``edges`` and stores the record there,
-    charged one unit against its budget.  The product leaves out each input
-    that ties its neighbour towards the top-left corner plus the step
-    between them, read off the table's first or last column: that
-    neighbour is never worse, for any output, as in the merges.  ``d`` may
-    also be an ``Unbuilt`` record.  A miss adds to its rent, and builds its
-    table at the miss where the rent first reaches the price; it then runs
-    the kernel on that table as on any other.  While the record is unbuilt,
-    a miss pushes the block through its two operands, one after the other,
-    each through the memo (see ``_through_operands``), and stores one
-    record for the block besides theirs; a hit on an operand is not a
-    block, so it adds nothing to ``counter[1]``.
+    ``sweep.memo`` maps ``(d, left, top)`` to those outputs; as edges are
+    interned, a hit is one lookup by identity and an O(1) ceiling check,
+    runs no kernel and adds one to ``sweep.hits``.  It is exact for any
+    base.  A miss rebuilds the absolute inputs and runs one min-plus row
+    product over the table's stored rows (``minplus_row``: a scan or a
+    SMAWK pass, O(s) element queries, added to ``sweep.queries``), then
+    interns the output edges and stores the record, charged one unit
+    against the sweep's budget.  The product leaves out each input that
+    ties its neighbour towards the top-left corner plus the step between
+    them, read off the table's first or last column: that neighbour is
+    never worse, for any output, as in the merges.  ``d`` may also be an
+    ``Unbuilt`` record.  A miss adds to its rent, and at the miss where
+    the rent first reaches the price, ``sweep.repo`` builds its table; the
+    kernel then runs on that table as on any other.  While the record is
+    unbuilt, a miss pushes the block through its two operands, one after
+    the other, each through the memo (see ``_through_operands``), and
+    stores one record for the block besides theirs; a hit on an operand is
+    not a block, so it adds nothing to ``sweep.hits``.
 
     Absolute inputs must be non-negative, as a stand-in plus a negative
     input could win a column: the kernel is not run on them
@@ -415,26 +415,26 @@ def apply_inputs(
     ``scoring.scaled_to_ints``), so every shift is exact.
     """
     key = d, left, top
-    out = memo.get(key)
+    out = sweep.memo.get(key)
     if out is None:
-        out = _miss(key, base, counter, memo, edges)
+        out = _miss(key, base, sweep)
     else:
-        counter[1] += 1
+        sweep.hits += 1
     if base + out.peak > d.ceiling:
         raise InvariantViolation("unreachable output vertex in a grid block")
     return out
 
 
-def _outputs(d, base, left: Edge, top: Edge, counter, memo, edges) -> Outputs:
+def _outputs(d, base, left: Edge, top: Edge, sweep: Sweep) -> Outputs:
     """``apply_inputs`` on an operand of an unbuilt record: no hit is
     counted and no ceiling checked, as its outputs on the shared boundary
     are not outputs of the block."""
     key = d, left, top
-    out = memo.get(key)
-    return _miss(key, base, counter, memo, edges) if out is None else out
+    out = sweep.memo.get(key)
+    return _miss(key, base, sweep) if out is None else out
 
 
-def _miss(key, base, counter, memo, edges) -> Outputs:
+def _miss(key, base, sweep: Sweep) -> Outputs:
     """A memo miss of ``apply_inputs``: check the inputs, compute the
     outputs, and store their record under ``key``."""
     d, left, top = key
@@ -452,10 +452,10 @@ def _miss(key, base, counter, memo, edges) -> Outputs:
         if d.table is None:
             d.rent += 2 * d.shared
             if d.rent >= d.price:
-                d.repo.build(d)
+                sweep.repo.build(d)
         table = d.table
     if table is None:
-        out = _through_operands(d, base, left, top, counter, memo, edges)
+        out = _through_operands(d, base, left, top, sweep)
     else:
         rows = table.rows
         # an input whose value ties its neighbour towards the top-left
@@ -467,18 +467,18 @@ def _miss(key, base, counter, memo, edges) -> Outputs:
         keep = [*map(ne, left.steps, map(sub, first, first[1:])), True]
         keep += map(ne, top.steps, map(sub, last, last[1:]))
         values = minplus_row(
-            list(compress(values, keep)), list(compress(rows, keep)), 0, len(values), counter
+            list(compress(values, keep)), list(compress(rows, keep)), 0, len(values), sweep.queries
         )
         steps = tuple(map(sub, values[1:], values))
-        bottom = edges.intern(steps[:w], memo)
-        right = edges.intern(steps[w:], memo)
+        bottom = sweep.intern(steps[:w])
+        right = sweep.intern(steps[w:])
         out = Outputs(values[0] - base, bottom, right, max(values) - base)
-    edges.charge(1, memo)  # one unit for the record
-    memo[key] = out
+    sweep.charge(1)  # one unit for the record
+    sweep.memo[key] = out
     return out
 
 
-def _through_operands(d: Unbuilt, base, left: Edge, top: Edge, counter, memo, edges) -> Outputs:
+def _through_operands(d: Unbuilt, base, left: Edge, top: Edge, sweep: Sweep) -> Outputs:
     """The outputs of an unbuilt record's block, pushed through its
     operands, tables or records.
 
@@ -499,23 +499,23 @@ def _through_operands(d: Unbuilt, base, left: Edge, top: Edge, counter, memo, ed
     d1, d2 = d.d1, d.d2
     if d.op == "vmerge":
         lower, upper = left.steps[: d2.h], left.steps[d2.h :]
-        out1 = _outputs(d1, base + sum(lower), edges.intern(upper, memo), top, counter, memo, edges)
+        out1 = _outputs(d1, base + sum(lower), sweep.intern(upper), top, sweep)
         if out1.first:
             lower = lower[:-1] + (lower[-1] + out1.first,)
-        out2 = _outputs(d2, base, edges.intern(lower, memo), out1.bottom, counter, memo, edges)
+        out2 = _outputs(d2, base, sweep.intern(lower), out1.bottom, sweep)
         corner = out2.first + out2.bottom.total + out2.right.total
-        right = edges.intern(out2.right.steps + out1.right.steps, memo)
+        right = sweep.intern(out2.right.steps + out1.right.steps)
         peak = max(out2.peak, max(accumulate(out1.right.steps, initial=corner)))
         return Outputs(out2.first, out2.bottom, right, peak)
     w1 = d1.w
     head, rest = top.steps[:w1], top.steps[w1:]
-    out1 = _outputs(d1, base, left, edges.intern(head, memo), counter, memo, edges)
+    out1 = _outputs(d1, base, left, sweep.intern(head), sweep)
     base2 = out1.first + out1.bottom.total
     shared_top = base2 + out1.right.total - left.total - sum(head)
     if shared_top:
         rest = (rest[0] - shared_top,) + rest[1:]
-    out2 = _outputs(d2, base + base2, out1.right, edges.intern(rest, memo), counter, memo, edges)
-    bottom = edges.intern(out1.bottom.steps + out2.bottom.steps, memo)
+    out2 = _outputs(d2, base + base2, out1.right, sweep.intern(rest), sweep)
+    bottom = sweep.intern(out1.bottom.steps + out2.bottom.steps)
     peak = max(base2 + out2.peak, max(accumulate(out1.bottom.steps, initial=out1.first)))
     return Outputs(out1.first, bottom, out2.right, peak)
 
@@ -534,15 +534,16 @@ class Repository:
     takes its operands as listed.
 
     Every repeated occurrence of a pair reuses its table, which is where
-    the grammar's repetitiveness pays off.  Each key is built at most once,
-    by one direct build or one merge: before the sweep, or during it, when
-    its ``Unbuilt`` record's rent reaches its price (``build``).  ``memo``
-    holds only the part pairs, what the sweep reads: a table or a record.
-    ``unbuilt_keys`` counts the records not built yet, at any depth, and
-    ``unbuilt_pairs`` the part pairs among them.  ``holders`` counts, for
-    each live table or record, the memo keys and records that hold it, and
-    ``table_entries`` the entries of the live tables; ``peak_table_entries``
-    is the most they held at once, before and during the sweep.
+    the grammar's repetitiveness pays off.  A direct key is built when it
+    is planned; every merge key is an ``Unbuilt`` record, built at most
+    once, by one merge (``build``): before the sweep or during it, when
+    its rent reaches its price.  ``memo`` holds only the part pairs, what
+    the sweep reads: a table or a record.  ``unbuilt_keys`` counts the
+    records not built yet, at any depth, and ``unbuilt_pairs`` the part
+    pairs among them.  ``holders`` counts, for each live table or record,
+    the memo keys and records that hold it, and ``table_entries`` the
+    entries of the live tables; ``peak_table_entries`` is the most they
+    held at once, before and during the sweep.
     """
 
     def __init__(self, slp_a: Slp, slp_b: Slp, sf):
@@ -687,15 +688,16 @@ def build_repository(part_a, part_b, sf) -> Repository:
     (``StringPartition.slp``).
 
     The partitions must have been built with the same block parameter.  One
-    walk of the dependency DAG (``Repository._plan``) orders the build:
-    every key after its operands.  The direct keys, terminal x terminal,
-    are built; so is a key with ``MAX_NESTING`` unbuilt records above it,
-    and then its operands, so that no built key has an unbuilt operand.
-    Every other key becomes an ``Unbuilt`` record of its two operands,
-    tables or records, and the sweep builds it on demand, once its misses
-    have cost as much as its merge would (see ``Unbuilt``).  A key that is
-    not a part pair leaves the memo once its last consumer is made, so a
-    table is freed unless a record still holds it.
+    walk of the dependency DAG (``Repository._plan``) orders the keys:
+    every key after its operands.  In that order each direct key, terminal
+    x terminal, is built, and each merge key becomes an ``Unbuilt`` record
+    holding its two operands, tables or records.  Then ``Repository.build``
+    merges each key with ``MAX_NESTING`` records above it and its operands
+    (``_built_first``), in plan order, so no built key has an unbuilt
+    operand; the sweep builds the other records on demand, once their
+    misses have cost as much as their merges would (see ``Unbuilt``).
+    Only the holder counts keep a table alive, so an operand is freed once
+    no record and no part pair holds it.
 
     Rent or buy bounds the waste: a record pays at most its price in rent
     before its one merge, so in kernel entries the repository costs at
@@ -710,22 +712,22 @@ def build_repository(part_a, part_b, sf) -> Repository:
     repo = Repository(part_a.slp, part_b.slp, sf)
     vars_a = sorted({p.var for p in part_a.parts})
     vars_b = sorted({p.var for p in part_b.parts})
-    pairs = [(ka, kb) for ka in vars_a for kb in vars_b]
-    plan = repo._plan(pairs)
-    built = repo._built_first(plan)
-    consumers = Counter(d for deps, _ in plan.values() for d in deps)
-    keep = set(pairs)
-    memo = repo.memo
+    pairs = {(ka, kb) for ka in vars_a for kb in vars_b}
+    plan = repo._plan(sorted(pairs))
+    made = {}  # key -> its direct table or its record
     for key, (deps, op) in plan.items():
-        for d in deps:
-            consumers[d] -= 1
-        operands = [memo[d] for d in deps]
-        if key in built:
-            memo[key] = repo._combine(key, op, operands)
+        if op == "direct":
+            made[key] = repo._combine(key, op, ())
         else:
-            memo[key] = Unbuilt(key, op, *operands, repo)
-        repo.hold(memo[key])
-        for d in dict.fromkeys(deps):
-            if not consumers[d] and d not in keep:
-                repo.release(memo.pop(d))  # freed now, unless a record holds it
+            made[key] = Unbuilt(key, op, *(made[d] for d in deps))
+            for d in deps:
+                repo.hold(made[d])
+        if key in pairs:
+            repo.memo[key] = made[key]
+            repo.hold(made[key])
+    built = repo._built_first(plan)
+    records = [made[key] for key, (_, op) in plan.items() if op != "direct" and key in built]
+    del made  # from here on only the holder counts keep a table alive
+    for record in records:
+        repo.build(record)
     return repo

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import (
@@ -25,6 +27,7 @@ from slpdist import (
     repair,
     wagner_fischer,
 )
+from slpdist.slp import slp_from_productions
 
 
 def test_wagner_fischer_kitten():
@@ -214,8 +217,6 @@ def test_all_zero_costs():
 
 def test_deep_chain_grammar():
     # left-deep concatenation chains exercise the iterative traversals
-    from slpdist.slp import slp_from_productions
-
     prods = ["a", "b"]
     for i in range(2, 400):
         prods.append((i, 1 + (i % 2)))
@@ -277,11 +278,11 @@ def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
     real = block_edit.apply_inputs
     held = []
 
-    def apply(d, base, left, top, counter, memo, edges):
-        out = real(d, base, left, top, counter, memo, edges)
+    def apply(d, base, left, top, sweep):
+        out = real(d, base, left, top, sweep)
         assert len(out) == len(tuple(out)) == d.s
-        assert edges.held == sum(map(len, edges.table)) + len(memo)
-        held.append((edges.held, edges.budget))
+        assert sweep.held == sum(map(len, sweep.table)) + len(sweep.memo)
+        held.append((sweep.held, sweep.budget))
         return out
 
     monkeypatch.setattr(block_edit, "apply_inputs", apply)
@@ -312,11 +313,11 @@ def test_sweep_memo_budget_does_not_depend_on_what_is_built(rng, monkeypatch):
     # key, so each is built before the sweep): the part pairs' sizes fix it
     budgets = []
 
-    def recorded(budget):
+    def recorded(budget, repo):
         budgets.append(budget)
-        return dist.Edges(budget)
+        return dist.Sweep(budget, repo)
 
-    monkeypatch.setattr(block_edit, "Edges", recorded)
+    monkeypatch.setattr(block_edit, "Sweep", recorded)
     cap = dist.MAX_NESTING
     built_first = 0
     for _ in range(20):
@@ -340,7 +341,7 @@ def test_sweep_memo_resets_keep_results_exact(rng, monkeypatch):
     # a budget far below the tables' entries makes the interned edges
     # overflow it: each reset clears the memo with them, and the results
     # stay exactly those of WF
-    monkeypatch.setattr(block_edit, "Edges", lambda budget: dist.Edges(budget // 16))
+    monkeypatch.setattr(block_edit, "Sweep", lambda budget, repo: dist.Sweep(budget // 16, repo))
     resets = 0
     for _ in range(30):
         ga, gb = random_slp(rng), random_slp(rng)
@@ -362,26 +363,22 @@ def test_sweep_memo_resets_keep_results_exact(rng, monkeypatch):
     # not every memo record as well, still resets.  The records are those
     # the memo stored: one per block it did not answer, and one per
     # operand of an unbuilt pair it did not answer
-    made, memos = [], []
-    real = block_edit.apply_inputs
+    made = []
 
-    def recorded(budget):
-        made.append(dist.Edges(budget))
+    def recorded(budget, repo):
+        made.append(dist.Sweep(budget, repo))
         return made[-1]
 
-    def apply(d, base, left, top, counter, memo, edges):
-        memos.append(memo)
-        return real(d, base, left, top, counter, memo, edges)
-
-    monkeypatch.setattr(block_edit, "apply_inputs", apply)
     for sf in (levenshtein("ab"), _decimal_ab()):
-        monkeypatch.setattr(block_edit, "Edges", recorded)
+        monkeypatch.setattr(block_edit, "Sweep", recorded)
         _, stats = block_edit_distance(ga, gb, sf, 5)
         steps = sum(map(len, made[-1].table))
-        records = len(memos[-1])
+        records = len(made[-1].memo)
         assert stats.unbuilt_pairs > 0 and records > stats.block_count - stats.sweep_memo_hits
         assert stats.sweep_memo_resets == 0 and made[-1].held == steps + records > steps + 1
-        monkeypatch.setattr(block_edit, "Edges", lambda budget: dist.Edges(steps + records // 2))
+        monkeypatch.setattr(
+            block_edit, "Sweep", lambda budget, repo: dist.Sweep(steps + records // 2, repo)
+        )
         got, stats = block_edit_distance(ga, gb, sf, 5)
         assert str(got) == str(wagner_fischer(expand(ga), expand(gb), sf))
         assert stats.sweep_memo_resets > 0
@@ -396,9 +393,10 @@ def test_sweep_memo_leaves_decimal_results_unchanged(rng, monkeypatch):
     costs = [Decimal(t) for t in ("1.5", "2.25", "3", "0.75", "1.0", "2.50")]
     real = block_edit.apply_inputs
 
-    def without_memo(d, base, left, top, counter, memo, edges):
-        # a fresh memo per block: every block runs the kernel
-        return real(d, base, left, top, counter, {}, edges)
+    def without_memo(d, base, left, top, sweep):
+        # an empty memo at every block: every block runs the kernel
+        sweep.memo.clear()
+        return real(d, base, left, top, sweep)
 
     for _ in range(300):
         text_a = mutated_periodic(rng, "ab", rng.randint(10, 40), rng.randint(2, 5), 2)
@@ -505,14 +503,53 @@ def test_unbuilt_pairs_on_the_benchmark_weighted_fibonacci_pair():
     assert stats.sweep_memo_resets == 0
 
 
+def _chain(text):
+    """A left-deep chain grammar of text: its letters, then one variable
+    per further character, the one before it followed by that letter."""
+    letters = sorted(set(text))
+    var = {c: i for i, c in enumerate(letters, start=1)}
+    prods, last = list(letters), var[text[0]]
+    for c in text[1:]:
+        prods.append((last, var[c]))
+        last = len(prods)
+    return slp_from_productions(prods)
+
+
+@pytest.mark.parametrize(
+    "cap, counters",
+    [
+        (2, (719, 4, 22, 32_726, 60_519, 911_487)),
+        (0, (741, 4, 0, 26_969, 60_301, 1_016_612)),
+    ],
+)
+def test_repository_counters_where_nesting_is_capped(monkeypatch, cap, counters):
+    # left-deep chains nest records as deep as their parts, so a low
+    # ``MAX_NESTING`` builds most merge keys before the sweep (every one at
+    # 0); pinned so that how capped keys are built cannot move the
+    # counters unnoticed
+    rng = random.Random(7)
+    ga, gb = (_chain("".join(rng.choice("ab") for _ in range(80))) for _ in "ab")
+    monkeypatch.setattr(dist, "MAX_NESTING", cap)
+    got, stats = block_edit_distance(ga, gb, levenshtein("ab"), 30)
+    assert got == wagner_fischer(expand(ga), expand(gb), levenshtein("ab"))
+    assert (
+        stats.merges,
+        stats.direct_builds,
+        stats.unbuilt_keys,
+        stats.table_entries,
+        stats.peak_table_entries,
+        stats.merge_queries,
+    ) == counters
+
+
 @pytest.mark.parametrize("index", [1, -1])
 def test_sweep_refuses_edges_that_disagree_at_a_corner(fib7_slp, monkeypatch, index):
     # one wrong step, on a block's bottom edge or at the top of its right
     # edge, puts the next block's left edge off its top-left corner
     real = block_edit.apply_inputs
 
-    def perturbed(d, base, left, top, counter, memo, edges):
-        out = real(d, base, left, top, counter, memo, edges)
+    def perturbed(d, base, left, top, sweep):
+        out = real(d, base, left, top, sweep)
         values = list(out)
         values[index] += 1
         w = len(out.bottom.steps)

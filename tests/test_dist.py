@@ -22,7 +22,7 @@ from slpdist import (
     merge_vertical,
 )
 from slpdist import dist
-from slpdist.dist import DistTable, Edges, Unbuilt, input_position, output_position
+from slpdist.dist import DistTable, Sweep, Unbuilt, input_position, output_position
 from slpdist.monge import SCAN_CELLS
 
 
@@ -397,24 +397,20 @@ def _absolute(steps):
     return list(accumulate(steps))
 
 
-class _Sweep:
-    """What the sweep hands ``apply_inputs``: a kernel query and memo hit
-    counter, the memo and the interned edges, kept across calls."""
+class _Sweep(Sweep):
+    """What the sweep hands ``apply_inputs``, kept across calls, with a
+    budget no test reaches and ``repo`` to build the records it meets."""
 
-    def __init__(self):
-        self.counter = [0, 0]
-        self.memo = {}
-        self.edges = Edges(10**6)
+    def __init__(self, repo=None):
+        super().__init__(10**6, repo)
 
     def apply(self, d, steps, h=None):
         """``apply_inputs`` on a difference-form vector, its first h steps
         (the table's h by default) up the left edge and the rest along the
         top, read back as a tuple with element 0 absolute."""
         h = d.h if h is None else h
-        left, top = (
-            self.edges.intern(tuple(e), self.memo) for e in (steps[1 : h + 1], steps[h + 1 :])
-        )
-        out = apply_inputs(d, steps[0], left, top, self.counter, self.memo, self.edges)
+        left, top = (self.intern(tuple(e)) for e in (steps[1 : h + 1], steps[h + 1 :]))
+        out = apply_inputs(d, steps[0], left, top, self)
         # the traced bench counts boundary cells as len(out)
         assert len(out) == d.s
         first, *rest = out
@@ -458,18 +454,18 @@ def test_apply_inputs_length_check():
         with pytest.raises(ValueError, match="non-negative"):
             sweep.apply(d, _steps(absolute))
     # a refusal stores nothing and interns only its four input edges
-    assert not sweep.memo and sweep.edges.interned == 4
+    assert not sweep.memo and sweep.interned == 4
     # a memo hit is exact for any base, by shift-equivariance, and returns
     # the stored outputs as they are
     assert sweep.apply(d, (0, 0, 0)) == (0, 1, -1)
-    queries = sweep.counter[0]
+    queries = sweep.queries[0]
     assert sweep.apply(d, (-1, 0, 0)) == (-1, 1, -1)
-    assert sweep.counter == [queries, 1]
-    table = sweep.edges.table
+    assert (sweep.queries[0], sweep.hits) == (queries, 1)
+    table = sweep.table
     ((key, out),) = sweep.memo.items()
     assert key == (d, table[(0,)], table[(0,)])
     assert out.bottom is table[(1,)] and out.right is table[(-1,)]
-    assert apply_inputs(d, -1, *key[1:], sweep.counter, sweep.memo, sweep.edges) is out
+    assert apply_inputs(d, -1, *key[1:], sweep) is out
 
 
 def test_apply_inputs_checks_the_ceiling_on_hits_too():
@@ -481,29 +477,30 @@ def test_apply_inputs_checks_the_ceiling_on_hits_too():
     for sweep in (hit, miss):
         with pytest.raises(InvariantViolation, match="unreachable"):
             sweep.apply(d, (1, 0, 0))
-    assert hit.counter[1] == 1 and miss.counter[1] == 0
+    assert hit.hits == 1 and miss.hits == 0
 
 
 def test_edges_are_interned_within_their_budget():
     # equal steps give one Edge; an edge that would take the table past its
     # budget clears the table and the memo first, and edges made before
     # stay exact
-    memo = {"key": "value"}
-    edges = Edges(4)
-    a = edges.intern((1, 2), memo)
-    assert edges.intern((1, 2), memo) is a and (a.steps, a.total) == ((1, 2), 3)
-    b = edges.intern((0, -1), memo)
-    assert (edges.held, edges.interned, edges.resets, len(memo)) == (4, 2, 0, 1)
-    c = edges.intern((5,), memo)
-    assert (edges.held, edges.interned, edges.resets, memo) == (1, 3, 1, {})
-    assert edges.table == {(5,): c}
-    assert edges.intern((1, 2), memo) is not a and a.total == 3 and b.total == -1
+    sweep = Sweep(4, None)
+    memo = sweep.memo
+    memo["key"] = "value"
+    a = sweep.intern((1, 2))
+    assert sweep.intern((1, 2)) is a and (a.steps, a.total) == ((1, 2), 3)
+    b = sweep.intern((0, -1))
+    assert (sweep.held, sweep.interned, sweep.resets, len(memo)) == (4, 2, 0, 1)
+    c = sweep.intern((5,))
+    assert (sweep.held, sweep.interned, sweep.resets, memo) == (1, 3, 1, {})
+    assert sweep.table == {(5,): c}
+    assert sweep.intern((1, 2)) is not a and a.total == 3 and b.total == -1
     # a memo record is charged one unit, against the same budget
     memo["key"] = "value"
-    edges.charge(1, memo)
-    assert (edges.held, edges.resets, len(memo)) == (4, 1, 1)
-    edges.charge(1, memo)
-    assert (edges.held, edges.resets, memo, edges.table) == (1, 2, {}, {})
+    sweep.charge(1)
+    assert (sweep.held, sweep.resets, len(memo)) == (4, 1, 1)
+    sweep.charge(1)
+    assert (sweep.held, sweep.resets, memo, sweep.table) == (1, 2, {}, {})
 
 
 def test_apply_inputs_matches_grid_dp(rng):
@@ -553,7 +550,7 @@ def test_apply_inputs_matches_brute_column_minima(rng):
         shift = rng.randint(-inputs[0], 10)
         hit = sweep.apply(d, (steps[0] + shift,) + steps[1:])
         assert hit == (want[0] + shift,) + want[1:]
-        assert sweep.counter[1] == 1 and len(sweep.memo) == 1
+        assert sweep.hits == 1 and len(sweep.memo) == 1
 
 
 def _tied_inputs(rng, d, top):
@@ -613,10 +610,10 @@ def test_sweep_misses_hand_the_kernel_only_undominated_inputs(rng, monkeypatch):
     assert dropped > 0
 
 
-def _outcome(d, steps, h=None, sweep=None):
+def _outcome(d, steps, h=None, sweep=None, repo=None):
     """What applying ``steps`` to d gives: the outputs and their peak, or
-    the error's type and message."""
-    sweep = sweep or _Sweep()
+    the error's type and message.  ``repo`` builds a record on demand."""
+    sweep = sweep or _Sweep(repo)
     try:
         out = sweep.apply(d, steps, h)
     except (ValueError, InvariantViolation) as exc:
@@ -642,10 +639,13 @@ def _shared_boundary_above_the_ceiling(op, d1, d2):
 
 def _hand_made(op, d1, d2, sf):
     """An unbuilt record of d1 and d2 made by hand, with the table it
-    stands for, in a repository of its own that builds it on demand."""
+    stands for, held in a repository of its own that builds it."""
     table = (merge_vertical if op == "vmerge" else merge_horizontal)(d1, d2)
     repo = Repository(from_plain(table.a), from_plain(table.b), sf)
-    return Unbuilt(None, op, d1, d2, repo), table
+    record = Unbuilt(None, op, d1, d2)
+    repo.hold(d1)
+    repo.hold(d2)
+    return record, table, repo
 
 
 @pytest.mark.parametrize("kind", ["random", "free indels", "uniform indels", "one letter", "decimal"])
@@ -669,7 +669,7 @@ def test_unbuilt_pairs_apply_inputs_as_their_merged_table(rng, kind):
         C = grid_ceiling(sf, a, a2, b1, b2) + rng.randint(0, 20)
         d1 = build_direct(a, b1, sf, C)
         for op, d2 in (("vmerge", build_direct(a2, b1, sf, C)), ("hmerge", build_direct(a, b2, sf, C))):
-            record, table = _hand_made(op, d1, d2, sf)
+            record, table, repo = _hand_made(op, d1, d2, sf)
             assert (record.h, record.w, record.s) == (table.h, table.w, table.s)
             inputs = [[rng.randint(0, top) for _ in range(table.s)] for top in (20, C // 2)]
             inputs += [[C + 1] * table.s, _shared_boundary_above_the_ceiling(op, d1, d2)]
@@ -677,27 +677,27 @@ def test_unbuilt_pairs_apply_inputs_as_their_merged_table(rng, kind):
             built_at = rng.randrange(len(inputs) + 1)
             for i, values in enumerate(inputs):
                 if i == built_at and record.table is None:
-                    record.repo.build(record)
+                    repo.build(record)
                 steps = tuple(_steps(values))
                 want = _outcome(table, steps)
-                assert _outcome(record, steps) == want
+                assert _outcome(record, steps, repo=repo) == want
                 seen["ok" if want[0] is not InvariantViolation else "ceiling"] += 1
             assert want[0] is not InvariantViolation
             # a hit at another base is exact, and counts one block
-            sweep = _Sweep()
+            sweep = _Sweep(repo)
             steps = tuple(_steps(inputs[0]))
             first = sweep.apply(record, steps)
-            queries = sweep.counter[0]
+            queries = sweep.queries[0]
             again = sweep.apply(record, (steps[0] + 3,) + steps[1:])
             assert again == (first[0] + 3,) + first[1:]
-            assert sweep.counter == [queries, 1]
+            assert (sweep.queries[0], sweep.hits) == (queries, 1)
             # refusals: step counts, then negative absolute inputs
             for h in (table.h - 1, table.h + 1):
-                assert _outcome(record, steps, h) == _outcome(table, steps, h)
-            assert _outcome(record, steps[:-1]) == _outcome(table, steps[:-1])
+                assert _outcome(record, steps, h, repo=repo) == _outcome(table, steps, h)
+            assert _outcome(record, steps[:-1], repo=repo) == _outcome(table, steps[:-1])
             values = list(inputs[0])
             values[rng.randrange(len(values))] = -1
-            sweep = _Sweep()
+            sweep = _Sweep(repo)
             assert _outcome(record, tuple(_steps(values)), sweep=sweep)[0] is ValueError
             assert _outcome(table, tuple(_steps(values)))[0] is ValueError
             assert not sweep.memo

@@ -1,4 +1,5 @@
 import gc
+import weakref
 from collections import Counter
 from operator import sub
 
@@ -447,12 +448,17 @@ def test_balanced_grammars_hold_fewer_entries_than_they_build(built):
         assert stats.table_entries < made / 2
 
 
-def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch):
+@pytest.mark.parametrize("cap", [dist.MAX_NESTING, 0, 1])
+def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch, cap):
     # replay the build: as each table is stored, add up the entries of
     # every DistTable still alive, so a freed operand that lingers counts;
     # the largest sum is the counter.  An unbuilt record stores no table
     # but keeps its operands alive, records among them, so once built the
-    # tables alive are those ``table_entries`` counts
+    # tables alive are those ``table_entries`` counts.  A low
+    # ``MAX_NESTING`` builds keys before the sweep (every merge key at 0),
+    # and each operand must be freed once its last consumer is built
+    default = cap == dist.MAX_NESTING
+    monkeypatch.setattr(dist, "MAX_NESTING", cap)
     real = dist.Repository._combine
     before = []
     seen = []
@@ -496,7 +502,36 @@ def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch):
                     assert alive() == repo.table_entries
                     built += 1
             assert repo.unbuilt_keys == 0
-    assert unbuilt > 0 and nested > 0 and built > 0
+    if default:
+        assert unbuilt > 0 and nested > 0 and built > 0
+
+
+def test_a_finished_run_frees_its_repository_without_the_cycle_collector(monkeypatch):
+    # no table, record or sweep state points back at the repository, so
+    # reference counting alone frees it, with everything it holds, as soon
+    # as the run returns
+    real = block_edit.build_repository
+    repos = []
+
+    def build(*args):
+        repo = real(*args)
+        repos.append(weakref.ref(repo))
+        return repo
+
+    monkeypatch.setattr(block_edit, "build_repository", build)
+    ga = fibonacci_prefix_slp(1024)
+    gb = fibonacci_prefix_slp(1024, alphabet=("b", "a"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _, stats = block_edit_distance(ga, gb, levenshtein("ab"), 48)
+        (repo,) = repos
+        assert repo() is None
+    finally:
+        if enabled:
+            gc.enable()
+    # records were built on demand and others left unbuilt
+    assert stats.merges > 0 and stats.unbuilt_keys > 0
 
 
 def _grammar_pairs(fib7_slp, rng):
@@ -727,12 +762,12 @@ def test_a_record_gives_the_same_outputs_once_built(rng, grid):
             values = [rng.randint(0, 30) for _ in range(record.s)]
             outputs = []
             for push in (dist._through_operands, dist._outputs):
-                edges, memo = dist.Edges(10**6), {}
+                sweep = dist.Sweep(10**6, repo)
                 left, top = (
-                    edges.intern(tuple(map(sub, e[1:], e)), memo)
+                    sweep.intern(tuple(map(sub, e[1:], e)))
                     for e in (values[: record.h + 1], values[record.h :])
                 )
-                out = push(record, values[0], left, top, [0, 0], memo, edges)
+                out = push(record, values[0], left, top, sweep)
                 outputs.append((out.first, out.bottom.steps, out.right.steps, out.peak))
                 if record.table is None:
                     repo.build(record)
@@ -743,8 +778,8 @@ def test_a_record_gives_the_same_outputs_once_built(rng, grid):
 
 def _depth(value):
     """How many unbuilt records nest down from a memo value, itself
-    included."""
-    if type(value) is not Unbuilt:
+    included; a built record counts as its table, as in the sweep."""
+    if type(value) is not Unbuilt or value.table is not None:
         return 0
     return 1 + max(_depth(value.d1), _depth(value.d2))
 
