@@ -448,17 +448,28 @@ def test_balanced_grammars_hold_fewer_entries_than_they_build(built):
         assert stats.table_entries < made / 2
 
 
-@pytest.mark.parametrize("cap", [dist.MAX_NESTING, 0, 1])
-def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch, cap):
+def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch):
+    unbuilt, nested, built = _replay_peak_table_entries(fib7_slp, rng, monkeypatch)
+    assert unbuilt > 0 and nested > 0 and built > 0
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_peak_table_entries_counts_the_tables_alive_at_low_nesting_caps(
+    fib7_slp, rng, monkeypatch, cap
+):
+    # a low ``MAX_NESTING`` builds keys before the sweep (every merge key
+    # at 0), and each operand must be freed once its last consumer is built
+    monkeypatch.setattr(dist, "MAX_NESTING", cap)
+    _replay_peak_table_entries(fib7_slp, rng, monkeypatch)
+
+
+def _replay_peak_table_entries(fib7_slp, rng, monkeypatch):
     # replay the build: as each table is stored, add up the entries of
     # every DistTable still alive, so a freed operand that lingers counts;
     # the largest sum is the counter.  An unbuilt record stores no table
     # but keeps its operands alive, records among them, so once built the
-    # tables alive are those ``table_entries`` counts.  A low
-    # ``MAX_NESTING`` builds keys before the sweep (every merge key at 0),
-    # and each operand must be freed once its last consumer is built
-    default = cap == dist.MAX_NESTING
-    monkeypatch.setattr(dist, "MAX_NESTING", cap)
+    # tables alive are those ``table_entries`` counts.  Returns the unbuilt
+    # pairs, nested records and records built on demand seen in the replay
     real = dist.Repository._combine
     before = []
     seen = []
@@ -502,8 +513,7 @@ def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch, 
                     assert alive() == repo.table_entries
                     built += 1
             assert repo.unbuilt_keys == 0
-    if default:
-        assert unbuilt > 0 and nested > 0 and built > 0
+    return unbuilt, nested, built
 
 
 def test_a_finished_run_frees_its_repository_without_the_cycle_collector(monkeypatch):
