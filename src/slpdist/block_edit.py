@@ -21,9 +21,9 @@ class RunStats:
     scale as N^2/x while the table-building counters scale as n^2, which is
     the trade the block parameter x tunes.  The sweep builds tables on
     demand (see ``dist.Unbuilt``), so the repository's counters are read
-    when it ends.  ``merges`` counts the tables built by merging, before
-    or during the sweep, and ``merge_queries`` the element lookups those
-    merges performed.  A table holds s^2 entries, an 8-byte list slot
+    when it ends.  ``merges`` counts the tables the sweep built by
+    merging, and ``merge_queries`` the element lookups those merges
+    performed.  A table holds s^2 entries, an 8-byte list slot
     each, since equal values within one merge share one int object.
     ``unbuilt_keys`` counts the keys still records when the sweep ends,
     and ``unbuilt_pairs`` the part pairs among them.  ``table_entries``

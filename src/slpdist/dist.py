@@ -40,9 +40,11 @@ merge key starts as an ``Unbuilt`` record of its two operands, and
 ``apply_inputs`` pushes its blocks through the operands, each through the
 sweep memo.  An operand may be unbuilt in turn, so records nest.  That is
 exact because a merged table is by definition the composition of its
-operands.  The sweep builds a record on demand, at the miss where what
-its misses filled beyond what its table would have first reaches what its
-merge would fill (rent or buy, see ``Unbuilt``).
+operands.  One loop drives the pushes over an explicit stack, so records
+nest to any depth.  The sweep builds a record on demand, at the miss
+where what its misses filled beyond what its table would have first
+reaches what its merge would fill (rent or buy, see ``Unbuilt``); that
+build is the only route to a merged table.
 """
 
 from __future__ import annotations
@@ -56,12 +58,6 @@ from .monge import substitute_infinities  # noqa: F401 - bench/tracing.py patche
 from .partition import InvariantViolation
 from .scoring import max_cost
 from .slp import Slp, expand
-
-# Unbuilt records nest at most this deep (see ``build_repository``).  The
-# sweep recurses three calls per level, so this stays far inside Python's
-# default recursion limit of 1000, which records nested as deep as a
-# left-deep chain grammar's parts at x = 450 overran.
-MAX_NESTING = 100
 
 
 class DistTable:
@@ -402,7 +398,7 @@ def apply_inputs(d: DistTable | Unbuilt, base, left: Edge, top: Edge, sweep: Swe
     the rent first reaches the price, ``sweep.repo`` builds its table; the
     kernel then runs on that table as on any other.  While the record is
     unbuilt, a miss pushes the block through its two operands, one after
-    the other, each through the memo (see ``_through_operands``), and
+    the other, each through the memo (see ``_miss`` and ``_push``), and
     stores one record for the block besides theirs; a hit on an operand is
     not a block, so it adds nothing to ``sweep.hits``.
 
@@ -425,19 +421,57 @@ def apply_inputs(d: DistTable | Unbuilt, base, left: Edge, top: Edge, sweep: Swe
     return out
 
 
-def _outputs(d, base, left: Edge, top: Edge, sweep: Sweep) -> Outputs:
-    """``apply_inputs`` on an operand of an unbuilt record: no hit is
-    counted and no ceiling checked, as its outputs on the shared boundary
-    are not outputs of the block."""
-    key = d, left, top
-    out = sweep.memo.get(key)
-    return _miss(key, base, sweep) if out is None else out
-
-
 def _miss(key, base, sweep: Sweep) -> Outputs:
-    """A memo miss of ``apply_inputs``: check the inputs, compute the
-    outputs, and store their record under ``key``."""
-    d, left, top = key
+    """A memo miss of ``apply_inputs``: the outputs of ``key``'s block,
+    with a record stored for it and for every operand block it was pushed
+    through.
+
+    Each block is one ``_push``, a generator.  A push through an unbuilt
+    record yields each operand's key and base in turn; the answer comes
+    from the memo or from a new push on an explicit stack, so records nest
+    to any depth without recursion.  A finished push's record is charged
+    one unit and stored.  An operand answered by the memo is not a block:
+    it counts no hit and checks no ceiling, as its outputs on the shared
+    boundary are not outputs of the block."""
+    stack = [(key, _push(*key, base, sweep))]
+    out = None
+    while stack:
+        key, push = stack[-1]
+        try:
+            operand, operand_base = push.send(out)
+        except StopIteration as done:
+            stack.pop()
+            out = done.value
+            sweep.charge(1)  # one unit for the record
+            sweep.memo[key] = out
+            continue
+        out = sweep.memo.get(operand)
+        if out is None:
+            stack.append((operand, _push(*operand, operand_base, sweep)))
+    return out
+
+
+def _push(d, left: Edge, top: Edge, base, sweep: Sweep):
+    """One block's push for ``_miss``: check the inputs, add the rent of
+    an unbuilt record and build it once the rent reaches the price, then
+    return the outputs, from the kernel over a built table or through an
+    unbuilt record's operands.
+
+    Vertical: the upper table d1 takes the upper left steps and the top
+    edge; the lower table d2 takes the lower left steps and d1's bottom
+    edge, the shared row.  The block's bottom edge is d2's, and its right
+    edge is d2's right steps followed by d1's: at the shared corner d2
+    adds nothing, as d1's value there already takes every path along the
+    shared row.  The vertex where the shared row meets the left edge is an
+    input of both: d1's output there, never above the input, is the one d2
+    reads, so the last lower left step takes the difference (0 for the
+    grid values the sweep carries).  Horizontal is the mirror: d1 takes
+    the left edge and the left top steps, d2 takes d1's right edge and the
+    right top steps, and the bottom edge joins d1's and d2's.  ``peak`` is
+    the largest of the block's outputs only, relative to ``base``; the
+    shared boundary is not among them.  Each operand's outputs are what
+    ``_miss`` sends back for the operand's key and base the push yields.
+    """
     h, w = d.h, d.w
     if len(left.steps) != h or len(top.steps) != w:
         raise ValueError(
@@ -454,9 +488,7 @@ def _miss(key, base, sweep: Sweep) -> Outputs:
             if d.rent >= d.price:
                 sweep.repo.build(d)
         table = d.table
-    if table is None:
-        out = _through_operands(d, base, left, top, sweep)
-    else:
+    if table is not None:
         rows = table.rows
         # an input whose value ties its neighbour towards the top-left
         # corner plus the step between them is never better than that
@@ -472,49 +504,26 @@ def _miss(key, base, sweep: Sweep) -> Outputs:
         steps = tuple(map(sub, values[1:], values))
         bottom = sweep.intern(steps[:w])
         right = sweep.intern(steps[w:])
-        out = Outputs(values[0] - base, bottom, right, max(values) - base)
-    sweep.charge(1)  # one unit for the record
-    sweep.memo[key] = out
-    return out
-
-
-def _through_operands(d: Unbuilt, base, left: Edge, top: Edge, sweep: Sweep) -> Outputs:
-    """The outputs of an unbuilt record's block, pushed through its
-    operands, tables or records.
-
-    Vertical: the upper table d1 takes the upper left steps and the top
-    edge; the lower table d2 takes the lower left steps and d1's bottom
-    edge, the shared row.  The block's bottom edge is d2's, and its right
-    edge is d2's right steps followed by d1's: at the shared corner d2
-    adds nothing, as d1's value there already takes every path along the
-    shared row.  The vertex where the shared row meets the left edge is an
-    input of both: d1's output there, never above the input, is the one d2
-    reads, so the last lower left step takes the difference (0 for the
-    grid values the sweep carries).  Horizontal is the mirror: d1 takes
-    the left edge and the left top steps, d2 takes d1's right edge and the
-    right top steps, and the bottom edge joins d1's and d2's.  ``peak`` is
-    the largest of the block's outputs only, relative to ``base``; the
-    shared boundary is not among them.
-    """
+        return Outputs(values[0] - base, bottom, right, max(values) - base)
     d1, d2 = d.d1, d.d2
     if d.op == "vmerge":
         lower, upper = left.steps[: d2.h], left.steps[d2.h :]
-        out1 = _outputs(d1, base + sum(lower), sweep.intern(upper), top, sweep)
+        out1 = yield (d1, sweep.intern(upper), top), base + sum(lower)
         if out1.first:
             lower = lower[:-1] + (lower[-1] + out1.first,)
-        out2 = _outputs(d2, base, sweep.intern(lower), out1.bottom, sweep)
+        out2 = yield (d2, sweep.intern(lower), out1.bottom), base
         corner = out2.first + out2.bottom.total + out2.right.total
         right = sweep.intern(out2.right.steps + out1.right.steps)
         peak = max(out2.peak, max(accumulate(out1.right.steps, initial=corner)))
         return Outputs(out2.first, out2.bottom, right, peak)
     w1 = d1.w
     head, rest = top.steps[:w1], top.steps[w1:]
-    out1 = _outputs(d1, base, left, sweep.intern(head), sweep)
+    out1 = yield (d1, left, sweep.intern(head)), base
     base2 = out1.first + out1.bottom.total
     shared_top = base2 + out1.right.total - left.total - sum(head)
     if shared_top:
         rest = (rest[0] - shared_top,) + rest[1:]
-    out2 = _outputs(d2, base + base2, out1.right, sweep.intern(rest), sweep)
+    out2 = yield (d2, out1.right, sweep.intern(rest)), base + base2
     bottom = sweep.intern(out1.bottom.steps + out2.bottom.steps)
     peak = max(base2 + out2.peak, max(accumulate(out1.bottom.steps, initial=out1.first)))
     return Outputs(out1.first, bottom, out2.right, peak)
@@ -536,14 +545,15 @@ class Repository:
     Every repeated occurrence of a pair reuses its table, which is where
     the grammar's repetitiveness pays off.  A direct key is built when it
     is planned; every merge key is an ``Unbuilt`` record, built at most
-    once, by one merge (``build``): before the sweep or during it, when
-    its rent reaches its price.  ``memo`` holds only the part pairs, what
-    the sweep reads: a table or a record.  ``unbuilt_keys`` counts the
-    records not built yet, at any depth, and ``unbuilt_pairs`` the part
-    pairs among them.  ``holders`` counts, for each live table or record,
-    the memo keys and records that hold it, and ``table_entries`` the
-    entries of the live tables; ``peak_table_entries`` is the most they
-    held at once, before and during the sweep.
+    once, by one merge (``build``) during the sweep: when its rent reaches
+    its price, or as an unbuilt operand of a record being built.  ``memo``
+    holds only the part pairs, what the sweep reads: a table or a record.
+    ``unbuilt_keys`` counts the records not built yet, at any depth, and
+    ``unbuilt_pairs`` the part pairs among them.  ``holders`` counts, for
+    each live table or record, the memo keys and records that hold it, and
+    ``table_entries`` the entries of the live tables;
+    ``peak_table_entries`` is the most they held at once, before and
+    during the sweep.
     """
 
     def __init__(self, slp_a: Slp, slp_b: Slp, sf):
@@ -590,33 +600,43 @@ class Repository:
             self.peak_table_entries = max(self.peak_table_entries, self.table_entries)
         self.holders[value] += 1
 
-    def release(self, value) -> None:
-        """Count one holder fewer.  A table left without one leaves
-        ``table_entries``; a record left without one releases what it
-        holds, and drops its references to them: the sweep memo's keys may
-        still hold the record, but no sweep reaches it again."""
-        self.holders[value] -= 1
-        if self.holders[value]:
-            return
-        del self.holders[value]
-        if type(value) is DistTable:
-            self.table_entries -= value.s * value.s
-            return
-        for held in (value.d1, value.d2) if value.table is None else (value.table,):
-            self.release(held)
-        value.d1 = value.d2 = value.table = None
+    def release(self, *values) -> None:
+        """Count one holder fewer of each table or built record (``build``
+        builds every operand before it releases it, so no unbuilt record is
+        released).  A table left without one leaves ``table_entries``; a
+        record left without one releases its table and drops it: the sweep
+        memo's keys may still hold the record, but no sweep reaches it
+        again."""
+        for value in values:
+            self.holders[value] -= 1
+            if self.holders[value]:
+                continue
+            del self.holders[value]
+            if type(value) is DistTable:
+                self.table_entries -= value.s * value.s
+            else:
+                self.release(value.table)
+                value.table = None
 
     def build(self, record: Unbuilt) -> DistTable:
         """Merge an unbuilt record's table, building its unbuilt operands
-        first the same way; the record then holds its table in place of its
-        operands."""
-        operands = record.d1, record.d2
-        tables = [o if type(o) is DistTable else o.table or self.build(o) for o in operands]
-        record.table = self._combine(record.key, record.op, tables)
-        self.hold(record.table)
-        record.d1 = record.d2 = None
-        for o in operands:
-            self.release(o)
+        first the same way, d1's before d2's, over an explicit stack so
+        that nesting depth never hits the Python recursion limit.  Each
+        record then holds its table in place of its operands."""
+        stack = [record]
+        while stack:
+            top = stack[-1]
+            operands = top.d1, top.d2
+            unbuilt = [o for o in operands if type(o) is Unbuilt and o.table is None]
+            if unbuilt:
+                stack.append(unbuilt[0])
+                continue
+            stack.pop()
+            tables = [o if type(o) is DistTable else o.table for o in operands]
+            top.table = self._combine(top.key, top.op, tables)
+            self.hold(top.table)
+            top.d1 = top.d2 = None
+            self.release(*operands)
         return record.table
 
     def _plan(self, pairs) -> dict:
@@ -655,22 +675,6 @@ class Repository:
         r, t = slp_b.productions[vb]
         return [(va, r), (va, t)], "hmerge"
 
-    def _built_first(self, plan: dict) -> set:
-        """The keys of ``plan`` to build before the sweep: the direct ones,
-        those ``MAX_NESTING`` records deep, and the operands of each, found
-        in one pass from the last key to the first, so each key after every
-        key that consumes it."""
-        nesting = Counter()  # most unbuilt records above each key
-        built = set()
-        for key, (deps, op) in reversed(plan.items()):
-            if op == "direct" or key in built or nesting[key] == MAX_NESTING:
-                built.add(key)
-                built.update(deps)
-            else:
-                for d in deps:
-                    nesting[d] = max(nesting[d], nesting[key] + 1)
-        return built
-
     def _combine(self, key, op, tables):
         if op == "direct":
             self.direct_builds += 1
@@ -691,13 +695,11 @@ def build_repository(part_a, part_b, sf) -> Repository:
     walk of the dependency DAG (``Repository._plan``) orders the keys:
     every key after its operands.  In that order each direct key, terminal
     x terminal, is built, and each merge key becomes an ``Unbuilt`` record
-    holding its two operands, tables or records.  Then ``Repository.build``
-    merges each key with ``MAX_NESTING`` records above it and its operands
-    (``_built_first``), in plan order, so no built key has an unbuilt
-    operand; the sweep builds the other records on demand, once their
-    misses have cost as much as their merges would (see ``Unbuilt``).
-    Only the holder counts keep a table alive, so an operand is freed once
-    no record and no part pair holds it.
+    holding its two operands, tables or records.  Nothing is merged here:
+    the sweep builds each record on demand, with its unbuilt operands,
+    once its misses have cost as much as its merge would (see ``Unbuilt``
+    and ``Repository.build``).  Only the holder counts keep a table alive,
+    so an operand is freed once no record and no part pair holds it.
 
     Rent or buy bounds the waste: a record pays at most its price in rent
     before its one merge, so in kernel entries the repository costs at
@@ -725,9 +727,4 @@ def build_repository(part_a, part_b, sf) -> Repository:
         if key in pairs:
             repo.memo[key] = made[key]
             repo.hold(made[key])
-    built = repo._built_first(plan)
-    records = [made[key] for key, (_, op) in plan.items() if op != "direct" and key in built]
-    del made  # from here on only the holder counts keep a table alive
-    for record in records:
-        repo.build(record)
     return repo

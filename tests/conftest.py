@@ -94,6 +94,18 @@ def random_slp(rng, max_len=60):
     return slp_from_productions(prods)
 
 
+def chain_slp(text):
+    """A left-deep chain grammar of text: its letters, then one variable
+    per further character, the one before it followed by that letter."""
+    letters = sorted(set(text))
+    var = {c: i for i, c in enumerate(letters, start=1)}
+    prods, last = list(letters), var[text[0]]
+    for c in text[1:]:
+        prods.append((last, var[c]))
+        last = len(prods)
+    return slp_from_productions(prods)
+
+
 def edit_distance_by_recursion(a, b, sf):
     """Memoized prefix recursion; independent of the iterative table code."""
     from functools import lru_cache

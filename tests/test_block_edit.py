@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import (
+    chain_slp,
     edit_distance_by_recursion,
     mutated_periodic,
     random_scoring,
@@ -308,33 +309,38 @@ def test_sweep_memo_is_exact_and_bounded(rng, monkeypatch):
 
 
 def test_sweep_memo_budget_does_not_depend_on_what_is_built(rng, monkeypatch):
-    # the same budget whether the sweep builds records on demand or the
-    # repository builds every key first (MAX_NESTING = 0 caps every merge
-    # key, so each is built before the sweep): the part pairs' sizes fix it
+    # the same budget whether the sweep builds records on demand or every
+    # record is built before the sweep: the part pairs' sizes fix it
     budgets = []
+    real_build = block_edit.build_repository
 
     def recorded(budget, repo):
         budgets.append(budget)
         return dist.Sweep(budget, repo)
 
+    def built_first(*args):
+        repo = real_build(*args)
+        for record in repo.memo.values():
+            if type(record) is dist.Unbuilt and record.table is None:
+                repo.build(record)
+        return repo
+
     monkeypatch.setattr(block_edit, "Sweep", recorded)
-    cap = dist.MAX_NESTING
-    built_first = 0
+    built_before = 0
     for _ in range(20):
         ga, gb = random_slp(rng), random_slp(rng)
         chars = "".join(sorted(set(expand(ga)) | set(expand(gb))))
         sf = random_scoring(rng, chars)
         x = rng.randint(2, 5)
-        results = []
-        for nesting in (cap, 0):
-            monkeypatch.setattr(dist, "MAX_NESTING", nesting)
-            results.append(block_edit_distance(ga, gb, sf, x))
-        (on_demand, lazy), (first, eager) = results
+        on_demand, lazy = block_edit_distance(ga, gb, sf, x)
+        monkeypatch.setattr(block_edit, "build_repository", built_first)
+        first, eager = block_edit_distance(ga, gb, sf, x)
+        monkeypatch.setattr(block_edit, "build_repository", real_build)
         assert on_demand == first == wagner_fischer(expand(ga), expand(gb), sf)
         assert eager.unbuilt_keys == 0 and eager.merges >= lazy.merges
         assert budgets[-2] == budgets[-1] == _pair_entries(ga, gb, x)
-        built_first += eager.merges > lazy.merges
-    assert built_first > 0
+        built_before += eager.merges > lazy.merges
+    assert built_before > 0
 
 
 def test_sweep_memo_resets_keep_results_exact(rng, monkeypatch):
@@ -503,33 +509,11 @@ def test_unbuilt_pairs_on_the_benchmark_weighted_fibonacci_pair():
     assert stats.sweep_memo_resets == 0
 
 
-def _chain(text):
-    """A left-deep chain grammar of text: its letters, then one variable
-    per further character, the one before it followed by that letter."""
-    letters = sorted(set(text))
-    var = {c: i for i, c in enumerate(letters, start=1)}
-    prods, last = list(letters), var[text[0]]
-    for c in text[1:]:
-        prods.append((last, var[c]))
-        last = len(prods)
-    return slp_from_productions(prods)
-
-
-@pytest.mark.parametrize(
-    "cap, counters",
-    [
-        (2, (719, 4, 22, 32_726, 60_519, 911_487)),
-        (0, (741, 4, 0, 26_969, 60_301, 1_016_612)),
-    ],
-)
-def test_repository_counters_where_nesting_is_capped(monkeypatch, cap, counters):
-    # left-deep chains nest records as deep as their parts, so a low
-    # ``MAX_NESTING`` builds most merge keys before the sweep (every one at
-    # 0); pinned so that how capped keys are built cannot move the
-    # counters unnoticed
+def test_repository_counters_of_a_chain_pair():
+    # left-deep chains nest records as deep as their parts; pinned so that
+    # how nested records are built cannot move the counters unnoticed
     rng = random.Random(7)
-    ga, gb = (_chain("".join(rng.choice("ab") for _ in range(80))) for _ in "ab")
-    monkeypatch.setattr(dist, "MAX_NESTING", cap)
+    ga, gb = (chain_slp("".join(rng.choice("ab") for _ in range(80))) for _ in "ab")
     got, stats = block_edit_distance(ga, gb, levenshtein("ab"), 30)
     assert got == wagner_fischer(expand(ga), expand(gb), levenshtein("ab"))
     assert (
@@ -539,7 +523,7 @@ def test_repository_counters_where_nesting_is_capped(monkeypatch, cap, counters)
         stats.table_entries,
         stats.peak_table_entries,
         stats.merge_queries,
-    ) == counters
+    ) == (96, 4, 645, 9_204, 9_204, 3_990)
 
 
 @pytest.mark.parametrize("index", [1, -1])

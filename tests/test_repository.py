@@ -1,11 +1,14 @@
 import gc
+import inspect
+import random
+import sys
 import weakref
 from collections import Counter
 from operator import sub
 
 import pytest
 
-from conftest import mutated_periodic, random_slp, random_scoring
+from conftest import chain_slp, mutated_periodic, random_slp, random_scoring
 from slpdist import (
     block_edit,
     block_edit_distance,
@@ -98,7 +101,12 @@ def _unbuilt(repo):
 
 def _records(repo):
     """Every distinct unbuilt record the memo holds, at any depth."""
-    records, stack = {}, list(repo.memo.values())
+    return _records_under(*repo.memo.values())
+
+
+def _records_under(*values):
+    """Every distinct unbuilt record among values, at any depth."""
+    records, stack = {}, list(values)
     while stack:
         value = stack.pop()
         if type(value) is Unbuilt and value.table is None and id(value) not in records:
@@ -249,11 +257,12 @@ def test_composite_chain_tables(fib7_slp, rng, built):
 
 
 def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch, built):
-    # one finite matrix per table, built against the repository's ceiling
-    # before the sweep or by the sweep on demand; the sweep reads those
-    # very rows, and stand-ins are shared objects
+    # one finite matrix per table, built against the repository's ceiling,
+    # a direct one before the sweep and a merged one by the sweep on
+    # demand; the sweep reads those very rows, and stand-ins are shared
+    # objects
     real_build, real_kernel = block_edit.build_repository, dist.minplus_row
-    real_miss, real_through = dist._miss, dist._through_operands
+    real_push = dist._push
     repos, swept, merging, misses = [], [], [], Counter()
 
     def build(*args):
@@ -277,18 +286,16 @@ def test_each_table_is_stored_once_in_finite_form(rng, monkeypatch, built):
 
         return wrapped
 
-    def miss(*args):
+    def push(d, *args):
         misses["stored"] += 1
-        return real_miss(*args)
-
-    def through_operands(*args):
-        misses["through"] += 1
-        return real_through(*args)
+        out = yield from real_push(d, *args)
+        # a record is built at the start of its own push or not during it
+        misses["through"] += type(d) is Unbuilt and d.table is None
+        return out
 
     monkeypatch.setattr(block_edit, "build_repository", build)
     monkeypatch.setattr(dist, "minplus_row", kernel)
-    monkeypatch.setattr(dist, "_miss", miss)
-    monkeypatch.setattr(dist, "_through_operands", through_operands)
+    monkeypatch.setattr(dist, "_push", push)
     for name in ("merge_vertical", "merge_horizontal"):
         monkeypatch.setattr(dist, name, merge_flagged(getattr(dist, name)))
     unbuilt = on_demand = 0
@@ -436,7 +443,8 @@ def _balanced_pair():
 
 def test_balanced_grammars_hold_fewer_entries_than_they_build(built):
     # balanced grammars reuse few of the operands the exact pairs split
-    # into, so most of what the repository builds is freed before the sweep
+    # into, so most of what the repository builds is freed once the records
+    # that hold it are built
     ga, gb = _balanced_pair()
     sf = levenshtein("abcd")
     for x in (4, 8):
@@ -449,27 +457,11 @@ def test_balanced_grammars_hold_fewer_entries_than_they_build(built):
 
 
 def test_peak_table_entries_counts_the_tables_alive(fib7_slp, rng, monkeypatch):
-    unbuilt, nested, built = _replay_peak_table_entries(fib7_slp, rng, monkeypatch)
-    assert unbuilt > 0 and nested > 0 and built > 0
-
-
-@pytest.mark.parametrize("cap", [0, 1])
-def test_peak_table_entries_counts_the_tables_alive_at_low_nesting_caps(
-    fib7_slp, rng, monkeypatch, cap
-):
-    # a low ``MAX_NESTING`` builds keys before the sweep (every merge key
-    # at 0), and each operand must be freed once its last consumer is built
-    monkeypatch.setattr(dist, "MAX_NESTING", cap)
-    _replay_peak_table_entries(fib7_slp, rng, monkeypatch)
-
-
-def _replay_peak_table_entries(fib7_slp, rng, monkeypatch):
     # replay the build: as each table is stored, add up the entries of
     # every DistTable still alive, so a freed operand that lingers counts;
     # the largest sum is the counter.  An unbuilt record stores no table
     # but keeps its operands alive, records among them, so once built the
-    # tables alive are those ``table_entries`` counts.  Returns the unbuilt
-    # pairs, nested records and records built on demand seen in the replay
+    # tables alive are those ``table_entries`` counts
     real = dist.Repository._combine
     before = []
     seen = []
@@ -513,7 +505,7 @@ def _replay_peak_table_entries(fib7_slp, rng, monkeypatch):
                     assert alive() == repo.table_entries
                     built += 1
             assert repo.unbuilt_keys == 0
-    return unbuilt, nested, built
+    assert unbuilt > 0 and nested > 0 and built > 0
 
 
 def test_a_finished_run_frees_its_repository_without_the_cycle_collector(monkeypatch):
@@ -568,41 +560,40 @@ def test_a_record_is_built_exactly_when_its_rent_reaches_its_price(
     # twice.  (While the repository decided before the sweep, a replay of
     # its reverse pass over sizes and part counts checked which keys it
     # left unbuilt.)
-    real_miss, real_build = dist._miss, dist.Repository.build
+    real_push, real_build = dist._push, dist.Repository.build
     misses = Counter()  # misses through each record while it is unbuilt
-    building = []
     events = Counter()
 
-    def miss(key, *args):
-        d = key[0]
+    def push(d, *args):
         if type(d) is not Unbuilt or d.table is not None:
-            return real_miss(key, *args)
+            return (yield from real_push(d, *args))
         if not misses[d]:
             s1, s2 = d.d1.s, d.d2.s
             assert d.shared == s1 + s2 - d.s and d.price == (s1 - 1) * (d.shared + s2)
         assert d.rent == 2 * d.shared * misses[d]
         misses[d] += 1
-        out = real_miss(key, *args)
+        out = yield from real_push(d, *args)
         reached = 2 * d.shared * misses[d] >= d.price
         assert (d.table is not None) == reached
         events["rent"] += reached
         return out
 
     def build(self, record):
+        # entered once per build on demand; the operands it merges first
+        # are records below it whose rent has not reached their price
         assert record.table is None
-        if building:
-            assert record in (building[-1].d1, building[-1].d2)
-            assert record.rent < record.price
-            events["operand"] += 1
-        else:
-            assert record.rent >= record.price > record.rent - 2 * record.shared
-        building.append(record)
-        try:
-            return real_build(self, record)
-        finally:
-            building.pop()
+        assert record.rent >= record.price > record.rent - 2 * record.shared
+        below = {r.key: r for r in _records_under(record)}
+        start = len(combined)
+        table = real_build(self, record)
+        *operands, last = (key for key, _ in combined[start:])
+        assert last == record.key
+        for key in operands:
+            assert below[key].rent < below[key].price
+        events["operand"] += len(operands)
+        return table
 
-    monkeypatch.setattr(dist, "_miss", miss)
+    monkeypatch.setattr(dist, "_push", push)
     monkeypatch.setattr(dist.Repository, "build", build)
     for ga, gb, sf in _grammar_pairs(fib7_slp, rng):
         for x in (2, 3, 5, 8, 13):
@@ -771,18 +762,18 @@ def test_a_record_gives_the_same_outputs_once_built(rng, grid):
                 continue
             values = [rng.randint(0, 30) for _ in range(record.s)]
             outputs = []
-            for push in (dist._through_operands, dist._outputs):
+            for _ in "before", "after":
                 sweep = dist.Sweep(10**6, repo)
                 left, top = (
                     sweep.intern(tuple(map(sub, e[1:], e)))
                     for e in (values[: record.h + 1], values[record.h :])
                 )
-                out = push(record, values[0], left, top, sweep)
+                out = dist._miss((record, left, top), values[0], sweep)
                 outputs.append((out.first, out.bottom.steps, out.right.steps, out.peak))
                 if record.table is None:
                     repo.build(record)
+                    compared += 1
             assert outputs[0] == outputs[1]
-            compared += 1
     assert compared > 0
 
 
@@ -794,21 +785,19 @@ def _depth(value):
     return 1 + max(_depth(value.d1), _depth(value.d2))
 
 
-@pytest.mark.parametrize("cap", [1, 2])
-def test_records_nest_at_most_max_nesting(fib7_slp, rng, monkeypatch, cap):
-    # the sweep recurses once per level of nesting, so a key below
-    # ``MAX_NESTING`` unbuilt records is built; the distance stays exact
-    def deepest(grammars):
-        depth = 0
-        for ga, gb, sf in grammars:
-            for x in (3, 5, 8, 13):
-                repo, _, _ = _repo_for(ga, gb, sf, x)
-                depth = max([depth] + [_depth(v) for v in repo.memo.values()])
-                cost, _ = block_edit_distance(ga, gb, sf, x)
-                assert cost == wagner_fischer(expand(ga), expand(gb), sf)
-        return depth
-
-    grammars = _grammar_pairs(fib7_slp, rng)
-    assert deepest(grammars) > cap
-    monkeypatch.setattr(dist, "MAX_NESTING", cap)
-    assert deepest(grammars) == cap
+def test_records_nest_deeper_than_the_stack():
+    # the sweep pushes blocks through nested records, and builds them,
+    # over explicit stacks: records nested deeper than the frames left
+    # under the recursion limit stay exact
+    rng = random.Random(7)
+    ga, gb = (chain_slp("".join(rng.choice("ab") for _ in range(80))) for _ in "ab")
+    sf = levenshtein("ab")
+    repo, _, _ = _repo_for(ga, gb, sf, 30)
+    assert max(_depth(v) for v in repo.memo.values()) == 58
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        cost, _ = block_edit_distance(ga, gb, sf, 30)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cost == wagner_fischer(expand(ga), expand(gb), sf)
