@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -524,6 +525,72 @@ def test_repository_counters_of_a_chain_pair():
         stats.peak_table_entries,
         stats.merge_queries,
     ) == (96, 4, 645, 9_204, 9_204, 3_990)
+
+
+def _built_nesting_first(real_build, cap):
+    """``build_repository``, then ``Repository.build`` in plan order on each
+    merge key with ``cap`` unbuilt records above it and on its operands, so
+    the sweep finds those keys built and nests records at most ``cap``
+    deep (every merge key is built at 0)."""
+    plans = []
+    real_plan = dist.Repository._plan
+
+    def plan(repo, pairs):
+        plans.append(real_plan(repo, pairs))
+        return plans[-1]
+
+    def build(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dist.Repository, "_plan", plan)
+            repo = real_build(*args)
+        records, stack = {}, list(repo.memo.values())
+        while stack:
+            value = stack.pop()
+            if type(value) is dist.Unbuilt and value.key not in records:
+                records[value.key] = value
+                stack += value.d1, value.d2
+        nesting, built = Counter(), set()  # most unbuilt records above each key
+        for key, (deps, op) in reversed(plans[-1].items()):
+            if op == "direct" or key in built or nesting[key] == cap:
+                built.add(key)
+                built.update(deps)
+            else:
+                for d in deps:
+                    nesting[d] = max(nesting[d], nesting[key] + 1)
+        for key in plans[-1]:
+            if key in built and key in records and records[key].table is None:
+                repo.build(records[key])
+        return repo
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "cap, counters",
+    [
+        (2, (719, 4, 22, 32_726, 60_519, 911_487)),
+        (0, (741, 4, 0, 26_969, 60_301, 1_016_612)),
+    ],
+)
+def test_repository_counters_where_nesting_is_capped(monkeypatch, cap, counters):
+    # building the keys nested more than ``cap`` records deep before the
+    # sweep, as ``Repository.build`` does at a miss, gives the counters the
+    # chain pair had when the repository capped nesting; pinned so that
+    # building records outside the sweep cannot move them unnoticed
+    real_build = block_edit.build_repository
+    monkeypatch.setattr(block_edit, "build_repository", _built_nesting_first(real_build, cap))
+    rng = random.Random(7)
+    ga, gb = (chain_slp("".join(rng.choice("ab") for _ in range(80))) for _ in "ab")
+    got, stats = block_edit_distance(ga, gb, levenshtein("ab"), 30)
+    assert got == wagner_fischer(expand(ga), expand(gb), levenshtein("ab"))
+    assert (
+        stats.merges,
+        stats.direct_builds,
+        stats.unbuilt_keys,
+        stats.table_entries,
+        stats.peak_table_entries,
+        stats.merge_queries,
+    ) == counters
 
 
 @pytest.mark.parametrize("index", [1, -1])
