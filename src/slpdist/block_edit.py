@@ -9,7 +9,7 @@ from decimal import Decimal
 from .dist import Sweep, apply_inputs, build_repository
 from .partition import InvariantViolation, partition_string
 from .scoring import ScoringFunction, scaled_to_ints
-from .slp import Slp, expand
+from .slp import Slp, expand, expandable_length, letters
 
 
 class RunStats:
@@ -38,7 +38,12 @@ class RunStats:
     ``dist.Sweep``), and ``sweep_memo_resets`` how often those edges'
     steps and the memo's records reached the entries the part pairs'
     tables would hold, built or not, and both were cleared.  ``elapsed``
-    maps each phase to its seconds.
+    maps each phase to its seconds, and no phase holds another's time:
+    ``partition`` (the length and alphabet checks, then both partitions),
+    ``repository`` (the direct builds), ``merge`` (the calls of
+    ``Repository.build``, all made during the sweep) and ``sweep`` (the
+    rest of it: the first row's and column's edges, each distinct part
+    variable expanded once, and the blocks).
     """
 
     COUNTERS = (
@@ -132,25 +137,25 @@ def block_edit_distance(
     Partitions both strings, builds the repository of boundary distance
     tables (the sweep merges the rest of them on demand), then sweeps the
     grid block by block, carrying only the frontier row and the current
-    block column.  Returns ``(cost, RunStats)``; the cost is exactly what
-    ``wagner_fischer`` returns on the expanded strings, for every valid
-    block size, as the same printed string.
+    block column.  Neither string is derived whole: lengths and letters
+    come from the grammars, and each distinct part variable is expanded
+    once, for the steps of its first-row or first-column edge.  Returns
+    ``(cost, RunStats)``; the cost is exactly what ``wagner_fischer``
+    returns on the expanded strings, for every valid block size, as the
+    same printed string.
     """
     stats = RunStats()
     t0 = time.perf_counter()
-    text_a = expand(slp_a)
-    text_b = expand(slp_b)
-    scaled, e = scaled_to_ints(sf, text_a, text_b)
-    stats.n_chars_a, stats.n_chars_b = len(text_a), len(text_b)
+    # an over-long string is refused before the scoring check, as the
+    # baseline's ``expand`` refuses it
+    n_a = expandable_length(slp_a, slp_a.root)
+    n_b = expandable_length(slp_b, slp_b.root)
+    scaled, e = scaled_to_ints(sf, letters(slp_a), letters(slp_b))
+    stats.n_chars_a, stats.n_chars_b = n_a, n_b
     stats.n_vars_a, stats.n_vars_b = slp_a.size, slp_b.size
     if block_size is None:
-        block_size = default_block_size(
-            len(text_a) + len(text_b), slp_a.size + slp_b.size
-        )
+        block_size = default_block_size(n_a + n_b, slp_a.size + slp_b.size)
     stats.block_size = block_size
-    stats.elapsed["expand"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     # refuses a block size below 2
     part_a = partition_string(slp_a, block_size)
     part_b = partition_string(slp_b, block_size)
@@ -162,7 +167,8 @@ def block_edit_distance(
     repo = build_repository(part_a, part_b, scaled)
     stats.memo_size = repo.memo_size
     stats.direct_builds = repo.direct_builds
-    stats.elapsed["repository"] = time.perf_counter() - t0
+    merge_s = repo.merge_s
+    stats.elapsed["repository"] = time.perf_counter() - t0 - merge_s
 
     t0 = time.perf_counter()
     # Boundaries travel in difference form (see ``apply_inputs``), as
@@ -175,22 +181,32 @@ def block_edit_distance(
     # as many as the part pairs' tables would hold entries, built or not,
     # which keeps the sweep's memory within that of the tables it reads.
     sweep = Sweep(sum(v.s * v.s for v in repo.memo.values()), repo)
-    corners, tops = [], []
-    c0 = 0
-    for pb in part_b.parts:
-        c1 = c0 + pb.length
-        corners.append(corners[-1] + tops[-1].total if tops else 0)
-        tops.append(sweep.intern(tuple([scaled.insert[c] for c in text_b[c0:c1]])))
-        c0 = c1
     vars_b = [pb.var for pb in part_b.parts]
-    r0 = 0
-    bottom = 0  # the grid's value at (r0, 0)
+    # the first row's steps, per distinct column part variable
+    top_steps = {
+        vb: tuple([scaled.insert[c] for c in expand(part_b.slp, vb)])
+        for vb in dict.fromkeys(vars_b)
+    }
+    corners, tops = [], []
+    for vb in vars_b:
+        corners.append(corners[-1] + tops[-1].total if tops else 0)
+        tops.append(sweep.intern(top_steps[vb]))
+    # per distinct row part variable: the first column's steps, bottom to
+    # top (input order), and the row's tables (a record built in place
+    # stays its key's value)
+    rows = {}
+    bottom = 0  # the grid's value at the current row's top-left corner
     for pa in part_a.parts:
-        r1 = r0 + pa.length
-        # the first column's steps, bottom to top (input order)
-        left = sweep.intern(tuple([-scaled.delete[c] for c in reversed(text_a[r0:r1])]))
+        row = rows.get(pa.var)
+        if row is None:
+            text = expand(part_a.slp, pa.var)
+            row = rows[pa.var] = (
+                tuple([-scaled.delete[c] for c in reversed(text)]),
+                [repo.lookup(pa.var, vb) for vb in vars_b],
+            )
+        left_steps, tables = row
+        left = sweep.intern(left_steps)
         base = bottom = bottom - left.total
-        tables = [repo.lookup(pa.var, vb) for vb in vars_b]
         for k, table in enumerate(tables):
             if base + left.total != corners[k]:
                 raise InvariantViolation("frontier and left edge disagree at a corner")
@@ -199,10 +215,9 @@ def block_edit_distance(
             tops[k] = top = out.bottom
             left = out.right
             base += top.total
-        r0 = r1
     # every block outputs h + w + 1 boundary values
     stats.boundary_cells_propagated = (
-        stats.parts_b * (len(text_a) + stats.parts_a) + stats.parts_a * len(text_b)
+        stats.parts_b * (n_a + stats.parts_a) + stats.parts_a * n_b
     )
     stats.sweep_queries, stats.sweep_memo_hits = sweep.queries[0], sweep.hits
     stats.sweep_edges, stats.sweep_memo_resets = sweep.interned, sweep.resets
@@ -214,5 +229,6 @@ def block_edit_distance(
     stats.unbuilt_pairs = repo.unbuilt_pairs
     stats.unbuilt_keys = repo.unbuilt_keys
     stats.merge_queries = repo.merge_queries
-    stats.elapsed["sweep"] = time.perf_counter() - t0
+    stats.elapsed["merge"] = repo.merge_s
+    stats.elapsed["sweep"] = time.perf_counter() - t0 - (repo.merge_s - merge_s)
     return _unscaled(corners[-1] + tops[-1].total, sf, scaled, e), stats

@@ -49,6 +49,7 @@ build is the only route to a merged table.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from itertools import accumulate, chain, compress
 from operator import ne, sub
@@ -553,7 +554,7 @@ class Repository:
     each live table or record, the memo keys and records that hold it, and
     ``table_entries`` the entries of the live tables;
     ``peak_table_entries`` is the most they held at once, before and
-    during the sweep.
+    during the sweep.  ``merge_s`` sums the seconds spent in ``build``.
     """
 
     def __init__(self, slp_a: Slp, slp_b: Slp, sf):
@@ -562,6 +563,7 @@ class Repository:
         self.holders = Counter()
         self.direct_builds = 0
         self.merges = 0
+        self.merge_s = 0.0
         self.table_entries = 0
         self.peak_table_entries = 0
         self._queries = [0]  # kernel element queries spent in merges
@@ -623,6 +625,7 @@ class Repository:
         first the same way, d1's before d2's, over an explicit stack so
         that nesting depth never hits the Python recursion limit.  Each
         record then holds its table in place of its operands."""
+        t0 = time.perf_counter()
         stack = [record]
         while stack:
             top = stack[-1]
@@ -637,6 +640,7 @@ class Repository:
             self.hold(top.table)
             top.d1 = top.d2 = None
             self.release(*operands)
+        self.merge_s += time.perf_counter() - t0
         return record.table
 
     def _plan(self, pairs) -> dict:

@@ -93,15 +93,17 @@ def max_cost(sf: ScoringFunction):
     return max([cost for _, _, cost in _costs(sf)])
 
 
-def scaled_to_ints(sf: ScoringFunction, *texts) -> tuple:
+def scaled_to_ints(sf: ScoringFunction, *letters) -> tuple:
     """The scoring prologue both algorithms start with: ``(table, e)``, the
     table with every cost an int, and the exponent e such that each cost of
     ``sf`` equals its int times 10**e.
 
-    Raises ``ScoringError`` for the first fault ``validate`` lists, then for
-    characters of ``texts`` outside the alphabet, then for a scaled cost of
-    more than ``MAX_COST_DIGITS`` digits; so both algorithms refuse the same
-    tables and texts, with the same message.  An all-int table comes back
+    ``letters`` holds, per input, its characters: the text itself, or the
+    set of letters its grammar derives (``slp.letters``).  Raises
+    ``ScoringError`` for the first fault ``validate`` lists, then for
+    characters outside the alphabet, then for a scaled cost of more than
+    ``MAX_COST_DIGITS`` digits; so both algorithms refuse the same tables
+    and texts, with the same message.  An all-int table comes back
     as it is (the same object) with e = 0.  Otherwise e is the smallest
     exponent among the costs, and never above 0.  The scaling is exact: it
     works on each cost's digits and exponent, never under a rounding
@@ -110,7 +112,7 @@ def scaled_to_ints(sf: ScoringFunction, *texts) -> tuple:
     problems = validate(sf)
     if problems:
         raise ScoringError(f"invalid scoring: {problems[0]}")
-    missing = set().union(*texts) - set(sf.alphabet)
+    missing = set().union(*letters) - set(sf.alphabet)
     if missing:
         raise ScoringError(f"alphabet does not cover input characters {sorted(missing)!r}")
     costs = list(_costs(sf))

@@ -102,6 +102,25 @@ def expandable_length(slp: Slp, var: int) -> int:
     return n
 
 
+def letters(slp: Slp) -> set:
+    """The letters of the string the root derives, without deriving it:
+    the terminals of the variables reachable from the root, found in one
+    walk of the productions from the root down (every variable refers only
+    to earlier ones)."""
+    prods = slp.productions
+    reached = bytearray(len(prods))
+    reached[slp.root] = 1
+    found = set()
+    for v in range(slp.root, 0, -1):
+        if reached[v]:
+            prod = prods[v]
+            if isinstance(prod, str):
+                found.add(prod)
+            else:
+                reached[prod[0]] = reached[prod[1]] = 1
+    return found
+
+
 def expand(slp: Slp, var: int | None = None) -> str:
     """Derive the string of ``var`` (default: the whole string).
 

@@ -185,6 +185,32 @@ def test_stats_record_roundtrip(fib7_slp):
     assert any(k.startswith("elapsed_") for k in fields)
 
 
+def test_phases_are_disjoint_and_time_the_merges(fib7_slp):
+    # the phases partition one call's time: the bench sums them, and a
+    # merge made during the sweep counts as merge time only
+    import time
+
+    rng = random.Random(31)
+    texts = [mutated_periodic(rng, "abcd", 1024, 7, 4) for _ in "ab"]
+    cases = [
+        (repair(texts[0]), repair(texts[1]), random_scoring(rng, "abcd"), None),
+        (fib7_slp, fib7_slp, levenshtein("ab"), 4),
+        # one terminal against another: a direct table and no merge
+        (slp_from_productions(["a"]), slp_from_productions(["b"]), levenshtein("ab"), 2),
+    ]
+    merged = 0
+    for ga, gb, sf, x in cases:
+        t0 = time.perf_counter()
+        _, stats = block_edit_distance(ga, gb, sf, x)
+        wall = time.perf_counter() - t0
+        assert set(stats.elapsed) == {"partition", "repository", "merge", "sweep"}
+        assert min(stats.elapsed.values()) >= 0
+        assert sum(stats.elapsed.values()) <= wall
+        assert (stats.elapsed["merge"] > 0) == (stats.merges > 0)
+        merged += stats.merges
+    assert merged
+
+
 def test_decimal_costs_end_to_end():
     from decimal import Decimal
 

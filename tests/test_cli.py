@@ -412,6 +412,8 @@ def test_over_long_expansion_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("algorithm", ["block", "baseline"])
 def test_distance_expands_each_grammar_once(tmp_path, capsys, monkeypatch, algorithm):
+    # the baseline derives each text once; the block path derives neither
+    # text whole, only the string of each distinct part variable, once
     from slpdist import block_edit, slp
 
     calls = []
@@ -421,13 +423,27 @@ def test_distance_expands_each_grammar_once(tmp_path, capsys, monkeypatch, algor
             return _expand(*args, **kwargs)
 
         monkeypatch.setattr(owner, "expand", counted)
+    partitions = []
+
+    def partitioned(*args, _partition=block_edit.partition_string):
+        partitions.append(_partition(*args))
+        return partitions[-1]
+
+    monkeypatch.setattr(block_edit, "partition_string", partitioned)
     grammar = tmp_path / "fib7.slp"
     grammar.write_text(FIB7_SLP_TEXT)
     code, out, err = run_cli(
         capsys, "distance", str(grammar), str(grammar), "--algorithm", algorithm
     )
     assert (code, out) == (0, "0\n")
-    assert len(calls) == 2
+    if algorithm == "baseline":
+        assert len(calls) == 2
+        return
+    assert calls and all(len(args) == 2 for args in calls)
+    assert all(var != g.root for g, var in calls)
+    named = [(id(g), var) for g, var in calls]
+    assert set(named) <= {(id(p.slp), part.var) for p in partitions for part in p.parts}
+    assert len(named) == len(set(named))
 
 
 def test_unreachable_terminal_leaves_the_lev_distance_unchanged(tmp_path, capsys):
@@ -444,6 +460,51 @@ def test_unreachable_terminal_leaves_the_lev_distance_unchanged(tmp_path, capsys
             for a in (grammar, plain)
         ]
         assert outs[0] == outs[1] == (0, "2\n", "")
+
+
+def test_unreachable_terminal_outside_the_scoring_alphabet_is_accepted(tmp_path, capsys):
+    # variable 2 ('z') is in no derivation, and the scoring file has no 'z'
+    grammar = tmp_path / "ab.slp"
+    grammar.write_text("SLP 4\n1 -> 'a'\n2 -> 'z'\n3 -> 'b'\n4 -> 1 3\n")
+    plain = tmp_path / "ab.txt"
+    plain.write_text("ab\n")
+    other = tmp_path / "other.txt"
+    other.write_text("bba\n")
+    costs = tmp_path / "c.tsv"
+    costs.write_text(_ab_table(2, 1, 1, 3, 2, 1))
+    outs = [
+        run_cli(
+            capsys, "distance", str(a), str(other), "--scoring", str(costs),
+            "--algorithm", algorithm,
+        )
+        for algorithm in ("block", "baseline")
+        for a in (grammar, plain)
+    ]
+    assert outs[0][0] == 0 and outs[0][1] != "" and outs[0][2] == ""
+    assert outs == [outs[0]] * 4
+
+
+def test_over_long_grammar_is_refused_before_its_letters(tmp_path, capsys):
+    # 'z' is outside the scoring alphabet, but the length is checked first
+    over = tmp_path / "over.slp"
+    text = _doubling_slp_text(MAX_EXPAND_LENGTH.bit_length(), tail=True)
+    over.write_text(text.replace("'a'", "'z'"))
+    small = tmp_path / "small.txt"
+    small.write_text("ab\n")
+    costs = tmp_path / "c.tsv"
+    costs.write_text(_ab_table(2, 1, 1, 3, 2, 1))
+    for pair in ((over, small), (small, over)):
+        outs = [
+            run_cli(
+                capsys, "distance", *map(str, pair), "--scoring", str(costs),
+                "--algorithm", algorithm,
+            )
+            for algorithm in ("block", "baseline")
+        ]
+        assert outs[0] == outs[1]
+        code, out, err = outs[0]
+        assert (code, out) == (1, "")
+        assert f"derives {MAX_EXPAND_LENGTH + 1} characters" in err
 
 
 def test_distance_stats_with_baseline_rejected_before_work(tmp_path, capsys):

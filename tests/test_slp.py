@@ -19,7 +19,7 @@ from slpdist import (
     var_length,
 )
 from slpdist.cli import dump_slp
-from slpdist.slp import Slp, _Builder, _join_balanced, slp_from_productions
+from slpdist.slp import Slp, _Builder, _join_balanced, letters, slp_from_productions
 
 
 def test_worked_grammar_is_valid(fib7_slp):
@@ -149,6 +149,18 @@ def test_var_length_matches_expansion_everywhere(rng):
         assert validate(g) == []
         for v in range(1, g.size + 1):
             assert var_length(g, v) == len(expand(g, v))
+
+
+def test_letters_are_those_the_root_derives(rng):
+    from conftest import random_slp
+
+    for _ in range(40):
+        g = random_slp(rng)
+        assert letters(g) == set(expand(g))
+    # variable 2 ('z') is in no derivation; 30 more doublings derive 2**30
+    # characters, found without deriving them
+    g = slp_from_productions(["a", "z", "b", (1, 3)] + [(i, i) for i in range(4, 34)])
+    assert letters(g) == {"a", "b"}
 
 
 def test_exponential_compression_without_expanding():
